@@ -23,6 +23,7 @@ the exponential term carrying the tiny imaginary scale is explicit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, EvalConfig
@@ -316,9 +317,11 @@ def solve_H(
     Residual contract: ``|f_tilde(z) - x| <= 1e-10 * max(1, x)``.  Above
     ``config.x_asymptotic`` the order-3 series values are returned directly,
     tagged ``NearInfinity`` (residuals there sit below binary64 noise).  The
-    curve height underflows binary64 entirely near ``x = 38.5``; beyond that
-    the height is only representable in scaled form (see
-    ``eval_h_asym_infinity``) and this solver raises ``DomainError``.
+    curve height falls below the smallest normal binary64 number near
+    ``x = 37.81`` (and underflows entirely near ``x = 38.5``); beyond that the
+    height is only representable in scaled form (see
+    ``eval_h_asym_infinity``) and this solver raises ``DomainError`` rather
+    than return a subnormal with a few significant bits.
 
     ``_seed`` is a warm-start hook for the tracing routines; passing it skips
     regime seeding but not the residual contract.
@@ -341,9 +344,9 @@ def solve_H(
             g = eval_g_asym_infinity(x, 3)
             h_sc = eval_h_asym_infinity(x, 3)
             h = float(h_sc.to_complex().real) if h_sc.log_abs() > -740 else 0.0
-            if h <= 0.0:
+            if h < sys.float_info.min:
                 raise DomainError(
-                    f"curve height at x = {x} underflows binary64; "
+                    f"curve height at x = {x} is not a normal binary64 number; "
                     "use eval_h_asym_infinity for a scaled value"
                 )
             re, im = _g_tilde_near_axis_parts(g, -h, config)
@@ -456,7 +459,9 @@ def f_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     closed form ``-pi/(2x)`` is returned, whose relative error
     ``exp(-pi^2/(8 x^2)) < 1e-1150`` is far below representation, so the
     value is exact to the last bit.  ``|x| > 38.4`` raises ``DomainError``
-    because the boundary height is no longer a positive binary64.
+    because the boundary height is no longer a positive binary64; from about
+    ``|x| = 37.84`` the inner curve solve already raises it, because the
+    height is no longer a normal binary64.
     """
     a = abs(float(x))
     if a == 0.0:

@@ -16,16 +16,14 @@ is explicitly ``~ T exp(-T^2/2)/sqrt(2 pi)``.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass
-
-from scipy.integrate import IntegrationWarning, quad
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .curve import in_omega, solve_H
 from .errors import DomainError, NoConvergence, QuadratureFailure
 from .series import eval_h_asym_infinity
-from .transforms import DomainTag, classify_domain, f_tilde, f_tilde_prime
+from .transforms import DomainTag, classify_domain, f_tilde, f_tilde_prime, quad
 
 __all__ = [
     "LevySample",
@@ -70,12 +68,21 @@ class TauSample:
 
 
 def levy_density(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """``h(|x|) / (pi x^2)``, the free Levy density; even and positive."""
+    """``h(|x|) / (pi x^2)``, the free Levy density; even and positive.
+
+    Raises ``DomainError`` where the density is not a normal binary64 number
+    (from about ``|x| = 37.6``), rather than return a subnormal or zero.
+    """
     x = float(x)
     if x == 0.0:
         raise DomainError("the free Levy density lives on nonzero x")
     pt = solve_H(abs(x), config)
-    return pt.h / (_PI * x * x)
+    density = pt.h / (_PI * x * x)
+    if density < sys.float_info.min:
+        raise DomainError(
+            f"the free Levy density at x = {x} is not a normal binary64 number"
+        )
+    return density
 
 
 def voiculescu(w: complex, config: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -102,7 +109,11 @@ def voiculescu(w: complex, config: EvalConfig = DEFAULT_CONFIG) -> complex:
             r = complex(f_tilde(z, config)) - w
             if abs(r) <= 1e-12 * max(1.0, abs(w)):
                 return z
-            dz = -r / complex(f_tilde_prime(z, config))
+            d = complex(f_tilde_prime(z, config))
+            if d == 0:
+                # underflowed far below the axis: no Newton step from here
+                return None
+            dz = -r / d
             # damped, staying inside the pole-free region
             for m in range(9):
                 cand = z + dz * (0.5**m)
@@ -157,15 +168,13 @@ def tau_total_mass(
         return h / (_PI * (1.0 + x * x))
 
     u_lo = -math.log(config.x_lo)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        v1, e1 = quad(small, u_lo, 60.0, epsabs=quad_tol / 8, epsrel=1e-12, limit=300)
-        v2, e2 = quad(
-            body, config.x_lo, config.x_hi, epsabs=quad_tol / 8, epsrel=1e-12,
-            limit=300,
-        )
-        v3, e3 = quad(tail, config.x_hi, 40.0, epsabs=quad_tol / 8, epsrel=1e-12,
-                      limit=300)
+    v1, e1 = quad(small, u_lo, 60.0, epsabs=quad_tol / 8, epsrel=1e-12, limit=300)
+    v2, e2 = quad(
+        body, config.x_lo, config.x_hi, epsabs=quad_tol / 8, epsrel=1e-12,
+        limit=300,
+    )
+    v3, e3 = quad(tail, config.x_hi, 40.0, epsabs=quad_tol / 8, epsrel=1e-12,
+                  limit=300)
     err = e1 + e2 + e3
     if err > quad_tol:
         raise QuadratureFailure(

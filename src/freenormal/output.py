@@ -202,8 +202,11 @@ def svg_figure(command: str, panels, width=640, panel_height=300) -> str:
     """Assemble panels (dicts of ``_panel`` keyword arguments) into one SVG.
 
     The rendered document references nothing external; the generating
-    command line is kept as a comment right after the XML declaration.
+    command line is kept as a comment right after the XML declaration, with
+    each ``--`` written as ``- -`` because XML forbids ``--`` in a comment.
     """
+    while "--" in command:
+        command = command.replace("--", "- -")
     height = panel_height * len(panels)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

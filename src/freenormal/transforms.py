@@ -42,8 +42,6 @@ import enum
 import math
 import warnings
 
-from scipy.integrate import IntegrationWarning, quad
-
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import InvalidContour, PoleProximity
 from .scaled import ScaledComplex
@@ -418,6 +416,22 @@ def _ray_distance(z: complex, angle: float) -> float:
     return abs(u.imag)
 
 
+def quad(func, a: float, b: float, **kwargs) -> tuple:
+    """``scipy.integrate.quad`` with its ``IntegrationWarning`` silenced.
+
+    Every caller checks the returned error estimate against its own
+    tolerance, which supersedes quadpack's roundoff nag.  scipy is imported
+    here, on the first quadrature, because it (with numpy under it) costs
+    most of the start-up of a command that never integrates.
+    """
+    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import quad as quadpack
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quadpack(func, a, b, **kwargs)
+
+
 def g_tilde_contour_oracle(
     z: complex,
     eta: float,
@@ -493,18 +507,15 @@ def g_tilde_contour_oracle(
         w = t * direction
         return direction * cmath.exp(-0.5 * w * w) / (_SQRT_TWO_PI * (z - w))
 
-    with warnings.catch_warnings():
-        # the explicit error estimates below supersede quadpack's roundoff nag
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val_r, err_r = quad(
-            integrand, 0.0, radius, args=(e_r,), complex_func=True,
-            epsabs=1e-14, epsrel=1e-13, limit=400,
-        )
-        # left ray traversed from infinity toward 0: subtract the 0->R integral
-        val_l, err_l = quad(
-            integrand, 0.0, radius, args=(e_l,), complex_func=True,
-            epsabs=1e-14, epsrel=1e-13, limit=400,
-        )
+    val_r, err_r = quad(
+        integrand, 0.0, radius, args=(e_r,), complex_func=True,
+        epsabs=1e-14, epsrel=1e-13, limit=400,
+    )
+    # left ray traversed from infinity toward 0: subtract the 0->R integral
+    val_l, err_l = quad(
+        integrand, 0.0, radius, args=(e_l,), complex_func=True,
+        epsabs=1e-14, epsrel=1e-13, limit=400,
+    )
     total = val_r - val_l
     qerr = abs(err_r) + abs(err_l) + tail_bound(radius)
     if qerr > max(tol, tol * abs(total)):
@@ -534,11 +545,9 @@ def contour_moment(n: int, eta: float, radius: float | None = None) -> float:
         w = t * direction
         return direction * w**n * cmath.exp(-0.5 * w * w) / _SQRT_TWO_PI
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val_r, _ = quad(integrand, 0.0, radius, args=(e_r,), complex_func=True,
-                        epsabs=1e-13, epsrel=1e-13, limit=400)
-        val_l, _ = quad(integrand, 0.0, radius, args=(e_l,), complex_func=True,
-                        epsabs=1e-13, epsrel=1e-13, limit=400)
+    val_r, _ = quad(integrand, 0.0, radius, args=(e_r,), complex_func=True,
+                    epsabs=1e-13, epsrel=1e-13, limit=400)
+    val_l, _ = quad(integrand, 0.0, radius, args=(e_l,), complex_func=True,
+                    epsabs=1e-13, epsrel=1e-13, limit=400)
     total = val_r - val_l
     return total.real

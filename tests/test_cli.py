@@ -2,12 +2,20 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 from freenormal.cli import RunConfig, format_value, main, parse_complex
+from freenormal.curve import solve_H
 from freenormal.errors import DomainError
+from freenormal.ode import integrate, make_anchor
 from freenormal.scaled import ScaledComplex
 from freenormal.transforms import f_tilde, g_tilde, rho
 
@@ -159,6 +167,23 @@ class TestCurveExport:
         assert "href" not in text
         assert text.rstrip().endswith("</svg>")
 
+    @pytest.mark.parametrize("args", [
+        ["curve", "--xmin", "0.5", "--xmax", "3", "--n", "9"],
+        ["density", "--xmin", "0.5", "--xmax", "2", "--n", "5"],
+        ["levelsets", "--t", "0,0.7", "--step", "0.2"],
+        ["asymptotics", "--regime", "zero"],
+        ["asymptotics", "--regime", "infinity"],
+    ], ids=["curve", "density", "levelsets", "asymptotics-zero",
+            "asymptotics-infinity"])
+    def test_svg_is_well_formed_xml(self, tmp_path, args):
+        out = tmp_path / "figure.svg"
+        assert main(args + ["--format", "svg", "--out", str(out)]) == 0
+        root = ElementTree.parse(out).getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert root.find(".//{http://www.w3.org/2000/svg}polyline") is not None
+        # the generating command survives in the comment, minus its "--"
+        assert f"generated by: freenormal {args[0]} - -" in out.read_text()
+
 
 class TestDensityExport:
     def test_csv_values_are_positive_and_decreasing(self, tmp_path):
@@ -242,6 +267,16 @@ class TestVerifyCommand:
         assert len(doc["criteria"]) == 12
         assert len(doc["ode_newton_crosscheck"]) == 4
         capsys.readouterr()
+        # the cross-check is criterion 5's rows, identical to a fresh
+        # transport from the same anchor and fresh Newton solves
+        rows = {r["x_target"]: r for r in doc["criteria"][4]["rows"]}
+        anchor = make_anchor(2.0)
+        for row in doc["ode_newton_crosscheck"]:
+            x = row["x_target"]
+            assert row == rows[x]
+            s, q = integrate(anchor, x, tol=1e-10), solve_H(x)
+            assert (row["ode_g"], row["ode_h"]) == (s.g, s.h)
+            assert (row["newton_g"], row["newton_h"]) == (q.g, q.h)
 
     def test_profile_env_fallback(self, tmp_path, monkeypatch):
         out = tmp_path / "report.json"
@@ -261,3 +296,35 @@ class TestStdout:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("table,order,value\n")
+
+
+class TestStartup:
+    def test_figure_commands_load_neither_scipy_nor_numpy(self):
+        # only the quadratures (verify, tau_total_mass, the contour oracle)
+        # need scipy; every other command must start without it
+        script = textwrap.dedent("""
+            import sys
+            import freenormal
+            import freenormal.cli
+            for args in (
+                ["eval", "--fn", "F", "--z", "1.5-0.2i"],
+                ["curve", "--xmin", "0.5", "--xmax", "3", "--n", "5"],
+                ["density", "--xmin", "0.5", "--xmax", "2", "--n", "5"],
+                ["levelsets", "--t", "0,0.7", "--step", "0.2"],
+                ["cumulants", "--order", "4"],
+                ["asymptotics", "--regime", "zero"],
+                ["asymptotics", "--regime", "infinity"],
+            ):
+                assert freenormal.cli.main(args) == 0, args
+            loaded = sorted(m for m in sys.modules
+                            if m.split(".")[0] in ("scipy", "numpy"))
+            assert not loaded, loaded
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

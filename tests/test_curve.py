@@ -7,6 +7,7 @@ no code with the Newton machinery under test.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,15 @@ class TestSolveRegimes:
     def test_height_underflow_is_a_domain_error(self):
         with pytest.raises(DomainError):
             solve_H(60.0)
+
+    def test_height_is_normal_up_to_the_wall(self):
+        assert solve_H(37.6).h >= sys.float_info.min
+
+    @pytest.mark.parametrize("x", [38.0, 38.6])
+    def test_subnormal_height_is_a_domain_error(self, x):
+        with pytest.raises(DomainError) as info:
+            solve_H(x)
+        assert type(info.value) is DomainError
 
     def test_derivative_matches_finite_difference(self):
         x, d = 1.0, 1e-3

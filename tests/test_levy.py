@@ -1,11 +1,13 @@
 """Free Levy measure: densities, the shifted inverse transform, mass checks."""
 
+import cmath
 import math
 import random
+import sys
 
 import pytest
 
-from freenormal.curve import solve_H
+from freenormal.curve import in_omega, solve_H
 from freenormal.errors import DomainError, NoConvergence
 from freenormal.levy import (
     LevySample,
@@ -49,6 +51,15 @@ class TestDensity:
         with pytest.raises(DomainError):
             levy_density(0.0)
 
+    def test_normal_up_to_the_wall(self):
+        assert levy_density(37.5) >= sys.float_info.min
+
+    @pytest.mark.parametrize("x", [37.6, 38.0, -38.0, 38.6])
+    def test_subnormal_density_is_a_domain_error(self, x):
+        with pytest.raises(DomainError) as info:
+            levy_density(x)
+        assert type(info.value) is DomainError
+
 
 class TestVoiculescu:
     def test_real_arguments_use_the_curve(self):
@@ -85,6 +96,28 @@ class TestVoiculescu:
         phi = voiculescu(1j)
         assert phi.real == 0.0
         assert math.isclose(phi.imag, -0.6973691592884274, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("w,imag", [
+        # mpmath roots of g_tilde(z) = 1/w at 40 digits, minus w
+        (1e-8j, -5.916374273413915),
+        (1e-3j, -3.4619495572262053),
+    ])
+    def test_small_arguments_on_the_imaginary_axis(self, w, imag):
+        # the seed w + 1/w lies so deep below the axis that f_tilde'
+        # underflows there; the fallback start from w must take over
+        phi = voiculescu(w)
+        assert abs(complex(f_tilde(w + phi)) - w) <= 1e-12
+        assert math.isclose(phi.imag, imag, rel_tol=1e-5)
+        assert abs(phi.real) <= 1e-12
+        assert in_omega(w + phi)
+
+    def test_small_arguments_off_the_axis(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            w = cmath.rect(rng.uniform(0.01, 0.31), rng.uniform(0.02, 3.12))
+            z = w + voiculescu(w)
+            assert abs(complex(f_tilde(z)) - w) <= 1e-12
+            assert in_omega(z)
 
     def test_rejects_zero_and_lower_half_plane(self):
         with pytest.raises(DomainError):
