@@ -76,8 +76,6 @@ class EvalConfig:
     x_hi: float = 6.0
     #: beyond this the solver returns asymptotic values directly.
     x_asymptotic: float = 30.0
-    #: ratio between consecutive abscissas of a cold continuation ladder.
-    ladder_ratio: float = 0.7
 
     # --- ODE oracle ---
     ode_rtol: float = 1e-10

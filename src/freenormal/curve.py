@@ -13,7 +13,9 @@ on which ``f_tilde`` is an analytic bijection onto the upper half plane.
 The solver is a damped Newton iteration on ``f_tilde(z) - x`` confined to
 ``Xi`` (the certified pole-free region), with regime-dependent seeding:
 closed-form small-x asymptotics below ``x_lo``, large-x series above
-``x_hi``, and a fresh per-call continuation ladder between them.  Above
+``x_hi``, and between them skeleton-seeded Newton with a polish step: a
+cubic Hermite interpolant in ``log x`` of a cached set of curve points, with
+the exact slopes ``dH/dlog x = 1/(H - x)`` of the curve ODE.  Above
 ``x_hi`` direct complex Newton loses the imaginary part to cancellation
 (``h(6) ~ 2e-7`` against ``g ~ 6``), so the solve switches to an alternating
 pair of real 1-D Newton iterations on the split form of the transform, where
@@ -22,9 +24,11 @@ the exponential term carrying the tiny imaginary scale is explicit.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError, FreeNormalError, NoConvergence, SeedNotFound
@@ -57,6 +61,12 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+
+#: order of the large-x series returned above ``x_asymptotic``
+_LARGE_X_ORDER = 6
+
+#: nodes of the bulk skeleton that seeds every solve in ``(x_lo, x_hi)``
+_SKELETON_NODES = 24
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ class LevelSetTrace:
 
 
 # --------------------------------------------------------------------------
-# confined damped Newton (bulk and small-x regimes)
+# confined damped Newton (curve points and the inverse transform)
 # --------------------------------------------------------------------------
 
 def _confined(z: complex, config: EvalConfig) -> bool:
@@ -110,101 +120,73 @@ def _confined(z: complex, config: EvalConfig) -> bool:
 
 
 def _newton_confined(
-    z: complex, x: float, config: EvalConfig
-) -> tuple[complex, float, int]:
-    """Damped Newton for ``f_tilde(z) = x`` kept inside ``Xi``.
+    z: complex, w: complex, config: EvalConfig, log: bool = False
+) -> tuple[complex, complex, int]:
+    """Damped Newton for ``f_tilde(z) = w`` kept inside ``Xi``.
 
-    Steps that would leave the region or grow the residual are halved up to
-    ``newton_max_halvings`` times.  The iteration polishes down to near
-    machine precision but counts as converged once the residual contract
-    (``newton_tol * max(1, x)``) holds; exceeding ``newton_max_iter`` raises
-    ``NoConvergence`` with the last iterate attached.
+    The derivative is ``f_tilde' = F (z - F)`` exactly, courtesy of the
+    quadratic ODE the transform satisfies, so an iterate costs one
+    ``f_tilde`` call.  Steps that would leave the region or grow the
+    residual are halved up to ``newton_max_halvings`` times.  The iteration
+    polishes down to near machine precision but counts as converged once
+    the residual contract (``newton_tol * max(1, |w|)``) holds; exceeding
+    ``newton_max_iter`` raises ``NoConvergence`` with the last iterate
+    attached.  Returns the root, ``f_tilde`` there and the iteration count.
+
+    With ``log`` the residual is ``log f_tilde(z) - log w``, relative rather
+    than absolute: below ``x_lo`` the absolute contract is met by a whole
+    neighborhood (everything near the curve maps close to 0).  Once the
+    residual meets its goal, one more step is taken and kept if it stays in
+    ``Xi`` without growing the residual.  It carries the digits the goal
+    cannot see: those of a height that falls like ``exp(-x^2/2)``, and
+    those ``phi(w) = z - w`` cancels, about ``2 log10 |w|``.
     """
-    contract = config.newton_tol * max(1.0, x)
-    goal = 1e-14 * max(1.0, x)
-    r = complex(f_tilde(z, config)) - x
+    scale = 1.0 if log else max(1.0, abs(w))
+    goal = (1e-13 if log else 1e-14) * scale
+    contract = config.newton_tol * scale
+    lw, unit = math.log(abs(w)), (w / abs(w)).conjugate()
+
+    def residual(v: complex) -> tuple[complex, complex]:
+        ft = f_tilde(v, config)
+        F = complex(ft)
+        if log:
+            return complex(ft.log_abs() - lw, cmath.phase(ft.mantissa * unit)), F
+        return F - w, F
+
+    r, F = residual(z)
     iters = 0
     while True:
+        dz = -r / (z - F) if log else -r / (F * (z - F))
         if abs(r) <= goal:
-            return z, abs(r), iters
+            if _confined(z + dz, config):
+                rc, Fc = residual(z + dz)
+                if abs(rc) <= abs(r):
+                    z, F = z + dz, Fc
+            return z, F, iters
         if iters >= config.newton_max_iter:
             if abs(r) <= contract:
-                return z, abs(r), iters
+                return z, F, iters
             raise NoConvergence(
-                f"no convergence for x = {x} after {iters} iterations",
+                f"no convergence for w = {w} after {iters} iterations",
                 last_iterate=z,
                 residual=abs(r),
             )
         iters += 1
-        fp = complex(f_tilde_prime(z, config))
-        dz = -r / fp
         accepted = False
         for m in range(config.newton_max_halvings + 1):
             cand = z + dz * (0.5**m)
             if not _confined(cand, config):
                 continue
-            rc = complex(f_tilde(cand, config)) - x
+            rc, Fc = residual(cand)
             if abs(rc) <= abs(r):
-                z, r = cand, rc
+                z, r, F = cand, rc, Fc
                 accepted = True
                 break
         if not accepted or abs(dz) <= 1e-15 * (abs(z) + 1.0):
             if abs(r) <= contract:
-                return z, abs(r), iters
+                return z, F, iters
             raise NoConvergence(
-                f"Newton stalled at x = {x} with residual {abs(r):.3g}",
-                last_iterate=z,
-                residual=abs(r),
-            )
-
-
-def _newton_log_confined(
-    z: complex, x: float, config: EvalConfig
-) -> tuple[complex, float, int]:
-    """Relative-residual Newton for tiny ``x``: solve ``log f_tilde(z) = log x``.
-
-    Below ``x_lo`` the absolute contract ``|f_tilde - x| <= 1e-10`` is met by
-    a whole neighborhood (everything near the curve maps close to 0), so the
-    iteration targets the complex logarithm instead.  Its derivative is
-    ``f_tilde'/f_tilde = z - f_tilde`` exactly, courtesy of the quadratic ODE
-    the transform satisfies.
-    """
-    lx = math.log(x)
-
-    def log_res(w: complex) -> tuple[complex, complex]:
-        ft = f_tilde(w, config)
-        return complex(ft.log_abs() - lx, ft.arg()), complex(ft)
-
-    r, ft = log_res(z)
-    iters = 0
-    while True:
-        if abs(r) <= 1e-13:
-            return z, abs(r), iters
-        if iters >= config.newton_max_iter:
-            if abs(r) <= config.newton_tol:
-                return z, abs(r), iters
-            raise NoConvergence(
-                f"no convergence for x = {x} after {iters} iterations",
-                last_iterate=z,
-                residual=abs(r),
-            )
-        iters += 1
-        dz = -r / (z - ft)
-        accepted = False
-        for m in range(config.newton_max_halvings + 1):
-            cand = z + dz * (0.5**m)
-            if not _confined(cand, config):
-                continue
-            rc, ftc = log_res(cand)
-            if abs(rc) <= abs(r):
-                z, r, ft = cand, rc, ftc
-                accepted = True
-                break
-        if not accepted or abs(dz) <= 1e-15 * (abs(z) + 1.0):
-            if abs(r) <= config.newton_tol:
-                return z, abs(r), iters
-            raise NoConvergence(
-                f"log-Newton stalled at x = {x} with residual {abs(r):.3g}",
+                f"Newton stalled at w = {w} with residual {abs(r):.3g}",
                 last_iterate=z,
                 residual=abs(r),
             )
@@ -264,85 +246,70 @@ def _seed_zero(x: float) -> complex:
     return complex(eval_g_asym_zero(x), -eval_h_asym_zero(x))
 
 
-def _seed_infinity(x: float) -> complex:
-    return complex(
-        eval_g_asym_infinity(x, 3), -float(eval_h_asym_infinity(x, 3).to_complex().real)
-    )
+@lru_cache(maxsize=8)
+def _bulk_skeleton(config: EvalConfig) -> tuple[tuple[float, complex, complex], ...]:
+    """Nodes ``(log x, H, dH/dlog x)`` on a log-uniform grid of ``[x_lo, x_hi]``.
+
+    One continuation from the small-x closed form at ``x_lo``, each node
+    seeded by an Euler step along the curve ODE ``dH/dlog x = 1/(H - x)``
+    (from ``F' = F (z - F)`` and ``F(H(x)) = x``), which also gives the exact
+    node slopes.  Built on the first bulk solve of a configuration; the
+    nodes depend on nothing but the configuration.
+    """
+    t_lo, t_hi = math.log(config.x_lo), math.log(config.x_hi)
+    dt = (t_hi - t_lo) / (_SKELETON_NODES - 1)
+    nodes = []
+    seed = _seed_zero(config.x_lo)
+    for k in range(_SKELETON_NODES):
+        x = config.x_hi if k == _SKELETON_NODES - 1 else math.exp(t_lo + k * dt)
+        z, _, _ = _newton_confined(seed, x, config)
+        slope = 1.0 / (z - x)
+        nodes.append((math.log(x), z, slope))
+        seed = z + dt * slope
+    return tuple(nodes)
 
 
-def _solve_seeded(
-    x: float, seed: complex, config: EvalConfig
-) -> tuple[CurvePoint, int]:
-    z, res, iters = _newton_confined(seed, x, config)
+def _skeleton_seed(x: float, config: EvalConfig) -> complex:
+    """Cubic Hermite interpolant of the skeleton in ``t = log x``."""
+    nodes = _bulk_skeleton(config)
+    t = math.log(x)
+    k = (t - nodes[0][0]) / (nodes[-1][0] - nodes[0][0]) * (len(nodes) - 1)
+    k = min(int(k), len(nodes) - 2)
+    (t0, z0, s0), (t1, z1, s1) = nodes[k], nodes[k + 1]
+    d = t1 - t0
+    u = (t - t0) / d
+    v = 1.0 - u
     return (
-        CurvePoint(x=x, g=z.real, h=-z.imag, residual=res),
-        iters,
+        (1.0 + 2.0 * u) * v * v * z0
+        + u * v * v * d * s0
+        + u * u * (3.0 - 2.0 * u) * z1
+        - u * u * v * d * s1
     )
 
 
-def _bulk_ladder(x: float, config: EvalConfig) -> tuple[CurvePoint, int]:
-    """Continuation from the nearer threshold down/up to ``x`` in the bulk."""
-    lo, hi, q = config.x_lo, config.x_hi, config.ladder_ratio
-    from_low = abs(math.log(x / lo)) <= abs(math.log(hi / x))
-    rungs: list[float] = []
-    if from_low:
-        s = lo
-        while s < x:
-            rungs.append(s)
-            s /= q
-    else:
-        s = hi
-        while s > x:
-            rungs.append(s)
-            s *= q
-    rungs.append(x)
-    seed = _seed_zero(lo) if from_low else _seed_infinity(hi)
-    total = 0
-    point: CurvePoint | None = None
-    for s in rungs:
-        point, it = _solve_seeded(s, seed, config)
-        total += it
-        seed = point.z
-    assert point is not None
-    return point, total
-
-
-def solve_H(
-    x: float,
-    config: EvalConfig = DEFAULT_CONFIG,
-    _seed: complex | None = None,
-) -> CurvePoint:
+def solve_H(x: float, config: EvalConfig = DEFAULT_CONFIG) -> CurvePoint:
     """Solve ``f_tilde(g - i h) = x`` inside ``Xi``.
 
-    Residual contract: ``|f_tilde(z) - x| <= 1e-10 * max(1, x)``.  Above
-    ``config.x_asymptotic`` the order-3 series values are returned directly,
-    tagged ``NearInfinity`` (residuals there sit below binary64 noise).  The
-    curve height falls below the smallest normal binary64 number near
-    ``x = 37.81`` (and underflows entirely near ``x = 38.5``); beyond that the
-    height is only representable in scaled form (see
-    ``eval_h_asym_infinity``) and this solver raises ``DomainError`` rather
-    than return a subnormal with a few significant bits.
-
-    ``_seed`` is a warm-start hook for the tracing routines; passing it skips
-    regime seeding but not the residual contract.
+    Residual contract: ``|f_tilde(z) - x| <= 1e-10 * max(1, x)``.  Between
+    ``x_lo`` and ``x_hi`` the solve is skeleton-seeded Newton with a polish
+    step: the seed is the cubic Hermite interpolant of a cached set of curve
+    points (see ``_bulk_skeleton``), so the result depends on ``x`` and
+    ``config`` alone.  Above ``config.x_asymptotic`` the large-x series of
+    order ``_LARGE_X_ORDER`` is returned directly, tagged ``NearInfinity``
+    (residuals there sit below binary64 noise).  The curve height falls
+    below the smallest normal binary64 number near ``x = 37.81`` (and
+    underflows entirely near ``x = 38.5``); beyond that the height is only
+    representable in scaled form (see ``eval_h_asym_infinity``) and this
+    solver raises ``DomainError`` rather than return a subnormal with a few
+    significant bits.
     """
     x = float(x)
-    if not x > 0:
-        raise DomainError(f"the curve is parametrized by x > 0, got {x}")
-    if _seed is not None and config.x_lo < x < config.x_hi:
-        point, _ = _solve_seeded(x, _seed, config)
-        return point
-    if _seed is not None and x <= config.x_lo:
-        z, _, _ = _newton_log_confined(_seed, x, config)
-        residual = abs(complex(f_tilde(z, config)) - x)
-        return CurvePoint(
-            x=x, g=z.real, h=-z.imag, residual=residual,
-            regime=AsymptoticRegime.NEAR_ZERO,
-        )
+    if not (x > 0 and math.isfinite(x)):
+        raise DomainError(f"the curve is parametrized by finite x > 0, got {x}")
     if x >= config.x_hi:
         if x > config.x_asymptotic:
-            g = eval_g_asym_infinity(x, 3)
-            h_sc = eval_h_asym_infinity(x, 3)
+            g = eval_g_asym_infinity(x, _LARGE_X_ORDER)
+            h_sc = eval_h_asym_infinity(x, _LARGE_X_ORDER)
             h = float(h_sc.to_complex().real) if h_sc.log_abs() > -740 else 0.0
             if h < sys.float_info.min:
                 raise DomainError(
@@ -365,14 +332,13 @@ def solve_H(
             )
         return CurvePoint(x=x, g=g, h=h, residual=residual)
     if x <= config.x_lo:
-        z, _, _ = _newton_log_confined(_seed_zero(x), x, config)
-        residual = abs(complex(f_tilde(z, config)) - x)
+        z, F, _ = _newton_confined(_seed_zero(x), x, config, log=True)
         return CurvePoint(
-            x=x, g=z.real, h=-z.imag, residual=residual,
+            x=x, g=z.real, h=-z.imag, residual=abs(F - x),
             regime=AsymptoticRegime.NEAR_ZERO,
         )
-    point, _ = _bulk_ladder(x, config)
-    return point
+    z, F, _ = _newton_confined(_skeleton_seed(x, config), x, config)
+    return CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
 
 
 def trace_p0(
@@ -403,7 +369,8 @@ def trace_p0(
             if seed is None or not (config.x_lo < x < config.x_hi):
                 pt = solve_H(x, config)
             else:
-                pt, it = _solve_seeded(x, seed, config)
+                z, F, it = _newton_confined(seed, x, config)
+                pt = CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
                 stats["newton_iterations"] += it
                 stats["max_iterations_per_point"] = max(
                     stats["max_iterations_per_point"], it
@@ -441,38 +408,42 @@ def _g_prime_on_curve(pt: CurvePoint) -> float:
     return d / (pt.x * (d * d + pt.h * pt.h))
 
 
-# |x| below this makes s = g^{-1}(|x|) underflow binary64 (s ~ exp(-pi^2/(8 x^2)));
-# above the upper limit the curve height h(s) itself underflows.
+# |x| below this makes s = g^{-1}(|x|) underflow binary64 (s ~ exp(-pi^2/(8 x^2))).
 _F_CLOSED_FORM_BELOW = 0.043
-_F_REPRESENTABLE_UP_TO = 38.4
 
 
 def f_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """The boundary function ``f(x) = -h(g^{-1}(|x|))``, even in ``x``.
 
     Solves ``g(s) = |x|`` by safeguarded 1-D Newton in ``log s`` (the
-    closed-form curve slope supplies the derivative), warm-starting each
-    inner curve solve from the previous one and keeping a bracket for
+    closed-form curve slope supplies the derivative), keeping a bracket for
     geometric bisection fallback.
 
     For ``|x| < 0.043`` the parameter ``s`` underflows binary64; there the
     closed form ``-pi/(2x)`` is returned, whose relative error
     ``exp(-pi^2/(8 x^2)) < 1e-1150`` is far below representation, so the
-    value is exact to the last bit.  ``|x| > 38.4`` raises ``DomainError``
-    because the boundary height is no longer a positive binary64; from about
-    ``|x| = 37.84`` the inner curve solve already raises it, because the
-    height is no longer a normal binary64.
+    value is exact to the last bit.  From about ``|x| = 37.84`` the boundary
+    height is no longer a normal binary64 number and ``DomainError`` is
+    raised, as ``solve_H`` does at its wall.
     """
     a = abs(float(x))
+    if not math.isfinite(a):
+        raise DomainError(f"f is defined on finite x, got {x}")
     if a == 0.0:
         raise DomainError("f is defined on nonzero x only")
     if a < _F_CLOSED_FORM_BELOW:
         return -_HALF_PI / a
-    if a > _F_REPRESENTABLE_UP_TO:
+    try:
+        return -_g_inverse(a, config).h
+    except DomainError as exc:
         raise DomainError(
-            f"f({x}) underflows binary64; the height is exp(-x^2/2)-small"
-        )
+            f"f({x}) is not a normal binary64 number: the boundary height "
+            "is exp(-x^2/2)-small"
+        ) from exc
 
+
+def _g_inverse(a: float, config: EvalConfig) -> CurvePoint:
+    """The curve point with ``g(s) = a``."""
     # initial s guess from the asymptotic inverses of g
     if a < 1.2:
         la = (_HALF_PI**2 - a**4) / (2.0 * a * a)
@@ -482,13 +453,7 @@ def f_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     else:
         s = a
 
-    def solve_warm(s_new: float, prev: CurvePoint | None) -> CurvePoint:
-        seed = None
-        if prev is not None and 0.2 < s_new / prev.x < 5.0:
-            seed = prev.z
-        return solve_H(s_new, config, _seed=seed)
-
-    pt = solve_warm(s, None)
+    pt = solve_H(s, config)
     lo_s = hi_s = None
     lo = hi = None
     for _ in range(80):
@@ -499,7 +464,7 @@ def f_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
         if lo_s is not None and hi_s is not None:
             break
         s = s * 2.0 if pt.g < a else s * 0.5
-        pt = solve_warm(s, pt)
+        pt = solve_H(s, config)
     else:
         raise NoConvergence(f"could not bracket g(s) = {a}", residual=abs(pt.g - a))
 
@@ -516,7 +481,7 @@ def f_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
         s_new = s * math.exp(max(-30.0, min(30.0, step)))
         if not (lo_s < s_new < hi_s):
             s_new = math.exp(0.5 * (math.log(lo_s) + math.log(hi_s)))
-        pt_new = solve_warm(s_new, pt)
+        pt_new = solve_H(s_new, config)
         if pt_new.g < a:
             lo_s, lo = s_new, pt_new
         else:
@@ -539,7 +504,7 @@ def f_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
                 last_iterate=pt.z,
                 residual=abs(pt.g - a),
             )
-    return -pt.h
+    return pt
 
 
 def in_omega(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> bool:
@@ -549,6 +514,8 @@ def in_omega(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> bool:
     boundary graph ``f(Re z)``.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"Omega membership needs a finite point, got {z!r}")
     if z.real == 0.0 or z.imag >= 0.0:
         return True
     try:
@@ -574,10 +541,6 @@ def _grad_imf(z: complex, config: EvalConfig) -> complex:
     return complex(fp.imag, fp.real)
 
 
-def _certified(z: complex, config: EvalConfig) -> bool:
-    return classify_domain(z, config) is not DomainTag.OUTSIDE_XI
-
-
 def _correct_onto_level(
     z: complex, t: float, config: EvalConfig, tol: float = 1e-11
 ) -> complex | None:
@@ -590,7 +553,7 @@ def _correct_onto_level(
         if norm2 == 0.0:
             return None
         z = z - v * grad / norm2
-        if not _certified(z, config):
+        if not _confined(z, config):
             return None
     return None
 
@@ -606,7 +569,7 @@ def _trace_from(
     x0, x1, y0, y1 = bbox
 
     def inside(z: complex) -> bool:
-        return x0 <= z.real <= x1 and y0 <= z.imag <= y1 and _certified(z, config)
+        return x0 <= z.real <= x1 and y0 <= z.imag <= y1 and _confined(z, config)
 
     halves: list[list[complex]] = []
     for direction in (1.0, -1.0):
@@ -680,7 +643,7 @@ def trace_level_set(
         for ri in range(n_rows + 1):
             y = y0 + (y1 - y0) * ri / n_rows
             z = complex(xc, y)
-            if _certified(z, config):
+            if _confined(z, config):
                 ys.append((y, _imf(z, config) - t))
         for (ya, va), (yb, vb) in zip(ys, ys[1:]):
             if va == 0.0:

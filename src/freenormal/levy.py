@@ -15,15 +15,16 @@ is explicitly ``~ T exp(-T^2/2)/sqrt(2 pi)``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .curve import in_omega, solve_H
-from .errors import DomainError, NoConvergence, QuadratureFailure
-from .series import eval_h_asym_infinity
-from .transforms import DomainTag, classify_domain, f_tilde, f_tilde_prime, quad
+from .curve import _newton_confined, in_omega, solve_H
+from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
+from .series import eval_h_asym_infinity, free_cumulants
+from .transforms import f_tilde, quad
 
 __all__ = [
     "LevySample",
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 _PI = math.pi
+
+#: from this |w| on, phi(w) is the series in kappa_2 .. kappa_{2 _PHI_SERIES_ORDER}
+_PHI_SERIES_FROM = 50.0
+_PHI_SERIES_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -89,12 +94,18 @@ def voiculescu(w: complex, config: EvalConfig = DEFAULT_CONFIG) -> complex:
     """``phi(w) = f_tilde^{-1}(w) - w`` on the closed upper half plane off 0.
 
     Real ``w`` uses the boundary parametrization
-    ``f_tilde^{-1}(x) = sign(x) g(|x|) - i h(|x|)`` directly; upper-half-plane
-    ``w`` runs a Newton iteration from the two-term large-argument seed
-    ``w + 1/w`` (falling back to ``w``), confined to the certified region,
-    and verifies the solution landed in the bijectivity domain.
+    ``f_tilde^{-1}(x) = sign(x) g(|x|) - i h(|x|)`` directly.  Elsewhere
+    ``z - w`` cancels about ``2 log10 |w|`` digits of ``z``, so from
+    ``|w| = 50`` the free-cumulant series ``sum kappa_{2n} w^{1-2n}`` is
+    summed instead (its first dropped term is below 2e-16 relative there).
+    Below, a relative-residual Newton iteration on ``log f_tilde(z) = log w``
+    runs from the two-term large-argument seed ``w + 1/w`` (falling back to
+    ``w``), confined to the certified region, and the solution is verified
+    to lie in the bijectivity domain.
     """
     w = complex(w)
+    if not cmath.isfinite(w):
+        raise DomainError(f"phi needs a finite argument, got {w!r}")
     if w == 0:
         raise DomainError("the shifted inverse transform has a pole at w = 0")
     if w.imag < 0.0:
@@ -102,31 +113,21 @@ def voiculescu(w: complex, config: EvalConfig = DEFAULT_CONFIG) -> complex:
     if w.imag == 0.0:
         pt = solve_H(abs(w.real), config)
         return complex(math.copysign(pt.g, w.real) - w.real, -pt.h)
+    if abs(w) >= _PHI_SERIES_FROM:
+        iw = 1.0 / w
+        u = iw * iw
+        acc = 0j
+        for kappa in reversed(free_cumulants(_PHI_SERIES_ORDER).coefficients):
+            acc = acc * u + float(kappa)
+        return acc * iw
 
-    def newton_from(z0: complex) -> complex | None:
-        z = z0
-        for _ in range(60):
-            r = complex(f_tilde(z, config)) - w
-            if abs(r) <= 1e-12 * max(1.0, abs(w)):
-                return z
-            d = complex(f_tilde_prime(z, config))
-            if d == 0:
-                # underflowed far below the axis: no Newton step from here
-                return None
-            dz = -r / d
-            # damped, staying inside the pole-free region
-            for m in range(9):
-                cand = z + dz * (0.5**m)
-                if classify_domain(cand, config) is not DomainTag.OUTSIDE_XI:
-                    z = cand
-                    break
-            else:
-                return None
-        return None
-
-    z = newton_from(w + 1.0 / w)
-    if z is None:
-        z = newton_from(w)
+    z = None
+    for seed in (w + 1.0 / w, w):
+        try:
+            z, _, _ = _newton_confined(seed, w, config, log=True)
+            break
+        except (NoConvergence, PoleProximity):
+            continue
     if z is None:
         raise NoConvergence(f"inversion of f_tilde at w = {w!r} failed")
     if not in_omega(z, config):

@@ -43,7 +43,7 @@ import math
 import warnings
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .errors import InvalidContour, PoleProximity
+from .errors import DomainError, InvalidContour, PoleProximity
 from .scaled import ScaledComplex
 
 __all__ = [
@@ -216,8 +216,15 @@ def g_tilde(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
     Returns
     -------
     ScaledComplex
+
+    Raises
+    ------
+    DomainError
+        If ``z`` is not finite.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"g_tilde needs a finite argument, got {z!r}")
     x, y = z.real, z.imag
     r2 = x * x + y * y
     re_z2 = x * x - y * y

@@ -107,6 +107,14 @@ class TestEval:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "1e400", "1-infi"])
+    def test_non_finite_point_is_a_domain_error(self, capsys, z):
+        rc = main(["eval", "--fn", "F", "--z", z])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
 
 class TestExitCodes:
     def test_bad_grid_bounds(self, capsys):

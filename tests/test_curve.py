@@ -7,12 +7,19 @@ no code with the Newton machinery under test.
 """
 
 import math
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freenormal import curve
+from freenormal.config import DEFAULT_CONFIG
 from freenormal.curve import (
     CurvePoint,
     f_of,
@@ -26,6 +33,20 @@ from freenormal.series import eval_h_asym_infinity
 from freenormal.transforms import f_tilde, g_tilde
 
 HALF_PI = math.pi / 2.0
+
+
+def mpmath_curve_point(x: float, seed: complex) -> complex:
+    """Root of ``g_tilde(z) = 1/x`` near ``seed``, at ``40 + x^2/(2 ln 10)`` digits.
+
+    ``g_tilde(z) = -i sqrt(pi/2) exp(-z^2/2) erfc(-i z/sqrt 2)``; the extra
+    digits cover the ``exp(-x^2/2)`` scale of the height.
+    """
+    with mpmath.workdps(40 + int(x * x / (2.0 * math.log(10.0)))):
+        def g(z):
+            return (-1j * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-z * z / 2)
+                    * mpmath.erfc(-1j * z / mpmath.sqrt(2)))
+        z = mpmath.findroot(lambda z: g(z) - 1 / mpmath.mpf(x), mpmath.mpc(seed))
+        return complex(z)
 
 
 def bisection_oracle(x_target: float) -> complex:
@@ -145,6 +166,70 @@ class TestSolveRegimes:
         assert abs(h_fd + pt.h / den) <= 1e-4
 
 
+class TestSkeletonSeededBulk:
+    XS = [
+        DEFAULT_CONFIG.x_lo
+        * (DEFAULT_CONFIG.x_hi / DEFAULT_CONFIG.x_lo) ** ((k + 0.5) / 200)
+        for k in range(200)
+    ]
+
+    def test_cold_bulk_solve_makes_few_transform_calls(self, monkeypatch):
+        solve_H(1.0)  # builds the cached skeleton outside the count
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(curve, "f_tilde", counted(curve.f_tilde))
+        monkeypatch.setattr(curve, "f_tilde_prime", counted(curve.f_tilde_prime))
+        worst = 0
+        for x in self.XS:
+            calls[0] = 0
+            solve_H(x)
+            worst = max(worst, calls[0])
+        assert worst <= 10
+
+    def test_upper_bulk_matches_mpmath(self):
+        for k in range(16):
+            x = 3.0 + 3.0 * k / 16
+            pt = solve_H(x)
+            ref = mpmath_curve_point(x, pt.z)
+            assert abs(pt.g - ref.real) <= 1e-12 * ref.real, x
+            assert abs(pt.h + ref.imag) <= 1e-12 * -ref.imag, x
+
+    def test_same_bits_in_a_fresh_process_as_after_a_sweep(self):
+        probes = (0.07, 0.9, 2.5, 5.9)
+        for x in self.XS[::7]:
+            solve_H(x)
+        here = [repr((solve_H(x).g, solve_H(x).h)) for x in probes]
+        script = textwrap.dedent(f"""
+            from freenormal.curve import solve_H
+            for x in {probes!r}:
+                print(repr((solve_H(x).g, solve_H(x).h)))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:-1] == here
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            solve_H(x)
+        with pytest.raises(DomainError):
+            f_of(x)
+        with pytest.raises(DomainError):
+            in_omega(complex(x, -1.0))
+
+
 class TestTrace:
     def test_monotone_and_complete(self):
         trace = trace_p0(0.02, 8.0, 60)
@@ -201,6 +286,13 @@ class TestGraphFunction:
     def test_beyond_representable_height(self):
         with pytest.raises(DomainError):
             f_of(50.0)
+
+    @pytest.mark.parametrize("x", [37.85, -37.9, 38.4])
+    def test_wall_names_the_callers_argument(self, x):
+        with pytest.raises(DomainError) as info:
+            f_of(x)
+        assert str(info.value).startswith(f"f({x})")
+        assert "curve height at x" not in str(info.value)
 
     def test_zero_is_rejected(self):
         with pytest.raises(DomainError):

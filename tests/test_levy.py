@@ -5,6 +5,7 @@ import math
 import random
 import sys
 
+import mpmath
 import pytest
 
 from freenormal.curve import in_omega, solve_H
@@ -21,6 +22,15 @@ from freenormal.series import eval_h_asym_infinity
 from freenormal.transforms import f_tilde
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+
+def mpmath_inverse(w: complex, seed: complex, dps: int = 50) -> mpmath.mpc:
+    """Root of ``g_tilde(z) = 1/w`` near ``seed`` at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        def g(z):
+            return (-1j * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-z * z / 2)
+                    * mpmath.erfc(-1j * z / mpmath.sqrt(2)))
+        return mpmath.findroot(lambda z: g(z) - 1 / mpmath.mpc(w), mpmath.mpc(seed))
 
 
 class TestDensity:
@@ -53,6 +63,19 @@ class TestDensity:
 
     def test_normal_up_to_the_wall(self):
         assert levy_density(37.5) >= sys.float_info.min
+
+    @pytest.mark.parametrize("x", [30.01, 31.5, 33.0, 34.5, 36.0, 37.5])
+    def test_matches_mpmath_above_the_series_threshold(self, x):
+        dps = 40 + int(x * x / (2.0 * math.log(10.0)))
+        h = -mpmath_inverse(x, solve_H(x).z, dps).imag
+        with mpmath.workdps(dps):
+            want = float(h / (mpmath.pi * mpmath.mpf(x) ** 2))
+        assert abs(levy_density(x) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_is_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            levy_density(x)
 
     @pytest.mark.parametrize("x", [37.6, 38.0, -38.0, 38.6])
     def test_subnormal_density_is_a_domain_error(self, x):
@@ -118,6 +141,22 @@ class TestVoiculescu:
             z = w + voiculescu(w)
             assert abs(complex(f_tilde(z)) - w) <= 1e-12
             assert in_omega(z)
+
+    @pytest.mark.parametrize(
+        "w", [1e-8j, 1e2 + 1j, 49 + 1j, 51 + 1j, 1e6 + 1j, 1e8 + 1j]
+    )
+    def test_twelve_digits_at_both_ends_of_the_modulus(self, w):
+        phi = voiculescu(w)
+        with mpmath.workdps(50):
+            want = complex(mpmath_inverse(w, w + phi) - mpmath.mpc(w))
+        assert abs(phi - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize(
+        "w", [complex(math.nan, 1.0), complex(math.inf, 1.0), complex(0.0, math.inf)]
+    )
+    def test_non_finite_argument_is_a_domain_error(self, w):
+        with pytest.raises(DomainError):
+            voiculescu(w)
 
     def test_rejects_zero_and_lower_half_plane(self):
         with pytest.raises(DomainError):

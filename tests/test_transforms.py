@@ -211,6 +211,22 @@ class TestDomainClassification:
         assert classify_domain(complex(x, y)) in DomainTag
 
 
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("z", [
+        complex(math.nan, 0.0), complex(math.inf, 0.0), complex(1.0, -math.inf),
+        complex(math.nan, math.nan),
+    ])
+    @pytest.mark.parametrize("fn", [g_tilde, g_tilde_prime, f_tilde, f_tilde_prime])
+    def test_transforms_raise_a_domain_error(self, fn, z):
+        with pytest.raises(DomainError):
+            fn(z)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rho_raises_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            rho(x)
+
+
 class TestContourOracle:
     def test_matches_evaluator_above_and_below(self):
         pts = [1.2 + 0.8j, -1.5 + 2.0j, 2.5 + 0.1j, 0.9 - 0.25j, -1.8 - 0.5j]
