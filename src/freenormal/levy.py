@@ -38,8 +38,8 @@ __all__ = [
 _PI = math.pi
 
 #: from this |w| on, phi(w) is the series in kappa_2 .. kappa_{2 _PHI_SERIES_ORDER}
-_PHI_SERIES_FROM = 50.0
-_PHI_SERIES_ORDER = 6
+_PHI_SERIES_FROM = 30.0
+_PHI_SERIES_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,16 @@ class TauSample:
 def levy_density(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """``h(|x|) / (pi x^2)``, the free Levy density; even and positive.
 
-    Raises ``DomainError`` where the density is not a normal binary64 number
-    (from about ``|x| = 37.6``), rather than return a subnormal or zero.
+    Raises ``DomainError`` where the density is not a finite normal binary64
+    number (from about ``|x| = 37.6``, and below about ``|x| = 2e-154``,
+    where it overflows), rather than return a subnormal, zero or infinity.
     """
     x = float(x)
     if x == 0.0:
         raise DomainError("the free Levy density lives on nonzero x")
     pt = solve_H(abs(x), config)
-    density = pt.h / (_PI * x * x)
-    if density < sys.float_info.min:
+    density = pt.h / _PI / x / x  # x * x would underflow to 0 for tiny x
+    if not sys.float_info.min <= density < math.inf:
         raise DomainError(
             f"the free Levy density at x = {x} is not a normal binary64 number"
         )
@@ -96,8 +97,8 @@ def voiculescu(w: complex, config: EvalConfig = DEFAULT_CONFIG) -> complex:
     Real ``w`` uses the boundary parametrization
     ``f_tilde^{-1}(x) = sign(x) g(|x|) - i h(|x|)`` directly.  Elsewhere
     ``z - w`` cancels about ``2 log10 |w|`` digits of ``z``, so from
-    ``|w| = 50`` the free-cumulant series ``sum kappa_{2n} w^{1-2n}`` is
-    summed instead (its first dropped term is below 2e-16 relative there).
+    ``|w| = 30`` the free-cumulant series ``sum kappa_{2n} w^{1-2n}`` is
+    summed instead (its first dropped term is below 1e-16 relative there).
     Below, a relative-residual Newton iteration on ``log f_tilde(z) = log w``
     runs from the two-term large-argument seed ``w + 1/w`` (falling back to
     ``w``), confined to the certified region, and the solution is verified

@@ -77,6 +77,18 @@ class TestDensity:
         with pytest.raises(DomainError):
             levy_density(x)
 
+    @pytest.mark.parametrize("x", [1e-160, -1e-200, 1e-320])
+    def test_overflowing_density_is_a_domain_error(self, x):
+        with pytest.raises(DomainError) as info:
+            levy_density(x)
+        assert type(info.value) is DomainError
+
+    def test_finite_down_to_the_overflow(self):
+        x = 1e-150
+        assert math.isclose(
+            levy_density(x), solve_H(x).h / (math.pi * x * x), rel_tol=1e-15
+        )
+
     @pytest.mark.parametrize("x", [37.6, 38.0, -38.0, 38.6])
     def test_subnormal_density_is_a_domain_error(self, x):
         with pytest.raises(DomainError) as info:
@@ -143,7 +155,7 @@ class TestVoiculescu:
             assert in_omega(z)
 
     @pytest.mark.parametrize(
-        "w", [1e-8j, 1e2 + 1j, 49 + 1j, 51 + 1j, 1e6 + 1j, 1e8 + 1j]
+        "w", [1e-8j, 1e2 + 1j, 29 + 1j, 31 + 1j, 1e6 + 1j, 1e8 + 1j]
     )
     def test_twelve_digits_at_both_ends_of_the_modulus(self, w):
         phi = voiculescu(w)
