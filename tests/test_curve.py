@@ -142,6 +142,15 @@ class TestSolveRegimes:
         with pytest.raises(DomainError):
             solve_H(-2.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            solve_H(x)
+        with pytest.raises(DomainError):
+            f_of(x)
+        with pytest.raises(DomainError):
+            in_omega(complex(x, -1.0))
+
     def test_height_underflow_is_a_domain_error(self):
         with pytest.raises(DomainError):
             solve_H(60.0)
@@ -204,11 +213,11 @@ class TestSkeletonSeededBulk:
         probes = (0.07, 0.9, 2.5, 5.9)
         for x in self.XS[::7]:
             solve_H(x)
-        here = [repr((solve_H(x).g, solve_H(x).h)) for x in probes]
+        here = [repr(solve_H(x).z) for x in probes]
         script = textwrap.dedent(f"""
             from freenormal.curve import solve_H
             for x in {probes!r}:
-                print(repr((solve_H(x).g, solve_H(x).h)))
+                print(repr(solve_H(x).z))
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
@@ -219,15 +228,6 @@ class TestSkeletonSeededBulk:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[:-1] == here
-
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-    def test_non_finite_parameter_is_a_domain_error(self, x):
-        with pytest.raises(DomainError):
-            solve_H(x)
-        with pytest.raises(DomainError):
-            f_of(x)
-        with pytest.raises(DomainError):
-            in_omega(complex(x, -1.0))
 
 
 class TestTrace:
