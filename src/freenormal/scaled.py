@@ -2,17 +2,24 @@
 
 The continued Cauchy transform grows like ``exp(|z|^2/2)`` deep in the lower
 half plane, which leaves binary64 range around ``|z| ~ 38``.  A
-:class:`ScaledComplex` stores ``value = mantissa * exp(log_scale)`` with the
-mantissa kept in the annulus ``0.5 <= |m| < 2`` (or exactly 0), so magnitude
-lives in the float ``log_scale`` and precision in the float components of the
-mantissa.
+:class:`ScaledComplex` stores ``value = m * exp(s)``: magnitude lives in the
+float ``s`` and precision in the float components of ``m``.
 
-Multiplication and division renormalize the mantissa; addition aligns the two
-scales and flushes the smaller summand when the scales differ by more than
-``FLUSH_LOG_GAP`` in natural log, because past that point the summand cannot
-influence any mantissa bit.  A consequence worth knowing: one value carries one
-scale, so a component (real or imaginary part) smaller than the other by more
-than the flush window is represented as zero.
+The stored ``m`` is renormalized (to ``|m| ~ 1``) only when ``|m|`` leaves the
+window ``[2**-64, 2**64)``.  Inside it values are left alone, so numbers of
+moderate size (``s == 0``) add, subtract and multiply with exactly the rounding
+of plain complex arithmetic; dividing by ``exp(log|m|)`` on every operation
+would put an error of a few ulps of the operands into every value and so into
+every cancellation.  The window keeps every product and quotient of two stored
+mantissas inside binary64 range.  The public :attr:`mantissa` and
+:attr:`log_scale` are the normalized view of the same value, with
+``0.5 <= |mantissa| < 2`` (or exactly 0).
+
+Addition aligns the two scales and flushes the smaller summand when the scales
+differ by more than ``FLUSH_LOG_GAP`` in natural log, because past that point
+the summand cannot influence any mantissa bit.  A consequence worth knowing:
+one value carries one scale, so a component (real or imaginary part) smaller
+than the other by more than the flush window is represented as zero.
 
 Instances are immutable and cheap; arithmetic never raises on magnitude alone.
 """
@@ -30,20 +37,24 @@ FLUSH_LOG_GAP = DEFAULT_CONFIG.flush_log_gap
 
 _MANT_LO = DEFAULT_CONFIG.mantissa_lo
 _MANT_HI = DEFAULT_CONFIG.mantissa_hi
+# The stored mantissa is renormalized only outside this window; the square
+# of either end is still a normal binary64 number.
+_STORE_LO = 2.0**-64
+_STORE_HI = 2.0**64
 
 
 class ScaledComplex:
-    """Complex value ``mantissa * exp(log_scale)`` with ``|mantissa|`` in [0.5, 2).
+    """Complex value ``mantissa * exp(log_scale)``.
 
     Parameters
     ----------
     mantissa : complex
     log_scale : float
-        Natural-log scale factor.  The constructor renormalizes, so any
-        ``(mantissa, log_scale)`` pair with finite entries is accepted.
+        Natural-log scale factor.  The constructor renormalizes when needed, so
+        any ``(mantissa, log_scale)`` pair with finite entries is accepted.
     """
 
-    __slots__ = ("mantissa", "log_scale")
+    __slots__ = ("_m", "_s")
 
     def __init__(self, mantissa: complex, log_scale: float = 0.0):
         m = complex(mantissa)
@@ -51,12 +62,12 @@ class ScaledComplex:
         a = abs(m)
         if a == 0.0:
             m, s = 0j, 0.0
-        elif not (_MANT_LO <= a < _MANT_HI):
+        elif not (_STORE_LO <= a < _STORE_HI):
             d = math.log(a)
             m /= cmath.exp(complex(d, 0.0))
             s += d
-        object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "log_scale", s)
+        object.__setattr__(self, "_m", m)
+        object.__setattr__(self, "_s", s)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("ScaledComplex is immutable")
@@ -79,18 +90,36 @@ class ScaledComplex:
 
     # ---- queries ----
 
+    def _normalized(self) -> tuple[complex, float]:
+        m, s = self._m, self._s
+        a = abs(m)
+        if a == 0.0 or _MANT_LO <= a < _MANT_HI:
+            return m, s
+        d = math.log(a)
+        return m / cmath.exp(complex(d, 0.0)), s + d
+
+    @property
+    def mantissa(self) -> complex:
+        """``m`` with ``0.5 <= |m| < 2`` (or 0) and ``value = m * exp(log_scale)``."""
+        return self._normalized()[0]
+
+    @property
+    def log_scale(self) -> float:
+        """Natural-log scale belonging to :attr:`mantissa`."""
+        return self._normalized()[1]
+
     @property
     def is_zero(self) -> bool:
-        return self.mantissa == 0
+        return self._m == 0
 
     def log_abs(self) -> float:
         """Natural log of the magnitude (``-inf`` for zero)."""
         if self.is_zero:
             return -math.inf
-        return math.log(abs(self.mantissa)) + self.log_scale
+        return math.log(abs(self._m)) + self._s
 
     def arg(self) -> float:
-        return cmath.phase(self.mantissa)
+        return cmath.phase(self._m)
 
     def to_complex(self) -> complex:
         """Plain complex value.
@@ -101,15 +130,17 @@ class ScaledComplex:
             If the magnitude exceeds binary64 range.  Underflow is silent
             (returns 0, like float arithmetic).
         """
-        if self.is_zero:
-            return 0j
-        if self.log_scale > 709.0:
+        m, s = self._m, self._s
+        if -700.0 < s < 665.0:  # |m| < 2**64 = exp(44.4): cannot overflow
+            return m * math.exp(s)
+        m, s = self._normalized()
+        if s > 709.0:
             raise OverflowError(
                 f"scaled value ~exp({self.log_abs():.6g}) exceeds binary64 range"
             )
-        if self.log_scale < -745.0:
+        if s < -745.0:
             return 0j
-        return self.mantissa * math.exp(self.log_scale)
+        return m * math.exp(s)
 
     def __complex__(self) -> complex:
         return self.to_complex()
@@ -129,7 +160,7 @@ class ScaledComplex:
             return o
         if self.is_zero or o.is_zero:
             return _ZERO
-        return ScaledComplex(self.mantissa * o.mantissa, self.log_scale + o.log_scale)
+        return ScaledComplex(self._m * o._m, self._s + o._s)
 
     __rmul__ = __mul__
 
@@ -141,7 +172,7 @@ class ScaledComplex:
             raise ZeroDivisionError("ScaledComplex division by zero")
         if self.is_zero:
             return _ZERO
-        return ScaledComplex(self.mantissa / o.mantissa, self.log_scale - o.log_scale)
+        return ScaledComplex(self._m / o._m, self._s - o._s)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -152,7 +183,7 @@ class ScaledComplex:
     def reciprocal(self) -> "ScaledComplex":
         if self.is_zero:
             raise ZeroDivisionError("reciprocal of zero ScaledComplex")
-        return ScaledComplex(1.0 / self.mantissa, -self.log_scale)
+        return ScaledComplex(1.0 / self._m, -self._s)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -162,18 +193,18 @@ class ScaledComplex:
             return o
         if o.is_zero:
             return self
-        hi, lo = (self, o) if self.log_scale >= o.log_scale else (o, self)
-        gap = hi.log_scale - lo.log_scale
+        hi, lo = (self, o) if self._s >= o._s else (o, self)
+        gap = hi._s - lo._s
         if gap > FLUSH_LOG_GAP:
             return hi
-        return ScaledComplex(hi.mantissa + lo.mantissa * math.exp(-gap), hi.log_scale)
+        return ScaledComplex(hi._m + lo._m * math.exp(-gap), hi._s)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero:
             return self
-        return ScaledComplex(-self.mantissa, self.log_scale)
+        return ScaledComplex(-self._m, self._s)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -190,10 +221,12 @@ class ScaledComplex:
     def conjugate(self) -> "ScaledComplex":
         if self.is_zero:
             return self
-        return ScaledComplex(self.mantissa.conjugate(), self.log_scale)
+        return ScaledComplex(self._m.conjugate(), self._s)
 
     def __abs__(self) -> float:
         """Magnitude as a plain float; inf on overflow, 0 on underflow."""
+        if self._s == 0.0:
+            return abs(self._m)
         la = self.log_abs()
         if la > 709.0:
             return math.inf
@@ -204,19 +237,19 @@ class ScaledComplex:
     # ---- misc ----
 
     def __repr__(self) -> str:
-        return f"ScaledComplex({self.mantissa!r}, log_scale={self.log_scale!r})"
+        return f"ScaledComplex({self._m!r}, log_scale={self._s!r})"
 
     def isclose(self, other, rel_tol: float = 1e-12) -> bool:
         """Relative closeness that works at any scale."""
         o = self._coerce(other)
         if self.is_zero or o.is_zero:
             return self.is_zero and o.is_zero
-        gap = self.log_scale - o.log_scale
+        m, s = self._normalized()
+        om, os = o._normalized()
+        gap = s - os
         if abs(gap) > 1.0:  # > e apart: cannot be close at sane rel_tol
             return False
-        return abs(self.mantissa - o.mantissa * math.exp(-gap)) <= rel_tol * abs(
-            self.mantissa
-        )
+        return abs(m - om * math.exp(-gap)) <= rel_tol * abs(m)
 
 
 _ZERO = ScaledComplex(0j, 0.0)

@@ -39,6 +39,16 @@ class TestAgainstComplex:
         assert _close((sa * sb).to_complex(), a * b)
         assert _close((sa - sb).to_complex(), a - b)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1238, -1239), (997859, -999327 + 1j), (1024, -1023.75), (1e6 + 1, -1e6)],
+    )
+    def test_cancelling_sum_is_plain_float_addition(self, a, b):
+        sa, sb = ScaledComplex.from_complex(a), ScaledComplex.from_complex(b)
+        assert (sa + sb).to_complex() == a + b
+        assert (sb + sa).to_complex() == a + b
+        assert (sa - ScaledComplex.from_complex(-b)).to_complex() == a + b
+
     @given(moderate_complex(), nonzero_complex())
     @settings(max_examples=200, deadline=None)
     def test_division_matches_plain_arithmetic(self, a, b):
