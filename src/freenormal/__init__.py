@@ -32,8 +32,6 @@ from .errors import (
     StepUnderflow,
 )
 from .levy import (
-    LevySample,
-    TauSample,
     levy_density,
     semicircular_component_check,
     tau_total_mass,
@@ -87,7 +85,6 @@ __all__ = [
     "FreeNormalError",
     "InvalidContour",
     "LevelSetTrace",
-    "LevySample",
     "NoConvergence",
     "NoSignChange",
     "OdeState",
@@ -97,7 +94,6 @@ __all__ = [
     "ScaledComplex",
     "SeedNotFound",
     "StepUnderflow",
-    "TauSample",
     "boolean_cumulants",
     "classify_domain",
     "eval_f_asym_zero",

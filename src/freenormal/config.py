@@ -49,14 +49,6 @@ class EvalConfig:
     lattice_window: float = 6.6
     cf_depth: int = 80
 
-    # --- scaled arithmetic ---
-    #: |mantissa| is renormalized into [0.5, 2).
-    mantissa_lo: float = 0.5
-    mantissa_hi: float = 2.0
-    #: summands whose log-scales differ by more than this are not mixed;
-    #: the smaller one is flushed to zero.
-    flush_log_gap: float = 750.0
-
     #: reciprocal refuses to produce a value when log|G| is below this
     #: (matches the binary64 decade floor 1e-300).
     pole_log_floor: float = -690.775527898214

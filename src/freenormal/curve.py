@@ -45,7 +45,6 @@ from .transforms import (
     _g_tilde_near_axis_parts,
     classify_domain,
     f_tilde,
-    f_tilde_prime,
     g_tilde,
 )
 
@@ -61,6 +60,7 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 #: order of the large-x series returned above ``x_asymptotic``
 _LARGE_X_ORDER = 6
@@ -104,10 +104,10 @@ class CurveTrace:
 
 @dataclass(frozen=True)
 class LevelSetTrace:
-    """A traced connected piece of the implicit curve ``Im f_tilde = t``."""
+    """The part of the level arc ``Im f_tilde = t`` in one half of the box."""
 
     t: float
-    branch: str  # "left" | "right"
+    branch: str  # "right" (Re z >= 0) | "left" (Re z <= 0, the mirror image)
     points: tuple[complex, ...]
 
 
@@ -193,8 +193,47 @@ def _newton_confined(
 
 
 # --------------------------------------------------------------------------
-# split solver for large x (explicit exponential scale)
+# the curve on one vertical, and the split solver for large x
 # --------------------------------------------------------------------------
+
+#: within this depth below the axis the split evaluation serves the vertical
+#: solves and Omega membership; plain evaluation loses the sign of Im g_tilde
+#: there from about |Re z| = 4
+_NEAR_AXIS = 0.5
+
+
+def _vertical_root(a: float, y: float, config: EvalConfig) -> float:
+    """Root in ``y`` of ``arg g_tilde(a + i y)`` on ``(-pi/(2a), 0)``, Newton from ``y``.
+
+    The curve crosses each vertical of lower ``Xi`` once, where ``g_tilde``
+    is real and positive.  The derivative is exact,
+    ``d/dy arg g_tilde = Re(F - z)``.  Within ``_NEAR_AXIS`` of the axis the
+    step is the equivalent ``Im`` form ``-Im g / Re(1 - z g)`` on the split
+    evaluation, which keeps the ``exp(-a^2/2)`` scale of the root exact;
+    deeper down, where ``|z|`` passes 30 for small ``a``, the phase form on
+    the scaled evaluation.  A step that would leave the strip is replaced by
+    halving the distance to the end it crossed.  An iterate whose height is
+    below the normal binary64 range is returned at once (``f_of`` refuses
+    it): Newton cannot settle on a subnormal.
+    """
+    lim = -_HALF_PI / a
+    for _ in range(config.newton_max_iter):
+        if y >= -_NEAR_AXIS:
+            re, im = _g_tilde_near_axis_parts(a, y, config)
+            dy = -im / (1.0 - (a * re - y * im))
+        else:
+            g = g_tilde(complex(a, y), config)
+            dy = -g.arg() / (complex(g.reciprocal()).real - a)
+        y_new = y + dy
+        if not lim < y_new < 0.0:
+            y_new = 0.5 * (y + (lim if y_new <= lim else 0.0))
+        y = y_new
+        if abs(dy) <= 1e-15 * abs(y) or -y < sys.float_info.min:
+            return y
+    raise NoConvergence(
+        f"no crossing of the curve found on Re z = {a}", last_iterate=complex(a, y)
+    )
+
 
 def _solve_split(x: float, config: EvalConfig) -> tuple[float, float, float, int]:
     """Solve at ``x >= x_hi`` by alternating 1-D Newton pairs.
@@ -212,18 +251,7 @@ def _solve_split(x: float, config: EvalConfig) -> tuple[float, float, float, int
     re = im = 0.0
     for _ in range(40):
         iters += 1
-        # inner: drive Im g_tilde to zero in y at fixed u
-        for _ in range(30):
-            re, im = _g_tilde_near_axis_parts(u, y, config)
-            d = 1.0 - (u * re - y * im)  # Re g_tilde' at u + i y
-            dy = -im / d
-            y_new = y + dy
-            lim = -_HALF_PI / u
-            if not lim < y_new < 0.0:
-                y_new = 0.5 * (y + (lim if y_new <= lim else 0.0))
-            y = y_new
-            if abs(dy) <= 1e-15 * abs(y):
-                break
+        y = _vertical_root(u, y, config)
         re, im = _g_tilde_near_axis_parts(u, y, config)
         # outer: one Newton step of Re g_tilde(u) = 1/x
         d = 1.0 - (u * re - y * im)
@@ -402,29 +430,25 @@ def trace_p0(
 # the boundary function f and Omega membership
 # --------------------------------------------------------------------------
 
-def _g_prime_on_curve(pt: CurvePoint) -> float:
-    """Slope of ``g`` along the curve: ``(g - x) / (x ((g - x)^2 + h^2))``."""
-    d = pt.g - pt.x
-    return d / (pt.x * (d * d + pt.h * pt.h))
-
-
-# |x| below this makes s = g^{-1}(|x|) underflow binary64 (s ~ exp(-pi^2/(8 x^2))).
+#: below this |x| the closed form -pi/(2x) is f to the last bit (its relative
+#: error exp(-pi^2/(8 x^2)) is below 1e-290)
 _F_CLOSED_FORM_BELOW = 0.043
 
 
 def f_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """The boundary function ``f(x) = -h(g^{-1}(|x|))``, even in ``x``.
 
-    Solves ``g(s) = |x|`` by safeguarded 1-D Newton in ``log s`` (the
-    closed-form curve slope supplies the derivative), keeping a bracket for
-    geometric bisection fallback.
+    ``a + i f(a)`` with ``a = |x|`` is where the curve crosses the vertical
+    ``Re z = a``, so ``f(a)`` is one root of ``arg g_tilde(a + i y)`` in
+    ``y`` (see ``_vertical_root``).  Newton starts from the hyperbola end of
+    the strip below ``a = 2``, where the curve hugs the hyperbola, and from
+    the axis above it, where its first step is already the large-``a``
+    height.
 
-    For ``|x| < 0.043`` the parameter ``s`` underflows binary64; there the
-    closed form ``-pi/(2x)`` is returned, whose relative error
-    ``exp(-pi^2/(8 x^2)) < 1e-1150`` is far below representation, so the
-    value is exact to the last bit.  From about ``|x| = 37.84`` the boundary
-    height is no longer a normal binary64 number and ``DomainError`` is
-    raised, as ``solve_H`` does at its wall.
+    For ``|x| < 0.043`` the closed form ``-pi/(2x)`` is returned, exact to
+    the last bit.  ``DomainError`` is raised where that overflows (``|x|``
+    below about 8.7e-309), and from about ``|x| = 37.84``, where the
+    boundary height is no longer a normal binary64 number.
     """
     a = abs(float(x))
     if not math.isfinite(a):
@@ -432,180 +456,47 @@ def f_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     if a == 0.0:
         raise DomainError("f is defined on nonzero x only")
     if a < _F_CLOSED_FORM_BELOW:
-        return -_HALF_PI / a
-    try:
-        return -_g_inverse(a, config).h
-    except DomainError as exc:
+        f = -_HALF_PI / a
+        if math.isinf(f):
+            raise DomainError(f"f({x}) = -pi/(2x) overflows binary64")
+        return f
+    y = _vertical_root(a, -_HALF_PI / a if a < 2.0 else 0.0, config)
+    if not -y >= sys.float_info.min:
         raise DomainError(
             f"f({x}) is not a normal binary64 number: the boundary height "
             "is exp(-x^2/2)-small"
-        ) from exc
-
-
-def _g_inverse(a: float, config: EvalConfig) -> CurvePoint:
-    """The curve point with ``g(s) = a``."""
-    # initial s guess from the asymptotic inverses of g
-    if a < 1.2:
-        la = (_HALF_PI**2 - a**4) / (2.0 * a * a)
-        s = math.exp(-la) / math.sqrt(2.0 * math.pi)
-    elif a >= 6.0:
-        s = a - 1.0 / a
-    else:
-        s = a
-
-    pt = solve_H(s, config)
-    lo_s = hi_s = None
-    lo = hi = None
-    for _ in range(80):
-        if pt.g < a:
-            lo_s, lo = s, pt
-        else:
-            hi_s, hi = s, pt
-        if lo_s is not None and hi_s is not None:
-            break
-        s = s * 2.0 if pt.g < a else s * 0.5
-        pt = solve_H(s, config)
-    else:
-        raise NoConvergence(f"could not bracket g(s) = {a}", residual=abs(pt.g - a))
-
-    assert lo is not None and hi is not None
-    pt = lo if a - lo.g <= hi.g - a else hi
-    s = pt.x
-    best = abs(pt.g - a)
-    for _ in range(80):
-        err = pt.g - a
-        if abs(err) <= 4e-16 * max(1.0, a):
-            break
-        # Newton in log s: d g / d log s = g'(s) * s
-        step = -err / (_g_prime_on_curve(pt) * s)
-        s_new = s * math.exp(max(-30.0, min(30.0, step)))
-        if not (lo_s < s_new < hi_s):
-            s_new = math.exp(0.5 * (math.log(lo_s) + math.log(hi_s)))
-        pt_new = solve_H(s_new, config)
-        if pt_new.g < a:
-            lo_s, lo = s_new, pt_new
-        else:
-            hi_s, hi = s_new, pt_new
-        s, pt = s_new, pt_new
-        if abs(pt.g - a) >= best and best <= 1e-12 * max(1.0, a):
-            break  # stalled at the evaluation floor, contract already met
-        best = min(best, abs(pt.g - a))
-    else:
-        raise NoConvergence(
-            f"g(s) = {a} not met: best residual {best:.3g}",
-            last_iterate=pt.z,
-            residual=best,
         )
-    if abs(pt.g - a) > 1e-12 * max(1.0, a):
-        pt = lo if a - lo.g <= hi.g - a else hi
-        if abs(pt.g - a) > 1e-10 * max(1.0, a):
-            raise NoConvergence(
-                f"g(s) = {a} met only to {abs(pt.g - a):.3g}",
-                last_iterate=pt.z,
-                residual=abs(pt.g - a),
-            )
-    return pt
+    return y
 
 
 def in_omega(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> bool:
     """Membership in ``Omega``, the maximal domain mapped onto ``C+``.
 
-    True iff ``z`` is on the imaginary axis or lies strictly above the
-    boundary graph ``f(Re z)``.
+    True on the imaginary axis and in the closed upper half plane.  Below
+    the axis ``Omega`` is the part of ``Xi`` above the curve, which is where
+    ``Im g_tilde < 0``: on each vertical of lower ``Xi``, ``Im g_tilde`` is
+    negative at the axis, vanishes on the curve and only there, and is
+    positive toward the hyperbola.  That it changes sign once is a checked
+    numerical fact (the tests sweep it), the same one ``ode._inner_root``
+    relies on.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"Omega membership needs a finite point, got {z!r}")
     if z.real == 0.0 or z.imag >= 0.0:
         return True
-    try:
-        boundary = f_of(z.real, config)
-    except DomainError:
-        # |Re z| so large the boundary height underflows: below-axis points
-        # with representable Im z sit under the graph
+    if classify_domain(z, config) is DomainTag.OUTSIDE_XI:
         return False
-    return z.imag > boundary
+    # Im g_tilde is even in Re z
+    a, y = abs(z.real), z.imag
+    if y >= -_NEAR_AXIS:
+        return _g_tilde_near_axis_parts(a, y, config)[1] < 0.0
+    return g_tilde(complex(a, y), config).mantissa.imag < 0.0
 
 
 # --------------------------------------------------------------------------
 # level sets of Im f_tilde
 # --------------------------------------------------------------------------
-
-def _imf(z: complex, config: EvalConfig) -> float:
-    return complex(f_tilde(z, config)).imag
-
-
-def _grad_imf(z: complex, config: EvalConfig) -> complex:
-    """Gradient of ``Im f_tilde`` as the complex vector ``(d/dx, d/dy)``."""
-    fp = complex(f_tilde_prime(z, config))
-    return complex(fp.imag, fp.real)
-
-
-def _correct_onto_level(
-    z: complex, t: float, config: EvalConfig, tol: float = 1e-11
-) -> complex | None:
-    for _ in range(12):
-        v = _imf(z, config) - t
-        if abs(v) <= tol:
-            return z
-        grad = _grad_imf(z, config)
-        norm2 = grad.real**2 + grad.imag**2
-        if norm2 == 0.0:
-            return None
-        z = z - v * grad / norm2
-        if not _confined(z, config):
-            return None
-    return None
-
-
-def _trace_from(
-    seed: complex,
-    t: float,
-    bbox: tuple[float, float, float, float],
-    step: float,
-    config: EvalConfig,
-) -> list[complex]:
-    """Bidirectional predictor-corrector walk along ``Im f_tilde = t``."""
-    x0, x1, y0, y1 = bbox
-
-    def inside(z: complex) -> bool:
-        return x0 <= z.real <= x1 and y0 <= z.imag <= y1 and _confined(z, config)
-
-    halves: list[list[complex]] = []
-    for direction in (1.0, -1.0):
-        pts: list[complex] = []
-        z = seed
-        ds = step * direction
-        prev_tan: complex | None = None
-        for _ in range(4000):
-            grad = _grad_imf(z, config)
-            norm = abs(grad)
-            if norm == 0.0:
-                break
-            tan = complex(-grad.imag, grad.real) / norm
-            if prev_tan is not None:
-                if (tan.real * prev_tan.real + tan.imag * prev_tan.imag) < 0:
-                    tan = -tan
-                # curvature control: slow down when the tangent turns fast
-                turn = abs(tan - prev_tan)
-                if turn > 0.4 and abs(ds) > 0.05 * step:
-                    ds *= 0.5
-                elif turn < 0.05 and abs(ds) < step:
-                    ds = math.copysign(min(abs(ds) * 1.6, step), ds)
-            prev_tan = tan
-            cand = _correct_onto_level(z + ds * tan, t, config)
-            if cand is None or not inside(cand):
-                break
-            if pts and abs(cand - pts[-1]) < 1e-14:
-                break
-            pts.append(cand)
-            z = cand
-            if abs(z - seed) < 0.25 * abs(ds) and len(pts) > 8:
-                break  # closed the loop
-        halves.append(pts)
-    back, fwd = halves[1], halves[0]
-    return list(reversed(back)) + [seed] + fwd
-
 
 def trace_level_set(
     t: float,
@@ -613,69 +504,77 @@ def trace_level_set(
     step: float,
     config: EvalConfig = DEFAULT_CONFIG,
 ) -> list[LevelSetTrace]:
-    """Trace the curves ``Im f_tilde = t`` inside ``bbox``.
+    """Trace the level ``Im f_tilde = t`` of ``Omega`` inside ``bbox``.
 
-    ``bbox = (re_min, re_max, im_min, im_max)``, clipped against the
-    certified region.  Seeds come from sign changes of ``Im f_tilde - t``
-    along vertical scan lines; each seed not already covered by an earlier
-    trace starts a bidirectional predictor-corrector walk with
-    curvature-limited steps.
+    ``bbox = (re_min, re_max, im_min, im_max)``.  ``f_tilde`` maps
+    ``Omega`` one-to-one onto ``C+``, so for ``t > 0`` the level is the
+    single arc ``z(s) = f_tilde^{-1}(s + i t)``, and ``f_tilde(-conj z) =
+    -conj f_tilde(z)`` makes it symmetric about the imaginary axis, which
+    it crosses at ``s = 0``.  The ``"right"`` trace follows it for
+    ``s >= 0`` from that crossing; the ``"left"`` trace is its mirror image
+    ``-conj z``, so each label is a half plane.  ``t = 0`` is the boundary
+    curve: ``p0+`` (``"right"``, ``s > 0``) traced from just below the box,
+    and its mirror ``p0-``.
+
+    Each step moves ``s`` by ``step * |f_tilde'(z)|``, with the exact
+    ``f_tilde' = F (z - F)``, so consecutive points lie about ``step``
+    apart; the tangent predictor is corrected by warm-started confined
+    Newton on the relative residual.  A trace ends where the arc leaves the
+    box.
 
     Raises
     ------
+    DomainError
+        For a negative or non-finite ``t``, a non-finite or non-positive
+        ``step``, or a non-finite or degenerate ``bbox``.
     SeedNotFound
-        If no scan line crosses the level.
+        If the arc misses the box.
     """
-    if t < 0:
-        raise DomainError(f"level sets are defined for t >= 0, got {t}")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise DomainError(f"level sets are defined for finite t >= 0, got {t}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise DomainError(f"need a finite step > 0, got {step}")
+    if not all(math.isfinite(v) for v in bbox):
+        raise DomainError(f"bbox needs finite bounds, got {bbox}")
     x0, x1, y0, y1 = bbox
     if not (x0 < x1 and y0 < y1):
         raise DomainError(f"degenerate bbox {bbox}")
 
-    n_cols, n_rows = 17, 80
-    traces: list[LevelSetTrace] = []
-    covered: list[complex] = []
-    for ci in range(n_cols):
-        xc = x0 + (x1 - x0) * (ci + 0.5) / n_cols
-        if abs(xc) < 1e-12 and t == 0.0:
-            continue  # Im f_tilde > 0 on the imaginary axis
-        ys = []
-        for ri in range(n_rows + 1):
-            y = y0 + (y1 - y0) * ri / n_rows
-            z = complex(xc, y)
-            if _confined(z, config):
-                ys.append((y, _imf(z, config) - t))
-        for (ya, va), (yb, vb) in zip(ys, ys[1:]):
-            if va == 0.0:
-                va = math.copysign(1e-300, vb if vb else 1.0)
-            if va * vb >= 0.0 or abs(yb - ya) > 2.0 * (y1 - y0) / n_rows:
-                continue
-            lo_y, hi_y, lo_v = ya, yb, va
-            for _ in range(60):
-                mid = 0.5 * (lo_y + hi_y)
-                vm = _imf(complex(xc, mid), config) - t
-                if vm == 0.0:
-                    lo_y = hi_y = mid
-                    break
-                if (vm > 0) == (lo_v > 0):
-                    lo_y, lo_v = mid, vm
-                else:
-                    hi_y = mid
-            seed = _correct_onto_level(complex(xc, 0.5 * (lo_y + hi_y)), t, config)
-            if seed is None:
-                continue
-            if any(abs(seed - c) < 1.5 * step for c in covered):
-                continue
-            pts = _trace_from(seed, t, bbox, step, config)
-            if len(pts) < 2:
-                continue
-            covered.extend(pts)
-            span_r = max(p.real for p in pts)
-            span_l = min(p.real for p in pts)
-            branch = "right" if span_r >= -span_l else "left"
-            traces.append(LevelSetTrace(t=t, branch=branch, points=tuple(pts)))
+    # the box and its mirror image, folded onto Re z >= 0
+    lo, hi = max(0.0, x0, -x1), max(x1, -x0)
+    if t > 0.0:
+        # F(iy) = i/rho(y): seed with the larger of the root of rho(y) ~ 1/y
+        # (high levels) and of rho(y) ~ sqrt(2 pi) exp(y^2/2) (low levels)
+        y = max(t - 1.0 / t, -math.sqrt(2.0 * math.log1p(1.0 / (t * _SQRT_TWO_PI))))
+        s = 0.0
+        z, F, _ = _newton_confined(complex(0.0, y), complex(0.0, t), config, log=True)
+        z = complex(0.0, z.imag)
+    else:
+        # start on p0+ below the box: the parameter whose zero-regime height
+        # sqrt(S + L) is depth, capped at x_lo where that closed form holds
+        depth = max(-y0, 1.0) + step
+        L = 0.5 * (depth * depth - (_HALF_PI / depth) ** 2)
+        s = min(config.x_lo, max(math.exp(-L) / _SQRT_TWO_PI, sys.float_info.min))
+        z, F = solve_H(s, config).z, complex(s)
+    arc: list[complex] = []
+    while True:
+        if lo <= z.real <= hi and y0 <= z.imag <= y1:
+            arc.append(z)
+        elif arc or z.real > hi:
+            break
+        d = F * (z - F)
+        ds = step * abs(d)
+        s += ds
+        z, F, _ = _newton_confined(z + ds / d, complex(s, t), config, log=True)
+
+    right = tuple(z for z in arc if x0 <= z.real <= x1)
+    # 0.0 - re keeps the axis point at +0
+    left = tuple(complex(0.0 - z.real, z.imag) for z in arc if x0 <= -z.real <= x1)
+    traces = [
+        LevelSetTrace(t=t, branch=branch, points=points)
+        for branch, points in (("right", right), ("left", left))
+        if points
+    ]
     if not traces:
-        raise SeedNotFound(
-            f"no crossing of Im f_tilde = {t} found in bbox {bbox}"
-        )
+        raise SeedNotFound(f"the level Im f_tilde = {t} misses the bbox {bbox}")
     return traces

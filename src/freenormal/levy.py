@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .curve import _newton_confined, in_omega, solve_H
@@ -27,8 +26,6 @@ from .series import eval_h_asym_infinity, free_cumulants
 from .transforms import f_tilde, quad
 
 __all__ = [
-    "LevySample",
-    "TauSample",
     "levy_density",
     "voiculescu",
     "tau_total_mass",
@@ -40,36 +37,6 @@ _PI = math.pi
 #: from this |w| on, phi(w) is the series in kappa_2 .. kappa_{2 _PHI_SERIES_ORDER}
 _PHI_SERIES_FROM = 30.0
 _PHI_SERIES_ORDER = 8
-
-
-@dataclass(frozen=True)
-class LevySample:
-    """Density sample ``h(|x|)/(pi x^2)`` of the free Levy measure."""
-
-    x: float
-    density: float
-
-    def __post_init__(self) -> None:
-        if self.x == 0.0 or not self.density > 0.0:
-            raise DomainError(
-                f"Levy samples live off the origin with positive density, "
-                f"got x = {self.x}, density = {self.density}"
-            )
-
-
-@dataclass(frozen=True)
-class TauSample:
-    """Density sample ``h(|x|)/(pi (1 + x^2))`` of the finite measure tau."""
-
-    x: float
-    tau_density: float
-
-    def __post_init__(self) -> None:
-        if self.x == 0.0 or not self.tau_density > 0.0:
-            raise DomainError(
-                f"tau samples live off the origin with positive density, "
-                f"got x = {self.x}, tau_density = {self.tau_density}"
-            )
 
 
 def levy_density(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -155,8 +122,8 @@ def tau_total_mass(
     The result is doubled by symmetry.  Raises ``QuadratureFailure`` when the
     combined error estimate exceeds ``quad_tol``.
     """
-    if not quad_tol > 0:
-        raise DomainError(f"need a positive tolerance, got {quad_tol}")
+    if not (quad_tol > 0 and math.isfinite(quad_tol)):
+        raise DomainError(f"need a finite positive tolerance, got {quad_tol}")
 
     def body(x: float) -> float:
         return solve_H(x, config).h / (_PI * (1.0 + x * x))

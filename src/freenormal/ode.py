@@ -22,6 +22,7 @@ imaginary part is tracked in relative terms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EvalConfig
@@ -66,11 +67,10 @@ class OdeState:
 
 @dataclass(frozen=True)
 class AnchorPoint:
-    """A certified starting state plus the method that produced it."""
+    """A certified starting state of the transport."""
 
     x0: float
     state: OdeState
-    method: str
 
 
 def _im_g_on_vertical(c: float, y: float, config: EvalConfig) -> float:
@@ -159,7 +159,7 @@ def make_anchor(x0: float, config: EvalConfig = DEFAULT_CONFIG) -> AnchorPoint:
             f"anchor residual {residual:.3g} too large at x0 = {x0}",
             residual=residual,
         )
-    return AnchorPoint(x0=x0, state=OdeState(x=x0, g=c, h=-y), method="bisection")
+    return AnchorPoint(x0=x0, state=OdeState(x=x0, g=c, h=-y))
 
 
 def _rhs_direct(x: float, H: complex) -> complex:
@@ -209,16 +209,13 @@ def integrate(
     tolerance ``tol``; switches the independent variable to ``log x`` when
     the target sits well below the anchor.  Every accepted step must stay
     inside the continuation domain, otherwise the step is retried at half
-    size; ``StepUnderflow`` is raised when halving bottoms out.
+    size; ``StepUnderflow`` is raised when halving bottoms out.  Where the
+    transported height is no longer a normal binary64 number (from about
+    ``x = 37.8``) ``DomainError`` is raised, as ``solve_H`` does at its wall.
     """
     x_target = float(x_target)
-    if x_target <= 0.0:
-        raise DomainError(f"need x_target > 0, got {x_target}")
-    if x_target > 38.0:
-        raise DomainError(
-            f"x_target = {x_target} is past x = 38, where the curve height "
-            "falls below the smallest positive binary64 value"
-        )
+    if not (x_target > 0.0 and math.isfinite(x_target)):
+        raise DomainError(f"need a finite x_target > 0, got {x_target}")
     if not tol > 0.0:
         raise DomainError(f"need tol > 0, got {tol}")
 
@@ -280,6 +277,11 @@ def integrate(
         sc_im = tol * max(abs(H.imag), abs(H5.imag))
         e_norm = max(abs(err.real) / sc_re, abs(err.imag) / sc_im)
         if e_norm <= 1.0 and _inside(H5):
+            if -H5.imag < sys.float_info.min:
+                raise DomainError(
+                    f"the curve height at x = {t + dt} is not a normal "
+                    "binary64 number"
+                )
             t += dt
             H = H5
             k[0] = k[6]  # first-same-as-last

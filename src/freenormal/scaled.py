@@ -29,14 +29,15 @@ from __future__ import annotations
 import cmath
 import math
 
-from .config import DEFAULT_CONFIG
-
 __all__ = ["ScaledComplex", "FLUSH_LOG_GAP"]
 
-FLUSH_LOG_GAP = DEFAULT_CONFIG.flush_log_gap
+#: summands whose log-scales differ by more than this are not mixed; the
+#: smaller one is flushed to zero
+FLUSH_LOG_GAP = 750.0
 
-_MANT_LO = DEFAULT_CONFIG.mantissa_lo
-_MANT_HI = DEFAULT_CONFIG.mantissa_hi
+# the public mantissa has modulus in [_MANT_LO, _MANT_HI)
+_MANT_LO = 0.5
+_MANT_HI = 2.0
 # The stored mantissa is renormalized only outside this window; the square
 # of either end is still a normal binary64 number.
 _STORE_LO = 2.0**-64

@@ -92,8 +92,8 @@ class AsymptoticRegime(enum.Enum):
 
 def regime_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> AsymptoticRegime:
     """Classify ``x > 0`` against the crossover thresholds."""
-    if x <= 0:
-        raise DomainError(f"regime is defined for x > 0, got {x}")
+    if not (x > 0 and math.isfinite(x)):
+        raise DomainError(f"regime is defined for finite x > 0, got {x}")
     if x <= config.x_lo:
         return AsymptoticRegime.NEAR_ZERO
     if x >= config.x_hi:
@@ -287,10 +287,16 @@ def f_infinity_coefficients(N: int) -> RationalSeries:
 # floating evaluators
 # --------------------------------------------------------------------------
 
+def _check_large_argument(x: float) -> None:
+    if x == 0.0 or not math.isfinite(x):
+        raise DomainError(f"large-x series need a finite nonzero x, got {x}")
+
+
 def eval_g_asym_infinity(x: float, N: int) -> float:
     """``x + k_2/x + k_4/x^3 + ...`` truncated after ``k_{2N}``."""
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
+    _check_large_argument(x)
     kap = _free_list(N)
     u = 1.0 / (x * x)
     acc = 0.0
@@ -307,6 +313,7 @@ def eval_h_asym_infinity(x: float, N: int) -> ScaledComplex:
     """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
+    _check_large_argument(x)
     u = 1.0 / (x * x)
     acc = 1.0
     if N > 1:

@@ -317,7 +317,7 @@ def rho(x: float, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
 
 
 # --------------------------------------------------------------------------
-# near-axis split evaluation (used by the curve solver at large abscissa)
+# near-axis split evaluation (curve solves and Omega membership near the axis)
 # --------------------------------------------------------------------------
 
 def _dawson_real(xi: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -368,13 +368,14 @@ def _g_tilde_near_axis_parts(
     a vertical Taylor expansion of the Dawson term (derivatives by the
     recurrence ``D' = 1 - 2 w D``) plus the exactly-split exponential term.
 
-    Requires ``|y| <= ~0.5`` for the Taylor tail to stay below 1e-16; callers
-    stay far inside that.
+    Holds for ``|y| <= 0.5``: there the 22-term Taylor tail stays below
+    1e-16 and the relative error below 1e-15 (against 40-digit mpmath on
+    lower ``Xi``).
     """
     xi = x / _SQRT2
     v = y / _SQRT2
     # derivatives of D at xi: d[k] = D^{(k)}(xi) / k!  (scaled to Taylor coeffs)
-    n_terms = 14
+    n_terms = 22
     d0 = _dawson_real(xi, config)
     deriv = [d0, 1.0 - 2.0 * xi * d0]
     for k in range(2, n_terms):

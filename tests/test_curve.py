@@ -8,6 +8,7 @@ no code with the Newton machinery under test.
 
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -47,6 +48,17 @@ def mpmath_curve_point(x: float, seed: complex) -> complex:
                     * mpmath.erfc(-1j * z / mpmath.sqrt(2)))
         z = mpmath.findroot(lambda z: g(z) - 1 / mpmath.mpf(x), mpmath.mpc(seed))
         return complex(z)
+
+
+def mpmath_graph(a: float, seed: float) -> float:
+    """Root in ``y`` of ``arg g_tilde(a + i y)`` near ``seed``, with the digits
+    of :func:`mpmath_curve_point`."""
+    with mpmath.workdps(40 + int(a * a / (2.0 * math.log(10.0)))):
+        def arg_g(y):
+            z = mpmath.mpc(a, y)
+            return mpmath.arg(-1j * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-z * z / 2)
+                              * mpmath.erfc(-1j * z / mpmath.sqrt(2)))
+        return float(mpmath.findroot(arg_g, mpmath.mpf(seed)))
 
 
 def bisection_oracle(x_target: float) -> complex:
@@ -193,7 +205,6 @@ class TestSkeletonSeededBulk:
             return wrapper
 
         monkeypatch.setattr(curve, "f_tilde", counted(curve.f_tilde))
-        monkeypatch.setattr(curve, "f_tilde_prime", counted(curve.f_tilde_prime))
         worst = 0
         for x in self.XS:
             calls[0] = 0
@@ -298,6 +309,19 @@ class TestGraphFunction:
         with pytest.raises(DomainError):
             f_of(0.0)
 
+    @pytest.mark.parametrize("x", [8e-309, 1e-320, -5e-324])
+    def test_overflowing_closed_form_is_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            f_of(x)
+        assert in_omega(complex(x, -1.0))
+
+    @pytest.mark.parametrize(
+        "a", [0.05, 0.3, 1.0, 1.9, 2.0, 2.1, 3.0, 5.0, 8.0, 15.0, 25.0, 33.0, 37.5]
+    )
+    def test_matches_mpmath(self, a):
+        want = mpmath_graph(a, f_of(a))
+        assert abs(f_of(a) - want) <= 1e-12 * abs(want)
+
 
 class TestOmegaMembership:
     def test_representative_points(self):
@@ -315,6 +339,46 @@ class TestOmegaMembership:
     def test_closed_upper_half_plane_is_inside(self):
         assert in_omega(5.0 + 0j)
         assert in_omega(-17.0 + 3j)
+
+
+class TestOmegaSweep:
+    """``in_omega`` against the graph of ``f`` on seeded points of lower ``Xi``."""
+
+    @staticmethod
+    def expected(z: complex) -> bool:
+        try:
+            return z.imag > f_of(z.real)
+        except DomainError:
+            # past f's wall the curve height is below every normal float
+            return False
+
+    def test_agrees_with_the_graph(self):
+        rng = random.Random(6)
+        pts = []
+        for _ in range(1700):
+            a = math.exp(rng.uniform(math.log(1e-3), math.log(40.0)))
+            pts.append(complex(rng.choice((a, -a)), -rng.uniform(1e-6, 1.0) * HALF_PI / a))
+        near = 0
+        for _ in range(400):
+            a = math.exp(rng.uniform(math.log(1e-3), math.log(37.8)))
+            for side in (1.0, -1.0):
+                delta = 10.0 ** rng.uniform(-9.0, -3.0)
+                pts.append(complex(a, f_of(a) * (1.0 + side * delta)))
+                near += 1
+        assert len(pts) >= 2000 and near >= 300
+        wrong = [z for z in pts if in_omega(z) is not self.expected(z)]
+        assert wrong == []
+
+    @pytest.mark.parametrize("k", range(40))
+    def test_im_g_changes_sign_once_on_each_vertical(self, k):
+        # in_omega is the sign of Im g_tilde below the axis; going down a
+        # vertical it may switch from inside to outside once, never back
+        a = 1e-3 * (40.0 / 1e-3) ** (k / 39)
+        depths = sorted(
+            [j / 400 for j in range(1, 400)] + [10.0 ** -j for j in range(3, 300, 3)]
+        )
+        inside = [in_omega(complex(a, -v * HALF_PI / a)) for v in depths]
+        assert inside == sorted(inside, reverse=True)
 
 
 class TestLevelSets:
@@ -352,6 +416,44 @@ class TestLevelSets:
             trace_level_set(-0.5, self.BBOX, 0.1)
         with pytest.raises(DomainError):
             trace_level_set(0.5, (1.0, 1.0, -1.0, 1.0), 0.1)
+        for t in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                trace_level_set(t, self.BBOX, 0.1)
+        for step in (-0.1, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                trace_level_set(0.5, self.BBOX, step)
+        for bbox in ((-1.0, math.inf, -1.0, 1.0), (math.nan, 1.0, -1.0, 1.0)):
+            with pytest.raises(DomainError):
+                trace_level_set(0.5, bbox, 0.1)
+
+    def test_cli_levels_lie_on_their_level(self):
+        for t in (0.0, 0.1, 0.4, 0.7, 1.0, 1.3):
+            for tr in trace_level_set(t, self.BBOX, 0.08):
+                for z in tr.points:
+                    assert abs(complex(f_tilde(z)).imag - t) <= 1e-12
+
+    def test_branches_are_mirrored_half_planes(self):
+        for t in (0.0, 0.4):
+            right, left = trace_level_set(t, self.BBOX, 0.1)
+            assert (right.branch, left.branch) == ("right", "left")
+            assert all(z.real >= 0.0 for z in right.points)
+            assert left.points == tuple(complex(0.0 - z.real, z.imag) for z in right.points)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-20, 10.0])
+    def test_extreme_levels_are_traced(self, t):
+        traces = trace_level_set(t, (-3.2, 3.2, -2.2, 12.0), 0.1)
+        assert [tr.branch for tr in traces] == ["right", "left"]
+        for tr in traces:
+            for z in tr.points:
+                assert abs(complex(f_tilde(z)).imag - t) <= 1e-12 * t + 1e-15
+
+    def test_positive_level_starts_on_the_imaginary_axis(self):
+        right, _ = trace_level_set(1.0, self.BBOX, 0.08)
+        z = right.points[0]
+        assert z.real == 0.0
+        assert abs(z.imag - 0.3026308407115723) <= 1e-13
+        xs = [p.real for p in right.points]
+        assert all(b > a for a, b in zip(xs, xs[1:]))
 
 
 class TestCurvePointInvariants:

@@ -11,8 +11,6 @@ import pytest
 from freenormal.curve import in_omega, solve_H
 from freenormal.errors import DomainError, NoConvergence
 from freenormal.levy import (
-    LevySample,
-    TauSample,
     levy_density,
     semicircular_component_check,
     tau_total_mass,
@@ -190,6 +188,11 @@ class TestTauMass:
         with pytest.raises(DomainError):
             tau_total_mass(0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_is_a_domain_error(self, tol):
+        with pytest.raises(DomainError):
+            tau_total_mass(tol)
+
 
 class TestSemicircularComponent:
     def test_decays_like_the_model(self):
@@ -208,19 +211,3 @@ class TestSemicircularComponent:
         assert semicircular_component_check(80.0) == 0.0
         with pytest.raises(DomainError):
             semicircular_component_check(-1.0)
-
-
-class TestSampleTypes:
-    def test_valid_samples_carry_through(self):
-        s = LevySample(x=1.0, density=levy_density(1.0))
-        assert s.density > 0
-        t = TauSample(x=-2.0, tau_density=0.01)
-        assert t.x == -2.0
-
-    def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            LevySample(x=0.0, density=1.0)
-        with pytest.raises(DomainError):
-            LevySample(x=1.0, density=-0.1)
-        with pytest.raises(DomainError):
-            TauSample(x=1.0, tau_density=0.0)

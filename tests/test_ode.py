@@ -1,6 +1,7 @@
 """ODE transport oracle: anchoring, integration, certificates."""
 
 import math
+import sys
 
 import pytest
 
@@ -26,7 +27,6 @@ class TestAnchor:
         pt = solve_H(2.0)
         assert abs(a.state.g - pt.g) <= 1e-10
         assert abs(a.state.h - pt.h) <= 1e-10
-        assert a.method == "bisection"
 
     def test_state_inside_the_domain(self):
         a = make_anchor(3.0)
@@ -83,11 +83,7 @@ class TestIntegrate:
         for tol in (1e-8, 1e-10):
             for xt in (5.0, 0.01, 0.3):
                 s = integrate(a, xt, tol=tol)
-                back = integrate(
-                    AnchorPoint(x0=xt, state=s, method="bisection"),
-                    2.0,
-                    tol=tol,
-                )
+                back = integrate(AnchorPoint(x0=xt, state=s), 2.0, tol=tol)
                 assert abs(back.g - a.state.g) <= 10 * tol
                 assert abs(back.h - a.state.h) <= 10 * tol
 
@@ -131,6 +127,18 @@ class TestIntegrate:
             integrate(a, -1.0, tol=1e-8)
         with pytest.raises(DomainError):
             integrate(a, 1.0, tol=0.0)
+        with pytest.raises(DomainError):
+            integrate(a, math.nan, tol=1e-8)
+        with pytest.raises(DomainError):
+            integrate(a, math.inf, tol=1e-8)
+
+    @pytest.mark.parametrize("x", [37.85, 37.9])
+    def test_subnormal_height_is_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            integrate(make_anchor(2.0), x, tol=1e-8)
+
+    def test_height_is_normal_up_to_the_wall(self):
+        assert integrate(make_anchor(2.0), 37.8, tol=1e-8).h >= sys.float_info.min
 
 
 class TestCertificate:

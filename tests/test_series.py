@@ -207,3 +207,12 @@ class TestRegimes:
         v = eval_h_asym_infinity(60.0, 3)
         assert math.isfinite(v.log_abs())
         assert v.log_abs() < -1700.0
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_zero_argument_is_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            eval_g_asym_infinity(x, 3)
+        with pytest.raises(DomainError):
+            eval_h_asym_infinity(x, 3)
+        with pytest.raises(DomainError):
+            regime_of(x)

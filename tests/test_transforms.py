@@ -22,6 +22,7 @@ from freenormal.errors import DomainError, InvalidContour
 from freenormal.scaled import ScaledComplex
 from freenormal.transforms import (
     DomainTag,
+    _g_tilde_near_axis_parts,
     classify_domain,
     contour_moment,
     f_tilde,
@@ -129,6 +130,19 @@ class TestBelowAxis:
         xs = [-6.0, -2.0, -0.5, 0.0, 0.5, 2.0, 6.0]
         vals = [rho(x).log_abs() for x in xs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+class TestNearAxisSplit:
+    def test_matches_the_continuation_down_to_half_depth(self):
+        rng = random.Random(31)
+        worst = 0.0
+        for _ in range(300):
+            x = rng.uniform(-8.0, 8.0)
+            y = -rng.uniform(0.0, min(0.5, 0.99 * (math.pi / 2) / abs(x)))
+            re, im = _g_tilde_near_axis_parts(x, y)
+            want = continuation_oracle(complex(x, y))
+            worst = max(worst, abs(complex(re, im) - want) / abs(want))
+        assert worst <= 1e-14
 
 
 class TestSymmetryAndDerivatives:
