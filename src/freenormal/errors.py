@@ -60,4 +60,4 @@ class InvalidContour(FreeNormalError, ValueError):
 
 
 class QuadratureFailure(FreeNormalError, ArithmeticError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A tanh-sinh quadrature's error estimate exceeds the requested tolerance."""

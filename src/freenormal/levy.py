@@ -22,7 +22,7 @@ import sys
 from .config import DEFAULT_CONFIG, EvalConfig
 from .curve import _newton_confined, in_omega, solve_H
 from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
-from .series import eval_h_asym_infinity, free_cumulants
+from .series import free_cumulants
 from .transforms import f_tilde, quad
 
 __all__ = [
@@ -114,13 +114,16 @@ def tau_total_mass(
     The positive half line splits at the curve solver's regime thresholds:
 
     * ``(0, x_lo]`` under ``x = exp(-u)``, where the integrand inherits the
-      ``sqrt(2 log 1/x)`` growth of ``h`` and decays like ``exp(-u) sqrt(u)``;
-    * ``[x_lo, x_hi]`` directly against solver values;
-    * ``[x_hi, oo)`` against the large-x series for ``h``, whose Gaussian
-      factor makes everything beyond ``x = 40`` vanish under binary64.
+      ``sqrt(2 log 1/x)`` growth of ``h`` and decays like ``exp(-u) sqrt(u)``
+      (``u`` runs to 60, past which the integral is below 1e-25);
+    * ``[x_lo, x_hi]`` and ``[x_hi, x_asymptotic]`` directly against solver
+      values;
+    * beyond ``x_asymptotic = 30`` the Gaussian factor of ``h`` puts the
+      integral below 1e-190, so it is left out.
 
-    The result is doubled by symmetry.  Raises ``QuadratureFailure`` when the
-    combined error estimate exceeds ``quad_tol``.
+    Each piece is one tanh-sinh quadrature, and the result is doubled by
+    symmetry.  Raises ``QuadratureFailure`` when the combined error estimate
+    exceeds ``quad_tol``.
     """
     if not (quad_tol > 0 and math.isfinite(quad_tol)):
         raise DomainError(f"need a finite positive tolerance, got {quad_tol}")
@@ -130,26 +133,22 @@ def tau_total_mass(
 
     def small(u: float) -> float:
         x = math.exp(-u)
-        return solve_H(x, config).h * x / (_PI * (1.0 + x * x))
+        return body(x) * x
 
-    def tail(x: float) -> float:
-        h = eval_h_asym_infinity(x, 3).to_complex().real
-        return h / (_PI * (1.0 + x * x))
-
-    u_lo = -math.log(config.x_lo)
-    v1, e1 = quad(small, u_lo, 60.0, epsabs=quad_tol / 8, epsrel=1e-12, limit=300)
-    v2, e2 = quad(
-        body, config.x_lo, config.x_hi, epsabs=quad_tol / 8, epsrel=1e-12,
-        limit=300,
-    )
-    v3, e3 = quad(tail, config.x_hi, 40.0, epsabs=quad_tol / 8, epsrel=1e-12,
-                  limit=300)
-    err = e1 + e2 + e3
+    total = err = 0.0
+    for f, a, b in (
+        (small, -math.log(config.x_lo), 60.0),
+        (body, config.x_lo, config.x_hi),
+        (body, config.x_hi, config.x_asymptotic),
+    ):
+        v, e = quad(f, a, b, epsabs=quad_tol / 8, epsrel=1e-12)
+        total += v
+        err += e
     if err > quad_tol:
         raise QuadratureFailure(
             f"error estimate {err:.3g} exceeds requested {quad_tol}"
         )
-    return 2.0 * (v1 + v2 + v3)
+    return 2.0 * total
 
 
 def semicircular_component_check(

@@ -307,13 +307,15 @@ class TestStdout:
 
 
 class TestStartup:
-    def test_figure_commands_load_neither_scipy_nor_numpy(self):
-        # only the quadratures (verify, tau_total_mass, the contour oracle)
-        # need scipy; every other command must start without it
+    def test_no_command_loads_scipy_or_numpy(self):
+        # the package runs on the standard library alone; the quadratures
+        # (verify, tau_total_mass, the contour oracle) included
         script = textwrap.dedent("""
+            import os
             import sys
             import freenormal
             import freenormal.cli
+            assert 0.69 < freenormal.tau_total_mass(1e-8) < 0.70
             for args in (
                 ["eval", "--fn", "F", "--z", "1.5-0.2i"],
                 ["curve", "--xmin", "0.5", "--xmax", "3", "--n", "5"],
@@ -322,6 +324,7 @@ class TestStartup:
                 ["cumulants", "--order", "4"],
                 ["asymptotics", "--regime", "zero"],
                 ["asymptotics", "--regime", "infinity"],
+                ["verify", "--profile", "fast", "--out", os.devnull],
             ):
                 assert freenormal.cli.main(args) == 0, args
             loaded = sorted(m for m in sys.modules

@@ -184,6 +184,12 @@ class TestTauMass:
     def test_pinned_total(self):
         assert math.isclose(tau_total_mass(1e-8), 0.6973691593, rel_tol=1e-7)
 
+    def test_matches_mpmath_to_roundoff(self):
+        # -Im phi(i) = 1 - Im z for the root z of g_tilde(z) = -i, from
+        # mpmath.findroot at 40 digits
+        mass = tau_total_mass(1e-10)
+        assert math.isclose(mass, 0.69736915928842724, rel_tol=1e-14)
+
     def test_tolerance_must_be_positive(self):
         with pytest.raises(DomainError):
             tau_total_mass(0.0)

@@ -30,6 +30,7 @@ from freenormal.transforms import (
     g_tilde,
     g_tilde_contour_oracle,
     g_tilde_prime,
+    quad,
     rho,
 )
 
@@ -262,11 +263,46 @@ class TestContourOracle:
         with pytest.raises(InvalidContour):
             g_tilde_contour_oracle(2.0 - 2.0j, math.pi / 24, eps=math.pi / 16)
 
+    def test_unreachable_tolerance_raises(self):
+        with pytest.raises(InvalidContour):
+            g_tilde_contour_oracle(1 + 1j, math.pi / 24, tol=1e-20)
+
     def test_gaussian_moments_through_the_contour(self):
         assert abs(contour_moment(0, 0.3) - 1.0) <= 1e-12
         assert abs(contour_moment(2, 0.3) - 1.0) <= 1e-12
         assert abs(contour_moment(4, 0.3) - 3.0) <= 1e-11
         assert abs(contour_moment(3, 0.3)) <= 1e-12
+
+
+class TestQuad:
+    @pytest.mark.parametrize("func, exact", [
+        (lambda x: x**5 - 2.0 * x * x + 1.0, 0.5),
+        (math.exp, math.e - 1.0),
+        # endpoint singularities; log(0) would raise, so no node sits on 0
+        (math.sqrt, 2.0 / 3.0),
+        (math.log, -1.0),
+    ])
+    def test_exact_to_roundoff_on_the_unit_interval(self, func, exact):
+        value, err = quad(func, 0.0, 1.0)
+        assert abs(value - exact) <= 1e-15
+        assert abs(value - exact) <= err <= 1e-14
+
+    def test_complex_integrand(self):
+        s = complex(1.0, 2.0)
+        value, err = quad(lambda x: cmath.exp(s * x), 0.0, 2.0)
+        exact = (cmath.exp(2.0 * s) - 1.0) / s
+        assert abs(value - exact) <= 1e-14 * abs(exact)
+        assert err <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_integrand_has_infinite_error(self, bad):
+        _, err = quad(lambda x: bad if x > 0.9 else 1.0, 0.0, 1.0)
+        assert err == math.inf
+
+    def test_rejects_an_empty_or_reversed_interval(self):
+        for a, b in ((1.0, 1.0), (1.0, 0.0), (0.0, math.nan)):
+            with pytest.raises(DomainError):
+                quad(math.exp, a, b)
 
 
 class TestScaledReturns:
