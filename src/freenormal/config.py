@@ -1,28 +1,13 @@
 """Shared numerical configuration.
 
-All crossover radii, lattice spacings, iteration budgets and tolerances used by
-the evaluator and the solvers are collected in one frozen record, so tests can
+All crossover points, iteration budgets and tolerances used by the
+transforms and the solvers are collected in one frozen record, so tests can
 point at a single source of truth and experiments can swap a modified copy in
-and out without touching module state.  The defaults are calibrated so that
-binary64 arithmetic meets the documented accuracy targets; see the individual
-field notes.
-
-The continuation ``g_tilde`` of the Gaussian Cauchy transform is evaluated by
-region:
-
-* ``|z| <= series_radius`` and ``Re z^2 >= -series_lens_cut``: Maclaurin series
-  of the integral term.  The lens cut keeps the bracket
-  ``-i sqrt(pi/2) + sqrt(2) S(z/sqrt2)`` away from its cancellation zone near
-  the imaginary axis.
-* ``|Im z| < band_halfwidth``, ``|z| < asymptotic_radius``: Gaussian-lattice
-  expansion of the Dawson-type integral with spacing ``lattice_spacing``
-  (discretization error ``exp(-pi^2/(4h^2)) * cosh(pi Im(zeta)/h)``).
-* ``Im z >= band_halfwidth``, ``|z| < asymptotic_radius``: Jacobi continued
-  fraction of the moment problem at depth ``cf_depth``.
-* ``|z| >= asymptotic_radius``: moment asymptotic series under optimal
-  truncation.
-* ``Im z <= -band_halfwidth``: Schwarz reflection of the upper evaluation plus
-  the explicit scaled exponential term.
+and out without touching module state.  The evaluator of ``g_tilde`` (one
+rational series for the Faddeeva function, see :mod:`freenormal.transforms`)
+has no constants to tune; what is configured is the pole floor of the
+reciprocal, the boundary band of the domain classification, the curve
+solver's regimes and budgets, and the ODE oracle.
 """
 
 from __future__ import annotations
@@ -32,22 +17,11 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluator and solver constants.
+    """Transform, solver and ODE constants.
 
-    The defaults certify relative error ``<= 1e-12`` for ``g_tilde`` on
-    ``{|z| <= 30}`` intersected with the closed upper half plane and the
-    interior domain below the hyperbolas ``|Re z . Im z| = pi/2`` (measured
-    worst case 3e-13 against a 40-digit oracle).
+    ``g_tilde`` is certified to relative error ``<= 1e-12`` on
+    ``Xi intersect {|z| <= 30}`` whatever the configuration.
     """
-
-    # --- region map of the entire continuation ---
-    series_radius: float = 4.0
-    series_lens_cut: float = 3.0
-    band_halfwidth: float = 2.0
-    asymptotic_radius: float = 12.0
-    lattice_spacing: float = 0.2
-    lattice_window: float = 6.6
-    cf_depth: int = 80
 
     #: reciprocal refuses to produce a value when log|G| is below this
     #: (matches the binary64 decade floor 1e-300).
@@ -65,7 +39,7 @@ class EvalConfig:
     #: switches to the logarithmic residual); above x_hi the large-x split
     #: formulation with asymptotic seeds takes over.
     x_lo: float = 0.05
-    x_hi: float = 6.0
+    x_hi: float = 3.5
     #: beyond this the solver returns asymptotic values directly.
     x_asymptotic: float = 30.0
 

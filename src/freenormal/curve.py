@@ -16,10 +16,12 @@ closed-form small-x asymptotics below ``x_lo``, large-x series above
 ``x_hi``, and between them skeleton-seeded Newton with a polish step: a
 cubic Hermite interpolant in ``log x`` of a cached set of curve points, with
 the exact slopes ``dH/dlog x = 1/(H - x)`` of the curve ODE.  Above
-``x_hi`` direct complex Newton loses the imaginary part to cancellation
-(``h(6) ~ 2e-7`` against ``g ~ 6``), so the solve switches to an alternating
-pair of real 1-D Newton iterations on the split form of the transform, where
-the exponential term carrying the tiny imaginary scale is explicit.
+``x_hi`` the height falls like ``exp(-x^2/2)`` (``h(3.5) ~ 9e-3``,
+``h(6) ~ 2e-7`` against ``g ~ 6``) and the absolute residual of complex
+Newton sees it only through cancellation, so the solve switches to an
+alternating pair of real 1-D Newton iterations on the split form of the
+transform, where the exponential term carrying the tiny imaginary scale is
+explicit.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .series import (
 )
 from .transforms import (
     DomainTag,
+    _f_eval,
     _g_tilde_near_axis_parts,
     classify_domain,
     f_tilde,
@@ -196,46 +199,40 @@ def _newton_confined(
 # the curve on one vertical, and the split solver for large x
 # --------------------------------------------------------------------------
 
-#: within this depth below the axis the split evaluation serves the vertical
-#: solves and Omega membership; plain evaluation loses the sign of Im g_tilde
-#: there from about |Re z| = 4
-_NEAR_AXIS = 0.5
-
-
 def _vertical_root(a: float, y: float, config: EvalConfig) -> float:
     """Root in ``y`` of ``arg g_tilde(a + i y)`` on ``(-pi/(2a), 0)``, Newton from ``y``.
 
     The curve crosses each vertical of lower ``Xi`` once, where ``g_tilde``
     is real and positive.  The derivative is exact,
-    ``d/dy arg g_tilde = Re(F - z)``.  Within ``_NEAR_AXIS`` of the axis the
-    step is the equivalent ``Im`` form ``-Im g / Re(1 - z g)`` on the split
-    evaluation, which keeps the ``exp(-a^2/2)`` scale of the root exact;
-    deeper down, where ``|z|`` passes 30 for small ``a``, the phase form on
-    the scaled evaluation.  A step that would leave the strip is replaced by
-    halving the distance to the end it crossed.  An iterate whose height is
-    below the normal binary64 range is returned at once (``f_of`` refuses
-    it): Newton cannot settle on a subnormal.
+    ``d/dy arg g_tilde = Re(F - z)``; near the axis ``g_tilde`` carries its
+    imaginary part, at ``exp(-a^2/2)`` scale there, to full relative
+    accuracy.  A step that would leave the strip is replaced by halving the
+    distance to the end it crossed.  An iterate whose height is below the
+    normal binary64 range is returned at once (``f_of`` refuses it): Newton
+    cannot settle on a subnormal.  So is one whose step, already within
+    1e-13 of ``|y|``, no longer shrinks: rounding can make Newton cycle
+    between iterates a few ulps apart.
     """
     lim = -_HALF_PI / a
+    dy_prev = math.inf
     for _ in range(config.newton_max_iter):
-        if y >= -_NEAR_AXIS:
-            re, im = _g_tilde_near_axis_parts(a, y, config)
-            dy = -im / (1.0 - (a * re - y * im))
-        else:
-            g = g_tilde(complex(a, y), config)
-            dy = -g.arg() / (complex(g.reciprocal()).real - a)
+        F = complex(_f_eval(complex(a, y), config))
+        dy = cmath.phase(F) / (F.real - a)
         y_new = y + dy
         if not lim < y_new < 0.0:
             y_new = 0.5 * (y + (lim if y_new <= lim else 0.0))
         y = y_new
         if abs(dy) <= 1e-15 * abs(y) or -y < sys.float_info.min:
             return y
+        if abs(dy) >= abs(dy_prev) and abs(dy) <= 1e-13 * abs(y):
+            return y  # steps at rounding level stopped shrinking
+        dy_prev = dy
     raise NoConvergence(
         f"no crossing of the curve found on Re z = {a}", last_iterate=complex(a, y)
     )
 
 
-def _solve_split(x: float, config: EvalConfig) -> tuple[float, float, float, int]:
+def _solve_split(x: float, config: EvalConfig) -> tuple[float, float, float]:
     """Solve at ``x >= x_hi`` by alternating 1-D Newton pairs.
 
     Coordinates ``z = u + i y`` with ``y < 0``.  The inner solve finds the
@@ -247,23 +244,16 @@ def _solve_split(x: float, config: EvalConfig) -> tuple[float, float, float, int
     """
     u = eval_g_asym_infinity(x, 3)
     y = -float(eval_h_asym_infinity(x, 3).to_complex().real)
-    iters = 0
-    re = im = 0.0
     for _ in range(40):
-        iters += 1
         y = _vertical_root(u, y, config)
-        re, im = _g_tilde_near_axis_parts(u, y, config)
-        # outer: one Newton step of Re g_tilde(u) = 1/x
-        d = 1.0 - (u * re - y * im)
-        du = -(re - 1.0 / x) / d
+        re, im = _g_tilde_near_axis_parts(u, y)
+        # outer: one Newton step of Re g_tilde(u) = 1/x, slope Re(1 - z g)
+        du = (1.0 / x - re) / (1.0 - (u * re - y * im))
         u += du
         if abs(du) <= 1e-15 * abs(u):
             break
-    re, im = _g_tilde_near_axis_parts(u, y, config)
-    denom = re * re + im * im
-    f_val = complex(re / denom, -im / denom)
-    residual = abs(f_val - x)
-    return u, -y, residual, iters
+    residual = abs(1.0 / complex(*_g_tilde_near_axis_parts(u, y)) - x)
+    return u, -y, residual
 
 
 # --------------------------------------------------------------------------
@@ -344,14 +334,12 @@ def solve_H(x: float, config: EvalConfig = DEFAULT_CONFIG) -> CurvePoint:
                     f"curve height at x = {x} is not a normal binary64 number; "
                     "use eval_h_asym_infinity for a scaled value"
                 )
-            re, im = _g_tilde_near_axis_parts(g, -h, config)
-            denom = re * re + im * im
-            residual = abs(complex(re / denom, -im / denom) - x)
+            residual = abs(1.0 / complex(*_g_tilde_near_axis_parts(g, -h)) - x)
             return CurvePoint(
                 x=x, g=g, h=h, residual=residual,
                 regime=AsymptoticRegime.NEAR_INFINITY,
             )
-        g, h, residual, _ = _solve_split(x, config)
+        g, h, residual = _solve_split(x, config)
         if residual > config.newton_tol * max(1.0, x):
             raise NoConvergence(
                 f"split solve stalled at x = {x}",
@@ -488,10 +476,7 @@ def in_omega(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> bool:
     if classify_domain(z, config) is DomainTag.OUTSIDE_XI:
         return False
     # Im g_tilde is even in Re z
-    a, y = abs(z.real), z.imag
-    if y >= -_NEAR_AXIS:
-        return _g_tilde_near_axis_parts(a, y, config)[1] < 0.0
-    return g_tilde(complex(a, y), config).mantissa.imag < 0.0
+    return g_tilde(complex(abs(z.real), z.imag), config).mantissa.imag < 0.0
 
 
 # --------------------------------------------------------------------------

@@ -21,18 +21,16 @@ whose lower boundary consists of the two hyperbola branches
     g_tilde'(z) = 1 - z * g_tilde(z),
     f_tilde'(z) = f_tilde(z) * (z - f_tilde(z)).
 
-Values are returned as :class:`~freenormal.scaled.ScaledComplex` because
-``g_tilde`` reaches ``exp(|z|^2/2)`` scale near the negative imaginary axis.
-
-Evaluation is split by region (constants in :class:`~freenormal.config.EvalConfig`):
-Maclaurin series near the origin, a Gaussian-lattice expansion of the
-Dawson-type integral in the band along the real axis, the Jacobi continued
-fraction of the Gaussian moment problem higher up, the moment asymptotic
-series far out, and Schwarz reflection plus the explicit scaled exponential
-term below the band.  With the default constants the relative error is
-certified below 1e-12 on ``Xi  intersect  {|z| <= 30}`` (measured worst case
-3e-13 against a 40-digit oracle; tests pin this against an independent
-contour-integral oracle as well).
+One kernel serves every evaluation: the Faddeeva function ``w`` on
+``Im zeta >= 0`` by Weideman's rational series, with
+``g_tilde(z) = -i sqrt(pi/2) w(z/sqrt 2)`` above the axis and
+``i sqrt(pi/2) w(-z/sqrt 2) - i sqrt(2 pi) exp(-z^2/2)`` below it; within
+0.5 below the axis (and on it) a split of the real and imaginary parts built
+on the same kernel keeps a tiny ``Im g_tilde`` exact.  The work is in plain
+``complex``; :class:`~freenormal.scaled.ScaledComplex` appears only in the
+return values and past ``exp(-z^2/2) = e^700``.  The relative error is
+certified below 1e-12 on ``Xi intersect {|z| <= 30}`` (tests pin it against
+``scipy.special.wofz`` and an independent contour-integral oracle).
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import math
 import sys
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .errors import DomainError, InvalidContour, PoleProximity
+from .errors import DomainError, InvalidContour, PoleProximity, QuadratureFailure
 from .scaled import ScaledComplex
 
 __all__ = [
@@ -101,183 +99,182 @@ def classify_domain(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> DomainTa
 
 
 # --------------------------------------------------------------------------
-# region evaluators (plain complex mantissa work; scales assembled at the end)
+# the Faddeeva kernel
 # --------------------------------------------------------------------------
 
-def _maclaurin_bracket(zeta: complex) -> complex:
-    """``-i*sqrt(pi/2) + sqrt(2) * S(zeta)`` by Maclaurin series.
+#: terms of Weideman's series: 32 lose a digit on lower Xi, 48 gain none
+_W_TERMS = 40
+_W_L = math.sqrt(_W_TERMS / _SQRT2)
+# its coefficients, highest degree first: a_k is the k-th Fourier cosine
+# coefficient of (L^2 + t^2) exp(-t^2) under t = L tan(theta/2), by the
+# trapezoidal rule on 4N points of theta (the function vanishes at pi)
+_W_F = [math.exp(-t * t) * (_W_L**2 + t * t) for t in
+        (_W_L * math.tan(0.25 * math.pi * j / _W_TERMS) for j in range(2 * _W_TERMS))]
+_W_COEF = tuple(
+    math.fsum([_W_F[0]] + [2.0 * f * math.cos(0.5 * math.pi * k * j / _W_TERMS)
+                           for j, f in enumerate(_W_F[1:], 1)]) / (4 * _W_TERMS)
+    for k in range(_W_TERMS, 0, -1)
+)
 
-    ``S(w) = sum_k w^{2k+1} / (k! (2k+1))`` converges everywhere; the region
-    map only calls this where intermediate terms stay below ~e^4, keeping the
-    summation roundoff inside the certification budget.
+
+def _w_upper(zeta: complex) -> complex:
+    """Faddeeva function ``w(zeta) = exp(-zeta^2) erfc(-i zeta)``, ``Im zeta >= 0``.
+
+    Weideman's series (SIAM J. Numer. Anal. 31 (1994) 1497-1518), ``w =
+    2 p(Z)/(L - i zeta)^2 + 1/(sqrt(pi) (L - i zeta))`` with ``|Z| =
+    |(L + i zeta)/(L - i zeta)| <= 1``: relative error about 1e-15, but
+    ``Re w`` on the real line only to the roundoff of ``|w|``.
     """
-    w2 = zeta * zeta
-    term = zeta
-    total = zeta
-    k = 0
-    while k < 120:
-        k += 1
-        term *= w2 / k
-        inc = term / (2 * k + 1)
-        total += inc
-        if abs(inc) <= 1e-18 * abs(total):
-            break
-    return complex(0.0, -_SQRT_HALF_PI) + _SQRT2 * total
+    den = complex(_W_L + zeta.imag, -zeta.real)  # L - i zeta
+    Z = complex(_W_L - zeta.imag, zeta.real) / den
+    p = 0j
+    for c in _W_COEF:
+        p = p * Z + c
+    return 2.0 * p / (den * den) + 1.0 / (_SQRT_PI * den)
 
 
-def _dawson_lattice(zeta: complex, config: EvalConfig) -> complex:
-    """Dawson function by the Gaussian-lattice sampling series.
+def _dawson(xi: float) -> tuple[float, float]:
+    """Dawson's ``D(xi) = exp(-xi^2) integral_0^xi exp(t^2) dt`` and ``D'(xi)``.
 
-    ``D(w) ~ (1/sqrt(pi)) sum_{n odd} exp(-(w - n h)^2) / n`` with
-    discretization error ``exp(-pi^2/(4 h^2)) * cosh(pi * Im(w) / h)``:
-    below 1e-15 for ``|Im w| <= sqrt(2)`` at the default ``h = 0.2``.  Uniform
-    in ``Re w``, which is what the band along the real axis needs.
+    ``(sqrt(pi)/2) Im w(xi)`` and ``1 - 2 xi D`` below ``|xi| = 6.25``;
+    beyond, the series ``sum (2k-1)!! / (2^{k+1} xi^{2k+1})``, whose tail
+    past the first term is ``-D'/(2 xi)``: both to 2e-15, where ``1 - 2 xi D``
+    on the kernel's ``D`` loses up to 1e-13.
     """
-    h = config.lattice_spacing
-    win = config.lattice_window
-    x = zeta.real
-    lo = int(math.floor((x - win) / h))
-    hi = int(math.ceil((x + win) / h))
-    if lo % 2 == 0:
-        lo += 1
-    acc = 0.0j
-    for n in range(lo, hi + 1, 2):
-        d = zeta - n * h
-        acc += cmath.exp(-d * d) / n
-    return acc / _SQRT_PI
-
-
-def _dawson_lattice_real(xi: float, config: EvalConfig) -> float:
-    """Real-axis specialization of :func:`_dawson_lattice`."""
-    h = config.lattice_spacing
-    win = config.lattice_window
-    lo = int(math.floor((xi - win) / h))
-    hi = int(math.ceil((xi + win) / h))
-    if lo % 2 == 0:
-        lo += 1
-    acc = 0.0
-    for n in range(lo, hi + 1, 2):
-        d = xi - n * h
-        acc += math.exp(-d * d) / n
-    return acc / _SQRT_PI
-
-
-def _cauchy_cf(z: complex, depth: int) -> complex:
-    """Jacobi continued fraction ``1/(z - 1/(z - 2/(z - ...)))``.
-
-    Converges to the Cauchy transform on the upper half plane; the backward
-    recurrence at fixed depth is the classical Gauss-quadrature approximant.
-    Used at ``Im z >= band_halfwidth`` where the calibrated depth gives
-    ~1e-15.
-    """
-    t = z
-    for k in range(depth, 0, -1):
-        t = z - k / t
-    return 1.0 / t
-
-
-def _moment_series(z: complex) -> complex:
-    """Moment asymptotic series ``sum (2n-1)!! / z^{2n+1}``, optimal truncation."""
-    iz2 = 1.0 / (z * z)
-    term = 1.0 / z
-    total = term
-    n = 0
-    while n < 500:
-        n += 1
-        nxt = term * (2 * n - 1) * iz2
-        if abs(nxt) >= abs(term):
+    a = abs(xi)
+    if a < 6.25:
+        d = 0.5 * _SQRT_PI * _w_upper(complex(xi, 0.0)).imag
+        return d, 1.0 - 2.0 * xi * d
+    ix2 = 1.0 / (a * a)
+    term, tail = 0.5 / a, 0.0
+    for k in range(1, 400):
+        nxt = term * (k - 0.5) * ix2
+        if nxt >= term:
             break
         term = nxt
-        total += term
-        if abs(term) < 1e-20 * abs(total):
+        tail += term
+        if term < 1e-20 * tail:
             break
-    return total
+    d = 0.5 / a + tail
+    return (d if xi >= 0 else -d), -2.0 * a * tail
 
 
-def _upper_eval(z: complex, config: EvalConfig) -> complex:
-    """Cauchy transform for ``Im z >= band_halfwidth`` (no exponential term)."""
-    if abs(z) < config.asymptotic_radius:
-        return _cauchy_cf(z, config.cf_depth)
-    return _moment_series(z)
+def _half_diff_of_squares(x: float, y: float) -> tuple[float, float]:
+    """``Re(-z^2/2) = (y^2 - x^2)/2`` as an unevaluated sum ``hi + lo``.
+
+    Rounding ``x*x`` alone would cost ``exp(-z^2/2)`` 5e-14 at ``|z| = 30``;
+    with Dekker's exact squares and Knuth's two-sum ``exp(hi) (1 + lo)`` is
+    good to a few ulps.  ``lo`` is 0 from ``|x|`` or ``|y| = 1e150`` on.
+    """
+    px, py = x * x, y * y
+    if not (abs(x) < 1e150 and abs(y) < 1e150):
+        return 0.5 * (py - px), 0.0
+    c = 134217729.0 * x  # Veltkamp's split at 2^27 + 1
+    xh = c - (c - x)
+    xl = x - xh
+    c = 134217729.0 * y
+    yh = c - (c - y)
+    yl = y - yh
+    ex = ((xh * xh - px) + 2.0 * xh * xl) + xl * xl  # x^2 = px + ex exactly
+    ey = ((yh * yh - py) + 2.0 * yh * yl) + yl * yl
+    s = py - px
+    b = s - py
+    t = ((py - (s - b)) - (px + b)) + (ey - ex)  # s + t = y^2 - x^2
+    hi = s + t
+    b = hi - s
+    return 0.5 * hi, 0.5 * ((s - (hi - b)) + (t - b))
 
 
-def g_tilde(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
-    """Entire continuation of the Gaussian Cauchy transform.
+#: depth below the axis within which the split evaluation serves ``Xi``
+_NEAR_AXIS = 0.5
 
-    Parameters
-    ----------
-    z : complex
-        Any point; accuracy is certified (relative 1e-12) on
-        ``Xi intersect {|z| <= 30}`` and degrades gracefully only near the
-        zeros of the function, all of which lie below ``Xi``.
-    config : EvalConfig
-        Region-map and lattice constants.
 
-    Returns
-    -------
-    ScaledComplex
+def _g_tilde_near_axis_parts(x: float, y: float) -> tuple[float, float]:
+    """``(Re, Im)`` of ``g_tilde(x + i y)`` for ``-0.5 <= y <= 0`` in ``Xi``.
 
-    Raises
-    ------
-    DomainError
-        If ``z`` is not finite.
+    The kernel carries ``Im g_tilde`` only to the roundoff of ``|g_tilde|``,
+    useless where it sits at ``exp(-x^2/2)`` scale.  Here both parts come
+    from real quantities: the Taylor series in ``i y/sqrt 2`` of the Dawson
+    term (``c_k = D^{(k)}/k!`` from ``D' = 1 - 2 xi D``; at most 22 terms,
+    stopping at two in a row below 1e-17 of their part) plus the exactly
+    split exponential term.  Against 40-digit mpmath ``Re`` is good to
+    2e-15, ``Im`` to 3e-13 of ``max(|Im|, sqrt(pi/2) |exp(-z^2/2)|)``.
+    """
+    xi = x / _SQRT2
+    v = y / _SQRT2
+    a, b = _dawson(xi)
+    re_d, im_d = a, b * v
+    vk = v
+    settled = 0  # terms in a row below 1e-17 of their part
+    for k in range(2, 22):
+        a, b = b, -2.0 * (a + xi * b) / k
+        vk *= v
+        t = b * vk if k & 2 == 0 else -b * vk  # i^k is 1, i, -1, -i
+        if k & 1:
+            im_d += t
+            small = abs(t) <= 1e-17 * abs(im_d)
+        else:
+            re_d += t
+            small = abs(t) <= 1e-17 * abs(re_d)
+        settled = settled + 1 if small else 0
+        if settled == 2:
+            break
+    hi, lo = _half_diff_of_squares(x, y)
+    amp = _SQRT_HALF_PI * math.exp(hi) * (1.0 + lo)
+    return (_SQRT2 * re_d - amp * math.sin(x * y),
+            _SQRT2 * im_d - amp * math.cos(x * y))
+
+
+# --------------------------------------------------------------------------
+# the transforms: plain complex inside, one ScaledComplex at the boundary
+# --------------------------------------------------------------------------
+
+#: from this ``Re(-z^2/2)`` on, the exponential term is summed in scaled form
+_SCALED_FROM = 700.0
+#: below this ``|g_tilde|`` too, so ``1/g_tilde`` and ``F (z - F)`` stay finite
+_PLAIN_G_MIN = 1e-150
+_PLAIN_LOG_MIN = math.log(_PLAIN_G_MIN)
+
+
+def _g_eval(z: complex) -> complex | ScaledComplex:
+    """``g_tilde(z)``: plain ``complex`` where that is safe, scaled elsewhere.
+
+    The kernel above the axis; the split evaluation on it and within
+    ``_NEAR_AXIS`` below it in ``Xi``; elsewhere the kernel plus the
+    exponential term, summed with ``ScaledComplex.exp_of(-z^2/2)`` when
+    ``Re(-z^2/2) >= 700`` or the plain sum is below ``1e-150``.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"g_tilde needs a finite argument, got {z!r}")
     x, y = z.real, z.imag
-    r2 = x * x + y * y
-    re_z2 = x * x - y * y
-
-    if r2 <= config.series_radius**2 and re_z2 >= -config.series_lens_cut:
-        E = ScaledComplex.exp_of(complex(-0.5 * re_z2, -x * y))
-        return E * _maclaurin_bracket(z / _SQRT2)
-
-    band = config.band_halfwidth
-    if abs(y) < band:
-        if r2 < config.asymptotic_radius**2:
-            alg = _SQRT2 * _dawson_lattice(z / _SQRT2, config)
-            coeff = complex(0.0, -_SQRT_HALF_PI)
-        else:
-            alg = _moment_series(z)
-            if y < 0.0:
-                coeff = complex(0.0, -_SQRT_TWO_PI)
-            elif y == 0.0:
-                coeff = complex(0.0, -_SQRT_HALF_PI)
-            else:
-                coeff = 0.0j
-        if coeff == 0.0j:
-            return ScaledComplex.from_complex(alg)
-        E = ScaledComplex.exp_of(complex(-0.5 * re_z2, -x * y))
-        return ScaledComplex.from_complex(alg) + coeff * E
-
-    if y >= band:
-        return ScaledComplex.from_complex(_upper_eval(z, config))
-
-    # below the band: reflect the upper-half-plane value, then add the
-    # explicit exponential term carrying the jump across the axis
-    zb = z.conjugate()
-    g_low = _upper_eval(zb, config).conjugate()
-    E = ScaledComplex.exp_of(complex(-0.5 * re_z2, -x * y))
-    return ScaledComplex.from_complex(g_low) + complex(0.0, -_SQRT_TWO_PI) * E
+    if y > 0.0:
+        g = complex(0.0, -_SQRT_HALF_PI) * _w_upper(z / _SQRT2)
+        return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
+    if -y <= _NEAR_AXIS and abs(x * y) <= _HALF_PI:
+        g = complex(*_g_tilde_near_axis_parts(x, y))
+        return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
+    alg = complex(0.0, _SQRT_HALF_PI) * _w_upper(-z / _SQRT2)
+    hi, lo = _half_diff_of_squares(x, y)
+    coeff = complex(0.0, -_SQRT_TWO_PI * (1.0 + lo))
+    e = complex(hi, -x * y)
+    if hi < _SCALED_FROM:
+        g = alg + coeff * cmath.exp(e)
+        if abs(g) >= _PLAIN_G_MIN:
+            return g
+    return ScaledComplex(alg) + coeff * ScaledComplex.exp_of(e)
 
 
-def g_tilde_prime(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
-    """Derivative of :func:`g_tilde` via the closed form ``1 - z*g_tilde(z)``."""
-    z = complex(z)
-    return ScaledComplex.from_complex(1.0 + 0.0j) - z * g_tilde(z, config)
+def _scaled(v: complex | ScaledComplex) -> ScaledComplex:
+    return v if type(v) is ScaledComplex else ScaledComplex(v)
 
 
-def f_tilde(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
-    """Reciprocal transform ``1/g_tilde``.
-
-    Raises
-    ------
-    PoleProximity
-        If ``log|g_tilde(z)|`` is below ``config.pole_log_floor`` (the value
-        would be dominated by the pole of ``f_tilde`` nearest to ``z``).
-    """
-    g = g_tilde(z, config)
+def _f_eval(z: complex, config: EvalConfig) -> complex | ScaledComplex:
+    """``1/g_tilde(z)``, raising ``PoleProximity`` below the pole floor."""
+    g = _g_eval(z)
+    if type(g) is complex and config.pole_log_floor <= _PLAIN_LOG_MIN:
+        return 1.0 / g
+    g = _scaled(g)
     if g.is_zero or g.log_abs() < config.pole_log_floor:
         raise PoleProximity(
             f"|g_tilde({z!r})| ~ exp({g.log_abs():.3g}) is below the pole floor"
@@ -285,16 +282,42 @@ def f_tilde(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
     return g.reciprocal()
 
 
-def f_tilde_prime(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
-    """Derivative of ``f_tilde``, computed as ``-g_tilde'/g_tilde^2``."""
+def g_tilde(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+    """Entire continuation of the Gaussian Cauchy transform.
+
+    Certified to relative error 1e-12 on ``Xi intersect {|z| <= 30}``; it
+    degrades only near the zeros, all below ``Xi``.  ``config`` configures
+    nothing here (one signature for all transforms).  Raises ``DomainError``
+    if ``z`` is not finite.
+    """
+    return _scaled(_g_eval(z))
+
+
+def g_tilde_prime(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+    """Derivative of :func:`g_tilde` via the closed form ``1 - z*g_tilde(z)``."""
     z = complex(z)
-    g = g_tilde(z, config)
-    if g.is_zero or g.log_abs() < config.pole_log_floor:
-        raise PoleProximity(
-            f"|g_tilde({z!r})| ~ exp({g.log_abs():.3g}) is below the pole floor"
-        )
-    gp = ScaledComplex.from_complex(1.0 + 0.0j) - z * g
-    return -gp / (g * g)
+    g = _g_eval(z)
+    gp = 1.0 - z * g
+    if type(gp) is complex and not cmath.isfinite(gp):  # |z g| past 1e308
+        gp = 1.0 - z * ScaledComplex(g)
+    return _scaled(gp)
+
+
+def f_tilde(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+    """Reciprocal transform ``1/g_tilde``.
+
+    Raises ``PoleProximity`` if ``log|g_tilde(z)|`` is below
+    ``config.pole_log_floor`` (the pole of ``f_tilde`` nearest to ``z``
+    would dominate the value).
+    """
+    return _scaled(_f_eval(z, config))
+
+
+def f_tilde_prime(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+    """Derivative ``F (z - F)`` of ``F = f_tilde(z)``; raises as :func:`f_tilde`."""
+    z = complex(z)
+    F = _f_eval(z, config)
+    return _scaled(F * (z - F))
 
 
 def rho(x: float, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
@@ -303,107 +326,10 @@ def rho(x: float, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
     ``rho(x) = sqrt(pi/2) e^{x^2/2} erfc(x/sqrt 2)``, so it decays like
     ``1/x`` as ``x -> +inf`` and explodes like ``2 sqrt(pi/2) e^{x^2/2}`` as
     ``x -> -inf``; the scaled return type keeps the latter representable for
-    any ``x``.  The imaginary residue of the computation (below 1e-12
-    relative) is dropped.
+    any ``x``.
     """
-    x = float(x)
-    sc = ScaledComplex.from_complex(1j) * g_tilde(complex(0.0, x), config)
-    m = sc.mantissa
-    if abs(m.imag) > 1e-9 * abs(m.real):
-        raise PoleProximity(
-            f"rho({x}) lost realness: mantissa {m!r}"
-        )  # pragma: no cover - would flag an evaluator defect
-    return ScaledComplex(complex(m.real, 0.0), sc.log_scale)
-
-
-# --------------------------------------------------------------------------
-# near-axis split evaluation (curve solves and Omega membership near the axis)
-# --------------------------------------------------------------------------
-
-def _dawson_real(xi: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Real Dawson function, same region logic as the complex evaluator."""
-    a = abs(xi)
-    s = 1.0 if xi >= 0 else -1.0
-    if a <= config.series_radius / _SQRT2:
-        w2 = a * a
-        term = a
-        total = a
-        k = 0
-        while k < 120:
-            k += 1
-            term *= w2 / k
-            inc = term / (2 * k + 1)
-            total += inc
-            if inc <= 1e-18 * total:
-                break
-        return s * math.exp(-w2) * total
-    if a < config.asymptotic_radius / _SQRT2:
-        return s * _dawson_lattice_real(a, config)
-    # asymptotic: D(x) ~ sum (2k-1)!! / (2^{k+1} x^{2k+1})
-    ix2 = 1.0 / (a * a)
-    term = 0.5 / a
-    total = term
-    k = 0
-    while k < 400:
-        k += 1
-        nxt = term * (2 * k - 1) * 0.5 * ix2
-        if nxt >= term:
-            break
-        term = nxt
-        total += term
-        if term < 1e-20 * total:
-            break
-    return s * total
-
-
-def _g_tilde_near_axis_parts(
-    x: float, y: float, config: EvalConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
-    """``(Re, Im)`` of ``g_tilde(x + i y)`` for ``|y|`` small.
-
-    Direct complex evaluation computes ``Im g_tilde`` only to absolute
-    roundoff of the dominant real part, which is useless when the true
-    imaginary part sits at ``exp(-x^2/2)`` scale (the curve solver's regime
-    at large abscissa).  This path rebuilds both parts from real quantities:
-    a vertical Taylor expansion of the Dawson term (derivatives by the
-    recurrence ``D' = 1 - 2 w D``) plus the exactly-split exponential term.
-
-    Holds for ``|y| <= 0.5``: there the 22-term Taylor tail stays below
-    1e-16 and the relative error below 1e-15 (against 40-digit mpmath on
-    lower ``Xi``).
-    """
-    xi = x / _SQRT2
-    v = y / _SQRT2
-    # derivatives of D at xi: d[k] = D^{(k)}(xi) / k!  (scaled to Taylor coeffs)
-    n_terms = 22
-    d0 = _dawson_real(xi, config)
-    deriv = [d0, 1.0 - 2.0 * xi * d0]
-    for k in range(2, n_terms):
-        # D^{(k)} = -2 (k-1) D^{(k-2)} - 2 xi D^{(k-1)}  (from D' = 1 - 2 xi D)
-        deriv.append(-2.0 * (k - 1) * deriv[k - 2] - 2.0 * xi * deriv[k - 1])
-    re_d = 0.0
-    im_d = 0.0
-    fact = 1.0
-    vk = 1.0
-    for k in range(n_terms):
-        if k:
-            fact *= k
-            vk *= v
-        c = deriv[k] * vk / fact
-        r = k % 4
-        if r == 0:
-            re_d += c
-        elif r == 1:
-            im_d += c
-        elif r == 2:
-            re_d -= c
-        else:
-            im_d -= c
-    amp = math.exp(-0.5 * (x * x - y * y))
-    phase = x * y
-    re = _SQRT2 * re_d - _SQRT_HALF_PI * amp * math.sin(phase)
-    im = _SQRT2 * im_d - _SQRT_HALF_PI * amp * math.cos(phase)
-    return re, im
+    g = _scaled(_g_eval(complex(0.0, float(x))))
+    return ScaledComplex(complex(-g.mantissa.imag, 0.0), g.log_scale)
 
 
 # --------------------------------------------------------------------------
@@ -511,7 +437,7 @@ def g_tilde_contour_oracle(
     ``0 < eta < eps``), along which the Gaussian density decays like
     ``exp(-(t^2/2) sin(2 eta))``.  Tanh-sinh quadrature (:func:`quad`) on the
     truncated rays plus an explicit tail bound gives a route entirely
-    independent of the region-split evaluator; tests use it as the oracle.
+    independent of the Faddeeva kernel; tests use it as the oracle.
 
     ``eps`` defaults to a hair inside the largest cone containing ``z``;
     pass it explicitly to assert membership in a particular ``D_eps``.  When
@@ -583,13 +509,18 @@ def g_tilde_contour_oracle(
     return ScaledComplex.from_complex(total)
 
 
-def contour_moment(n: int, eta: float, radius: float | None = None) -> float:
+def contour_moment(
+    n: int, eta: float, radius: float | None = None, tol: float = 1e-11
+) -> float:
     """``integral of w^n`` against the Gaussian density over the rotated contour.
 
     Reproduces the moments: 1 for ``n = 0``, ``(n-1)!!`` for even ``n``, 0 for
     odd ``n``.  Shares the contour conventions of
     :func:`g_tilde_contour_oracle`; used by tests to validate the contour
-    plumbing on a closed-form target.
+    plumbing on a closed-form target.  Raises ``InvalidContour`` unless
+    ``0 < eta < pi/4``, and ``QuadratureFailure`` if ``w^n`` overflows on
+    the truncated rays or the summed error estimate of the two rays exceeds
+    ``tol * max(1, |value|)``.
     """
     if not (0.0 < eta < 0.25 * math.pi):
         raise InvalidContour(f"need 0 < eta < pi/4, got {eta}")
@@ -601,9 +532,19 @@ def contour_moment(n: int, eta: float, radius: float | None = None) -> float:
 
     def integrand(t: float, direction: complex) -> complex:
         w = t * direction
-        return direction * w**n * cmath.exp(-0.5 * w * w) / _SQRT_TWO_PI
+        try:
+            return direction * w**n * cmath.exp(-0.5 * w * w) / _SQRT_TWO_PI
+        except OverflowError as exc:
+            raise QuadratureFailure(
+                f"the order-{n} moment integrand overflows at |w| = {t:.6g}"
+            ) from exc
 
-    val_r, _ = quad(lambda t: integrand(t, e_r), 0.0, radius, epsabs=1e-13)
-    val_l, _ = quad(lambda t: integrand(t, e_l), 0.0, radius, epsabs=1e-13)
+    val_r, err_r = quad(lambda t: integrand(t, e_r), 0.0, radius, epsabs=1e-13)
+    val_l, err_l = quad(lambda t: integrand(t, e_l), 0.0, radius, epsabs=1e-13)
     total = val_r - val_l
+    if not err_r + err_l <= tol * max(1.0, abs(total)):
+        raise QuadratureFailure(
+            f"order-{n} moment: error estimate {err_r + err_l:.3g} exceeds "
+            f"tolerance {tol} (relative to max(1, |value|))"
+        )
     return total.real

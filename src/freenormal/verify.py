@@ -114,7 +114,7 @@ _ORACLE_POINTS = (
 
 
 def oracle_agreement(profile: str) -> dict:
-    """Criterion 4: contour quadrature versus the region-split evaluator."""
+    """Criterion 4: contour quadrature versus the Faddeeva-kernel evaluator."""
     if profile == "full":
         pts = _ORACLE_POINTS
     else:

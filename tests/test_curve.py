@@ -128,6 +128,15 @@ class TestSolveRegimes:
             assert abs(pt.g - g) <= 1e-11 * g
             assert abs(pt.h - h) <= 1e-9 * h
 
+    def test_solver_regimes_meet_at_x_hi(self):
+        # complex Newton just below x_hi, the split solver just above: the
+        # two points differ by the slope dH/dx = 1/(x (H - x)) times the gap
+        x1, x2 = (DEFAULT_CONFIG.x_hi * (1.0 + s) for s in (-1e-12, 1e-12))
+        below, above = solve_H(x1), solve_H(x2)
+        predicted = below.z + (x2 - x1) / (x1 * (below.z - x1))
+        assert abs(above.g - predicted.real) <= 1e-12 * above.g
+        assert abs(above.h + predicted.imag) <= 1e-12 * above.h
+
     def test_defining_equation_holds_everywhere(self):
         for x in (1e-5, 0.03, 0.4, 1.5, 4.0, 7.0, 11.0):
             pt = solve_H(x)
@@ -321,6 +330,34 @@ class TestGraphFunction:
     def test_matches_mpmath(self, a):
         want = mpmath_graph(a, f_of(a))
         assert abs(f_of(a) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("a", [1.765450857590795, 1.8440199975330374])
+    def test_former_limit_cycle_inputs_match_mpmath(self, a):
+        for x in (a, -a):
+            want = mpmath_graph(a, f_of(x))
+            assert abs(f_of(x) - want) <= 1e-12 * abs(want)
+
+    def test_seeded_sweep_never_raises(self):
+        rng = random.Random(20261018)
+        for _ in range(20000):
+            x = rng.uniform(0.043, 37.5)
+            assert 0.0 < -x * f_of(x) <= HALF_PI * (1.0 + 1e-12)
+
+    def test_vertical_root_stops_when_rounding_steps_stop_shrinking(self, monkeypatch):
+        # a reciprocal transform whose Newton steps on the vertical Re z = 2
+        # hop between y1 and y2 = y1 + 5 ulp forever: arg F = +-d with
+        # Re F - 2 = 1; each step is above the 1e-15 |y| stop test and none
+        # shrinks
+        y1 = -0.5
+        d = 5.0 * math.ulp(y1)
+        y2 = y1 + d
+        assert y2 - d == y1 and d > 1e-15 * abs(y1)
+
+        def hopping(z, config):
+            return complex(3.0, 3.0 * math.tan(d if z.imag == y1 else -d))
+
+        monkeypatch.setattr(curve, "_f_eval", hopping)
+        assert curve._vertical_root(2.0, y1, DEFAULT_CONFIG) in (y1, y2)
 
 
 class TestOmegaMembership:

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wofz
 
-from freenormal.errors import DomainError, InvalidContour
+from freenormal import transforms
+from freenormal.config import DEFAULT_CONFIG
+from freenormal.errors import DomainError, InvalidContour, PoleProximity, QuadratureFailure
 from freenormal.scaled import ScaledComplex
 from freenormal.transforms import (
     DomainTag,
@@ -55,6 +57,22 @@ def rho_oracle(x: float) -> float:
             x / mpmath.sqrt(2)
         )
         return float(v)
+
+
+def mpmath_g_tilde(z: complex):
+    """``g_tilde(z) = -i sqrt(pi/2) exp(-z^2/2) erfc(-i z/sqrt 2)`` at 40 digits."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        return (-1j * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-z * z / 2)
+                * mpmath.erfc(-1j * z / mpmath.sqrt(2)))
+
+
+def rel_err_mp(got: ScaledComplex, want) -> float:
+    """Relative error of a scaled value against an mpmath number."""
+    with mpmath.workdps(40):
+        m = got.mantissa
+        value = mpmath.mpc(m.real, m.imag) * mpmath.exp(got.log_scale)
+        return float(abs(value - want) / abs(want))
 
 
 def rel_err(got: ScaledComplex, want: complex) -> float:
@@ -131,6 +149,82 @@ class TestBelowAxis:
         xs = [-6.0, -2.0, -0.5, 0.0, 0.5, 2.0, 6.0]
         vals = [rho(x).log_abs() for x in xs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+class TestFaddeevaKernel:
+    """The one kernel behind every value, against wofz and mpmath."""
+
+    @staticmethod
+    def disk_points(seed, lower):
+        rng = random.Random(seed)
+        pts = []
+        while len(pts) < 1000:
+            z = complex(rng.uniform(-30, 30), rng.uniform(-30, 0) if lower else rng.uniform(0, 30))
+            if abs(z) > 30 or z.imag == 0.0:
+                continue
+            if lower and classify_domain(z) is not DomainTag.XI_INTERIOR:
+                continue
+            pts.append(z)
+        return pts
+
+    def test_upper_half_of_the_disk_against_wofz(self):
+        worst = max(rel_err(g_tilde(z), upper_half_oracle(z))
+                    for z in self.disk_points(41, lower=False))
+        assert worst <= 1e-12
+
+    def test_lower_xi_in_the_disk_against_wofz(self):
+        worst = max(rel_err(g_tilde(z), continuation_oracle(z))
+                    for z in self.disk_points(42, lower=True))
+        assert worst <= 1e-12
+
+    def test_axis_imaginary_part_is_the_gaussian_density(self):
+        # against the exact exp(-x^2/2) of the binary64 x: rounding x*x
+        # alone would cost 5e-14 at x = 37
+        for k in range(371):
+            x = 0.1 * k
+            got = g_tilde(complex(x, 0.0))
+            with mpmath.workdps(40):
+                want = -mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-mpmath.mpf(x) ** 2 / 2)
+                im = mpmath.mpf(got.mantissa.imag) * mpmath.exp(got.log_scale)
+                assert abs(im - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("e", [699.9, 700.0, 700.1])
+    def test_plain_and_scaled_sums_agree_at_the_switch(self, monkeypatch, e):
+        # points with Re(-z^2/2) = e, 37 or more below the axis; moving the
+        # switch forces each assembly in turn
+        for x in (0.01, 0.03, 1.0, -2.5):
+            z = complex(x, -math.sqrt(2.0 * e + x * x))
+            monkeypatch.setattr(transforms, "_SCALED_FROM", math.inf)
+            plain = g_tilde(z)
+            monkeypatch.setattr(transforms, "_SCALED_FROM", -math.inf)
+            scaled = g_tilde(z)
+            assert scaled.log_scale > 600.0  # the scaled sum ran
+            assert rel_err(plain, complex(scaled)) <= 1e-13
+            monkeypatch.undo()
+            assert rel_err_mp(g_tilde(z), mpmath_g_tilde(z)) <= 1e-13
+
+    def test_deep_below_the_disk_matches_mpmath(self):
+        assert rel_err_mp(g_tilde(0.01 - 40j), mpmath_g_tilde(0.01 - 40j)) <= 1e-13
+        with mpmath.workdps(40):
+            want = mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(800) * mpmath.erfc(-40 / mpmath.sqrt(2))
+        assert rel_err_mp(rho(-40.0), want) <= 1e-13
+
+    @pytest.mark.parametrize("fn", [f_tilde, f_tilde_prime])
+    def test_pole_floor_still_refuses(self, fn):
+        # |g_tilde| ~ 1/|z| falls below e^-690.8 past |z| = 1e300
+        for z in (1e301j, complex(1e305, 0.0), complex(-2e302, 1.0)):
+            with pytest.raises(PoleProximity):
+                fn(z)
+        # a floor above the plain range is honored on the plain path too
+        cfg = DEFAULT_CONFIG.with_updates(pole_log_floor=-5.0)
+        with pytest.raises(PoleProximity):
+            fn(400j, cfg)
+        fn(100j, cfg)
+
+    def test_values_below_the_plain_range_stay_finite(self):
+        for z in (1e200j, complex(1e200, -1e-210), complex(3e160, 1.0)):
+            for fn in (g_tilde, g_tilde_prime, f_tilde, f_tilde_prime):
+                assert math.isfinite(fn(z).log_abs())
 
 
 class TestNearAxisSplit:
@@ -272,6 +366,22 @@ class TestContourOracle:
         assert abs(contour_moment(2, 0.3) - 1.0) <= 1e-12
         assert abs(contour_moment(4, 0.3) - 3.0) <= 1e-11
         assert abs(contour_moment(3, 0.3)) <= 1e-12
+
+    def test_higher_moments_meet_the_tolerance(self):
+        assert abs(contour_moment(6, 0.3) - 15.0) <= 1e-11 * 15.0
+        assert abs(contour_moment(8, 0.7) - 105.0) <= 1e-11 * 105.0
+        assert abs(contour_moment(5, 0.3)) <= 1e-11
+
+    def test_overflowing_integrand_is_a_quadrature_failure(self):
+        with pytest.raises(QuadratureFailure):
+            contour_moment(1000, 0.3)
+
+    def test_error_estimate_beyond_tolerance_is_a_quadrature_failure(self):
+        # at eta = 0.1 the order-40 moment is resolved to about 10 %
+        with pytest.raises(QuadratureFailure):
+            contour_moment(40, 0.1)
+        with pytest.raises(QuadratureFailure):
+            contour_moment(4, 0.3, tol=1e-18)
 
 
 class TestQuad:
