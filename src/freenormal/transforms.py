@@ -130,7 +130,7 @@ def _w_upper(zeta: complex) -> complex:
     p = 0j
     for c in _W_COEF:
         p = p * Z + c
-    return 2.0 * p / (den * den) + 1.0 / (_SQRT_PI * den)
+    return 2.0 * p / den / den + (1.0 / _SQRT_PI) / den  # den^2 overflows at 1e154
 
 
 def _dawson(xi: float) -> tuple[float, float]:
@@ -156,7 +156,7 @@ def _dawson(xi: float) -> tuple[float, float]:
         if term < 1e-20 * tail:
             break
     d = 0.5 / a + tail
-    return (d if xi >= 0 else -d), -2.0 * a * tail
+    return (d if xi >= 0 else -d), -2.0 * (a * tail)
 
 
 def _half_diff_of_squares(x: float, y: float) -> tuple[float, float]:

@@ -225,6 +225,9 @@ class TestFaddeevaKernel:
         for z in (1e200j, complex(1e200, -1e-210), complex(3e160, 1.0)):
             for fn in (g_tilde, g_tilde_prime, f_tilde, f_tilde_prime):
                 assert math.isfinite(fn(z).log_abs())
+        # where (L - i zeta)^2 or sqrt(pi) (L - i zeta) would overflow
+        for z in (1e200 + 1e200j, complex(1.7e308, 0.5), complex(-1.7e308, -1e-20)):
+            assert math.isfinite(g_tilde(z).log_abs())
 
 
 class TestNearAxisSplit:
