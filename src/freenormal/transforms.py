@@ -473,11 +473,7 @@ def g_tilde_contour_oracle(
             return math.inf
         # 2 rays, |z - w| >= |w| - |z| >= r - |z| past the truncation
         gap = r - abs(z)
-        return (
-            2.0
-            * math.exp(-0.5 * r * r * s2)
-            / (_SQRT_TWO_PI * gap * r * s2)
-        )
+        return 2.0 * math.exp(-0.5 * r * r * s2) / (_SQRT_TWO_PI * gap * r * s2)
 
     if radius is None:
         radius = abs(z) + 2.0
@@ -509,9 +505,7 @@ def g_tilde_contour_oracle(
     return ScaledComplex.from_complex(total)
 
 
-def contour_moment(
-    n: int, eta: float, radius: float | None = None, tol: float = 1e-11
-) -> float:
+def contour_moment(n: int, eta: float, radius: float | None = None) -> float:
     """``integral of w^n`` against the Gaussian density over the rotated contour.
 
     Reproduces the moments: 1 for ``n = 0``, ``(n-1)!!`` for even ``n``, 0 for
@@ -520,7 +514,7 @@ def contour_moment(
     plumbing on a closed-form target.  Raises ``InvalidContour`` unless
     ``0 < eta < pi/4``, and ``QuadratureFailure`` if ``w^n`` overflows on
     the truncated rays or the summed error estimate of the two rays exceeds
-    ``tol * max(1, |value|)``.
+    ``1e-11 * max(1, |value|)``.
     """
     if not (0.0 < eta < 0.25 * math.pi):
         raise InvalidContour(f"need 0 < eta < pi/4, got {eta}")
@@ -542,9 +536,9 @@ def contour_moment(
     val_r, err_r = quad(lambda t: integrand(t, e_r), 0.0, radius, epsabs=1e-13)
     val_l, err_l = quad(lambda t: integrand(t, e_l), 0.0, radius, epsabs=1e-13)
     total = val_r - val_l
-    if not err_r + err_l <= tol * max(1.0, abs(total)):
+    if not err_r + err_l <= 1e-11 * max(1.0, abs(total)):
         raise QuadratureFailure(
             f"order-{n} moment: error estimate {err_r + err_l:.3g} exceeds "
-            f"tolerance {tol} (relative to max(1, |value|))"
+            f"1e-11 max(1, |value|)"
         )
     return total.real

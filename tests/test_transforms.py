@@ -282,15 +282,16 @@ class TestSymmetryAndDerivatives:
                 DomainTag.XI_BOUNDARY,
             ):
                 continue
-            F = f_tilde(z)
-            lhs = f_tilde_prime(z)
-            rhs = F * (ScaledComplex.from_complex(z) - F)
-            diff = lhs - rhs
-            if not diff.is_zero:
-                rel = math.exp(
-                    diff.log_abs() - max(lhs.log_abs(), rhs.log_abs())
-                )
-                assert rel <= 1e-9
+            # F' from f_tilde alone: trapezoidal Cauchy integral on a circle
+            r, m = 0.04, 20
+            fd = sum(
+                complex(f_tilde(z + r * cmath.exp(2j * math.pi * k / m)))
+                * cmath.exp(-2j * math.pi * k / m)
+                for k in range(m)
+            ) / (m * r)
+            F = complex(f_tilde(z))
+            assert abs(complex(f_tilde_prime(z)) - fd) <= 1e-9 * abs(fd)
+            assert abs(F * (z - F) - fd) <= 1e-9 * abs(fd)
             n += 1
 
     def test_f_is_reciprocal_of_g(self):
@@ -383,8 +384,6 @@ class TestContourOracle:
         # at eta = 0.1 the order-40 moment is resolved to about 10 %
         with pytest.raises(QuadratureFailure):
             contour_moment(40, 0.1)
-        with pytest.raises(QuadratureFailure):
-            contour_moment(4, 0.3, tol=1e-18)
 
 
 class TestQuad:
