@@ -9,7 +9,6 @@ asymptotic expansions, the free Levy measure with its quadrature checks,
 and an independent ODE transport that cross-validates the Newton solver.
 """
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .curve import (
     CurvePoint,
     CurveTrace,
@@ -78,10 +77,8 @@ __all__ = [
     "AsymptoticRegime",
     "CurvePoint",
     "CurveTrace",
-    "DEFAULT_CONFIG",
     "DomainError",
     "DomainTag",
-    "EvalConfig",
     "FreeNormalError",
     "InvalidContour",
     "LevelSetTrace",

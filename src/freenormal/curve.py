@@ -12,11 +12,11 @@ on which ``f_tilde`` is an analytic bijection onto the upper half plane.
 
 The solver is a damped Newton iteration on ``f_tilde(z) - x`` confined to
 ``Xi`` (the certified pole-free region), with regime-dependent seeding:
-closed-form small-x asymptotics below ``x_lo``, large-x series above
-``x_hi``, and between them skeleton-seeded Newton with a polish step: a
+closed-form small-x asymptotics below ``X_LO``, large-x series above
+``X_HI``, and between them skeleton-seeded Newton with a polish step: a
 cubic Hermite interpolant in ``log x`` of a cached set of curve points, with
 the exact slopes ``dH/dlog x = 1/(H - x)`` of the curve ODE.  Above
-``x_hi`` the height falls like ``exp(-x^2/2)`` (``h(3.5) ~ 9e-3``,
+``X_HI`` the height falls like ``exp(-x^2/2)`` (``h(3.5) ~ 9e-3``,
 ``h(6) ~ 2e-7`` against ``g ~ 6``) and the absolute residual of complex
 Newton sees it only through cancellation, so the solve switches to an
 alternating pair of real 1-D Newton iterations on the split form of the
@@ -30,22 +30,26 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError, FreeNormalError, NoConvergence, SeedNotFound
 from .scaled import ScaledComplex
 from .series import (
+    X_ASYMPTOTIC,
+    X_HI,
+    X_LO,
     AsymptoticRegime,
     eval_g_asym_infinity,
     eval_g_asym_zero,
     eval_h_asym_infinity,
     eval_h_asym_zero,
+    regime_of,
 )
 from .transforms import (
     DomainTag,
     _f_eval,
     _g_tilde_near_axis_parts,
+    _require_normal,
     classify_domain,
     f_tilde,
     g_tilde,
@@ -65,11 +69,18 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-#: order of the large-x series returned above ``x_asymptotic``
+#: order of the large-x series returned above ``X_ASYMPTOTIC``
 _LARGE_X_ORDER = 6
 
-#: nodes of the bulk skeleton that seeds every solve in ``(x_lo, x_hi)``
+#: nodes of the bulk skeleton that seeds every solve in ``(X_LO, X_HI)``
 _SKELETON_NODES = 24
+
+#: residual contract of a curve solve, relative to ``max(1, |w|)``
+_NEWTON_TOL = 1e-10
+#: Newton iterations before ``NoConvergence``
+_NEWTON_MAX_ITER = 60
+#: halvings of a step that leaves ``Xi`` or grows the residual
+_NEWTON_MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,6 @@ class CurvePoint:
     g: float
     h: float
     residual: float
-    regime: AsymptoticRegime = AsymptoticRegime.BULK
 
     def __post_init__(self) -> None:
         if not (self.x > 0 and self.g > 0 and self.h > 0):
@@ -118,26 +128,26 @@ class LevelSetTrace:
 # confined damped Newton (curve points and the inverse transform)
 # --------------------------------------------------------------------------
 
-def _confined(z: complex, config: EvalConfig) -> bool:
-    return classify_domain(z, config) is not DomainTag.OUTSIDE_XI
+def _confined(z: complex) -> bool:
+    return classify_domain(z) is not DomainTag.OUTSIDE_XI
 
 
 def _newton_confined(
-    z: complex, w: complex, config: EvalConfig, log: bool = False
+    z: complex, w: complex, log: bool = False
 ) -> tuple[complex, complex, int]:
     """Damped Newton for ``f_tilde(z) = w`` kept inside ``Xi``.
 
     The derivative is ``f_tilde' = F (z - F)`` exactly, courtesy of the
     quadratic ODE the transform satisfies, so an iterate costs one
     ``f_tilde`` call.  Steps that would leave the region or grow the
-    residual are halved up to ``newton_max_halvings`` times.  The iteration
+    residual are halved up to ``_NEWTON_MAX_HALVINGS`` times.  The iteration
     polishes down to near machine precision but counts as converged once
-    the residual contract (``newton_tol * max(1, |w|)``) holds; exceeding
-    ``newton_max_iter`` raises ``NoConvergence`` with the last iterate
+    the residual contract (``_NEWTON_TOL * max(1, |w|)``) holds; exceeding
+    ``_NEWTON_MAX_ITER`` raises ``NoConvergence`` with the last iterate
     attached.  Returns the root, ``f_tilde`` there and the iteration count.
 
     With ``log`` the residual is ``log f_tilde(z) - log w``, relative rather
-    than absolute: below ``x_lo`` the absolute contract is met by a whole
+    than absolute: below ``X_LO`` the absolute contract is met by a whole
     neighborhood (everything near the curve maps close to 0).  Once the
     residual meets its goal, one more step is taken and kept if it stays in
     ``Xi`` without growing the residual.  It carries the digits the goal
@@ -146,11 +156,11 @@ def _newton_confined(
     """
     scale = 1.0 if log else max(1.0, abs(w))
     goal = (1e-13 if log else 1e-14) * scale
-    contract = config.newton_tol * scale
+    contract = _NEWTON_TOL * scale
     lw, unit = math.log(abs(w)), (w / abs(w)).conjugate()
 
     def residual(v: complex) -> tuple[complex, complex]:
-        ft = f_tilde(v, config)
+        ft = f_tilde(v)
         F = complex(ft)
         if log:
             return complex(ft.log_abs() - lw, cmath.phase(ft.mantissa * unit)), F
@@ -161,12 +171,12 @@ def _newton_confined(
     while True:
         dz = -r / (z - F) if log else -r / (F * (z - F))
         if abs(r) <= goal:
-            if _confined(z + dz, config):
+            if _confined(z + dz):
                 rc, Fc = residual(z + dz)
                 if abs(rc) <= abs(r):
                     z, F = z + dz, Fc
             return z, F, iters
-        if iters >= config.newton_max_iter:
+        if iters >= _NEWTON_MAX_ITER:
             if abs(r) <= contract:
                 return z, F, iters
             raise NoConvergence(
@@ -176,9 +186,9 @@ def _newton_confined(
             )
         iters += 1
         accepted = False
-        for m in range(config.newton_max_halvings + 1):
+        for m in range(_NEWTON_MAX_HALVINGS + 1):
             cand = z + dz * (0.5**m)
-            if not _confined(cand, config):
+            if not _confined(cand):
                 continue
             rc, Fc = residual(cand)
             if abs(rc) <= abs(r):
@@ -199,7 +209,7 @@ def _newton_confined(
 # the curve on one vertical, and the split solver for large x
 # --------------------------------------------------------------------------
 
-def _vertical_root(a: float, y: float, config: EvalConfig) -> float:
+def _vertical_root(a: float, y: float) -> float:
     """Root in ``y`` of ``arg g_tilde(a + i y)`` on ``(-pi/(2a), 0)``, Newton from ``y``.
 
     The curve crosses each vertical of lower ``Xi`` once, where ``g_tilde``
@@ -215,8 +225,8 @@ def _vertical_root(a: float, y: float, config: EvalConfig) -> float:
     """
     lim = -_HALF_PI / a
     dy_prev = math.inf
-    for _ in range(config.newton_max_iter):
-        F = complex(_f_eval(complex(a, y), config))
+    for _ in range(_NEWTON_MAX_ITER):
+        F = complex(_f_eval(complex(a, y)))
         dy = cmath.phase(F) / (F.real - a)
         y_new = y + dy
         if not lim < y_new < 0.0:
@@ -232,8 +242,8 @@ def _vertical_root(a: float, y: float, config: EvalConfig) -> float:
     )
 
 
-def _solve_split(x: float, config: EvalConfig) -> tuple[float, float, float]:
-    """Solve at ``x >= x_hi`` by alternating 1-D Newton pairs.
+def _solve_split(x: float) -> tuple[float, float, float]:
+    """Solve at ``x >= X_HI`` by alternating 1-D Newton pairs.
 
     Coordinates ``z = u + i y`` with ``y < 0``.  The inner solve finds the
     root of ``Im g_tilde(u + i y)`` in ``y`` (equivalent to ``Im f_tilde = 0``
@@ -245,7 +255,7 @@ def _solve_split(x: float, config: EvalConfig) -> tuple[float, float, float]:
     u = eval_g_asym_infinity(x, 3)
     y = -float(eval_h_asym_infinity(x, 3).to_complex().real)
     for _ in range(40):
-        y = _vertical_root(u, y, config)
+        y = _vertical_root(u, y)
         re, im = _g_tilde_near_axis_parts(u, y)
         # outer: one Newton step of Re g_tilde(u) = 1/x, slope Re(1 - z g)
         du = (1.0 / x - re) / (1.0 - (u * re - y * im))
@@ -264,32 +274,31 @@ def _seed_zero(x: float) -> complex:
     return complex(eval_g_asym_zero(x), -eval_h_asym_zero(x))
 
 
-@lru_cache(maxsize=8)
-def _bulk_skeleton(config: EvalConfig) -> tuple[tuple[float, complex, complex], ...]:
-    """Nodes ``(log x, H, dH/dlog x)`` on a log-uniform grid of ``[x_lo, x_hi]``.
+@cache
+def _bulk_skeleton() -> tuple[tuple[float, complex, complex], ...]:
+    """Nodes ``(log x, H, dH/dlog x)`` on a log-uniform grid of ``[X_LO, X_HI]``.
 
-    One continuation from the small-x closed form at ``x_lo``, each node
+    One continuation from the small-x closed form at ``X_LO``, each node
     seeded by an Euler step along the curve ODE ``dH/dlog x = 1/(H - x)``
     (from ``F' = F (z - F)`` and ``F(H(x)) = x``), which also gives the exact
-    node slopes.  Built on the first bulk solve of a configuration; the
-    nodes depend on nothing but the configuration.
+    node slopes.  Built once, on the first bulk solve.
     """
-    t_lo, t_hi = math.log(config.x_lo), math.log(config.x_hi)
+    t_lo, t_hi = math.log(X_LO), math.log(X_HI)
     dt = (t_hi - t_lo) / (_SKELETON_NODES - 1)
     nodes = []
-    seed = _seed_zero(config.x_lo)
+    seed = _seed_zero(X_LO)
     for k in range(_SKELETON_NODES):
-        x = config.x_hi if k == _SKELETON_NODES - 1 else math.exp(t_lo + k * dt)
-        z, _, _ = _newton_confined(seed, x, config)
+        x = X_HI if k == _SKELETON_NODES - 1 else math.exp(t_lo + k * dt)
+        z, _, _ = _newton_confined(seed, x)
         slope = 1.0 / (z - x)
         nodes.append((math.log(x), z, slope))
         seed = z + dt * slope
     return tuple(nodes)
 
 
-def _skeleton_seed(x: float, config: EvalConfig) -> complex:
+def _skeleton_seed(x: float) -> complex:
     """Cubic Hermite interpolant of the skeleton in ``t = log x``."""
-    nodes = _bulk_skeleton(config)
+    nodes = _bulk_skeleton()
     t = math.log(x)
     k = (t - nodes[0][0]) / (nodes[-1][0] - nodes[0][0]) * (len(nodes) - 1)
     k = min(int(k), len(nodes) - 2)
@@ -305,61 +314,53 @@ def _skeleton_seed(x: float, config: EvalConfig) -> complex:
     )
 
 
-def solve_H(x: float, config: EvalConfig = DEFAULT_CONFIG) -> CurvePoint:
+def solve_H(x: float) -> CurvePoint:
     """Solve ``f_tilde(g - i h) = x`` inside ``Xi``.
 
-    Residual contract: ``|f_tilde(z) - x| <= 1e-10 * max(1, x)``.  Between
-    ``x_lo`` and ``x_hi`` the solve is skeleton-seeded Newton with a polish
-    step: the seed is the cubic Hermite interpolant of a cached set of curve
-    points (see ``_bulk_skeleton``), so the result depends on ``x`` and
-    ``config`` alone.  Above ``config.x_asymptotic`` the large-x series of
-    order ``_LARGE_X_ORDER`` is returned directly, tagged ``NearInfinity``
-    (residuals there sit below binary64 noise).  The curve height falls
-    below the smallest normal binary64 number near ``x = 37.81`` (and
-    underflows entirely near ``x = 38.5``); beyond that the height is only
-    representable in scaled form (see ``eval_h_asym_infinity``) and this
-    solver raises ``DomainError`` rather than return a subnormal with a few
-    significant bits.
+    Residual contract: ``|f_tilde(z) - x| <= 1e-10 * max(1, x)``.  The
+    regime (``regime_of``) picks the method.  In the bulk the solve is
+    skeleton-seeded Newton with a polish step: the seed is the cubic
+    Hermite interpolant of a cached set of curve points (see
+    ``_bulk_skeleton``), so the result depends on ``x`` alone.  Above
+    ``X_ASYMPTOTIC`` the large-x series of order ``_LARGE_X_ORDER`` is
+    returned directly (residuals there sit below binary64 noise).  The
+    curve height falls below the smallest normal binary64 number near
+    ``x = 37.81`` (and underflows entirely near ``x = 38.5``); beyond that
+    the height is only representable in scaled form (see
+    ``eval_h_asym_infinity``) and this solver raises ``DomainError`` rather
+    than return a subnormal with a few significant bits.
     """
     x = float(x)
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"the curve is parametrized by finite x > 0, got {x}")
-    if x >= config.x_hi:
-        if x > config.x_asymptotic:
+    regime = regime_of(x)
+    if regime is AsymptoticRegime.NEAR_INFINITY:
+        if x > X_ASYMPTOTIC:
             g = eval_g_asym_infinity(x, _LARGE_X_ORDER)
             h_sc = eval_h_asym_infinity(x, _LARGE_X_ORDER)
             h = float(h_sc.to_complex().real) if h_sc.log_abs() > -740 else 0.0
-            if h < sys.float_info.min:
-                raise DomainError(
-                    f"curve height at x = {x} is not a normal binary64 number; "
-                    "use eval_h_asym_infinity for a scaled value"
-                )
-            residual = abs(1.0 / complex(*_g_tilde_near_axis_parts(g, -h)) - x)
-            return CurvePoint(
-                x=x, g=g, h=h, residual=residual,
-                regime=AsymptoticRegime.NEAR_INFINITY,
+            _require_normal(
+                h, f"curve height at x = {x}",
+                "; use eval_h_asym_infinity for a scaled value",
             )
-        g, h, residual = _solve_split(x, config)
-        if residual > config.newton_tol * max(1.0, x):
+            residual = abs(1.0 / complex(*_g_tilde_near_axis_parts(g, -h)) - x)
+            return CurvePoint(x=x, g=g, h=h, residual=residual)
+        g, h, residual = _solve_split(x)
+        if residual > _NEWTON_TOL * max(1.0, x):
             raise NoConvergence(
                 f"split solve stalled at x = {x}",
                 last_iterate=complex(g, -h),
                 residual=residual,
             )
         return CurvePoint(x=x, g=g, h=h, residual=residual)
-    if x <= config.x_lo:
-        z, F, _ = _newton_confined(_seed_zero(x), x, config, log=True)
-        return CurvePoint(
-            x=x, g=z.real, h=-z.imag, residual=abs(F - x),
-            regime=AsymptoticRegime.NEAR_ZERO,
-        )
-    z, F, _ = _newton_confined(_skeleton_seed(x, config), x, config)
+    if regime is AsymptoticRegime.NEAR_ZERO:
+        z, F, _ = _newton_confined(_seed_zero(x), x, log=True)
+    else:
+        z, F, _ = _newton_confined(_skeleton_seed(x), x)
     return CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
 
 
-def trace_p0(
-    x_min: float, x_max: float, n: int, config: EvalConfig = DEFAULT_CONFIG
-) -> CurveTrace:
+def trace_p0(x_min: float, x_max: float, n: int) -> CurveTrace:
     """Solve the curve on a log-uniform grid of ``n`` points.
 
     Continuation runs outward from the best-conditioned grid point (nearest
@@ -382,10 +383,10 @@ def trace_p0(
     def solve_at(idx: int, seed: complex | None) -> CurvePoint:
         x = grid[idx]
         try:
-            if seed is None or not (config.x_lo < x < config.x_hi):
-                pt = solve_H(x, config)
+            if seed is None or regime_of(x) is not AsymptoticRegime.BULK:
+                pt = solve_H(x)
             else:
-                z, F, it = _newton_confined(seed, x, config)
+                z, F, it = _newton_confined(seed, x)
                 pt = CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
                 stats["newton_iterations"] += it
                 stats["max_iterations_per_point"] = max(
@@ -423,7 +424,7 @@ def trace_p0(
 _F_CLOSED_FORM_BELOW = 0.043
 
 
-def f_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def f_of(x: float) -> float:
     """The boundary function ``f(x) = -h(g^{-1}(|x|))``, even in ``x``.
 
     ``a + i f(a)`` with ``a = |x|`` is where the curve crosses the vertical
@@ -448,16 +449,12 @@ def f_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
         if math.isinf(f):
             raise DomainError(f"f({x}) = -pi/(2x) overflows binary64")
         return f
-    y = _vertical_root(a, -_HALF_PI / a if a < 2.0 else 0.0, config)
-    if not -y >= sys.float_info.min:
-        raise DomainError(
-            f"f({x}) is not a normal binary64 number: the boundary height "
-            "is exp(-x^2/2)-small"
-        )
+    y = _vertical_root(a, -_HALF_PI / a if a < 2.0 else 0.0)
+    _require_normal(-y, f"f({x})", ": the boundary height is exp(-x^2/2)-small")
     return y
 
 
-def in_omega(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> bool:
+def in_omega(z: complex) -> bool:
     """Membership in ``Omega``, the maximal domain mapped onto ``C+``.
 
     True on the imaginary axis and in the closed upper half plane.  Below
@@ -466,17 +463,21 @@ def in_omega(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> bool:
     negative at the axis, vanishes on the curve and only there, and is
     positive toward the hyperbola.  That it changes sign once is a checked
     numerical fact (the tests sweep it), the same one ``ode._inner_root``
-    relies on.
+    relies on.  Below ``|Re z| = 0.043`` the curve is the hyperbola
+    ``-pi/(2|Re z|)`` to the last bit (see ``f_of``), and membership is that
+    comparison; it holds there also where ``g_tilde`` overflows.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"Omega membership needs a finite point, got {z!r}")
     if z.real == 0.0 or z.imag >= 0.0:
         return True
-    if classify_domain(z, config) is DomainTag.OUTSIDE_XI:
+    if classify_domain(z) is DomainTag.OUTSIDE_XI:
         return False
-    # Im g_tilde is even in Re z
-    return g_tilde(complex(abs(z.real), z.imag), config).mantissa.imag < 0.0
+    a = abs(z.real)  # Im g_tilde is even in Re z
+    if a < _F_CLOSED_FORM_BELOW:
+        return z.imag > -_HALF_PI / a
+    return g_tilde(complex(a, z.imag)).mantissa.imag < 0.0
 
 
 # --------------------------------------------------------------------------
@@ -487,7 +488,6 @@ def trace_level_set(
     t: float,
     bbox: tuple[float, float, float, float],
     step: float,
-    config: EvalConfig = DEFAULT_CONFIG,
 ) -> list[LevelSetTrace]:
     """Trace the level ``Im f_tilde = t`` of ``Omega`` inside ``bbox``.
 
@@ -532,15 +532,15 @@ def trace_level_set(
         # (high levels) and of rho(y) ~ sqrt(2 pi) exp(y^2/2) (low levels)
         y = max(t - 1.0 / t, -math.sqrt(2.0 * math.log1p(1.0 / (t * _SQRT_TWO_PI))))
         s = 0.0
-        z, F, _ = _newton_confined(complex(0.0, y), complex(0.0, t), config, log=True)
+        z, F, _ = _newton_confined(complex(0.0, y), complex(0.0, t), log=True)
         z = complex(0.0, z.imag)
     else:
         # start on p0+ below the box: the parameter whose zero-regime height
-        # sqrt(S + L) is depth, capped at x_lo where that closed form holds
+        # sqrt(S + L) is depth, capped at X_LO where that closed form holds
         depth = max(-y0, 1.0) + step
         L = 0.5 * (depth * depth - (_HALF_PI / depth) ** 2)
-        s = min(config.x_lo, max(math.exp(-L) / _SQRT_TWO_PI, sys.float_info.min))
-        z, F = solve_H(s, config).z, complex(s)
+        s = min(X_LO, max(math.exp(-L) / _SQRT_TWO_PI, sys.float_info.min))
+        z, F = solve_H(s).z, complex(s)
     arc: list[complex] = []
     while True:
         if lo <= z.real <= hi and y0 <= z.imag <= y1:
@@ -550,7 +550,7 @@ def trace_level_set(
         d = F * (z - F)
         ds = step * abs(d)
         s += ds
-        z, F, _ = _newton_confined(z + ds / d, complex(s, t), config, log=True)
+        z, F, _ = _newton_confined(z + ds / d, complex(s, t), log=True)
 
     right = tuple(z for z in arc if x0 <= z.real <= x1)
     # 0.0 - re keeps the axis point at +0

@@ -21,8 +21,9 @@ class DomainError(FreeNormalError, ValueError):
 class PoleProximity(FreeNormalError, ArithmeticError):
     """Evaluation too close to a pole of the reciprocal transform.
 
-    Raised when ``|G(z)|`` falls below the configured floor, so ``1/G`` would
-    not carry meaningful digits even in scaled representation.
+    Raised when ``|G(z)|`` falls below the pole floor ``1e-300`` (see
+    ``transforms._POLE_LOG_FLOOR``), so ``1/G`` would not carry meaningful
+    digits even in scaled representation.
     """
 
 

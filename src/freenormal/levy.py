@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .curve import _newton_confined, in_omega, solve_H
 from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
-from .series import free_cumulants
-from .transforms import f_tilde, quad
+from .series import X_ASYMPTOTIC, X_HI, X_LO, free_cumulants
+from .transforms import _require_normal, f_tilde, quad
 
 __all__ = [
     "levy_density",
@@ -39,7 +37,7 @@ _PHI_SERIES_FROM = 30.0
 _PHI_SERIES_ORDER = 8
 
 
-def levy_density(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def levy_density(x: float) -> float:
     """``h(|x|) / (pi x^2)``, the free Levy density; even and positive.
 
     Raises ``DomainError`` where the density is not a finite normal binary64
@@ -49,16 +47,12 @@ def levy_density(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     x = float(x)
     if x == 0.0:
         raise DomainError("the free Levy density lives on nonzero x")
-    pt = solve_H(abs(x), config)
-    density = pt.h / _PI / x / x  # x * x would underflow to 0 for tiny x
-    if not sys.float_info.min <= density < math.inf:
-        raise DomainError(
-            f"the free Levy density at x = {x} is not a normal binary64 number"
-        )
-    return density
+    h = solve_H(abs(x)).h
+    # x * x would underflow to 0 for tiny x
+    return _require_normal(h / _PI / x / x, f"the free Levy density at x = {x}")
 
 
-def voiculescu(w: complex, config: EvalConfig = DEFAULT_CONFIG) -> complex:
+def voiculescu(w: complex) -> complex:
     """``phi(w) = f_tilde^{-1}(w) - w`` on the closed upper half plane off 0.
 
     Real ``w`` uses the boundary parametrization
@@ -79,7 +73,7 @@ def voiculescu(w: complex, config: EvalConfig = DEFAULT_CONFIG) -> complex:
     if w.imag < 0.0:
         raise DomainError(f"defined on the closed upper half plane, got {w!r}")
     if w.imag == 0.0:
-        pt = solve_H(abs(w.real), config)
+        pt = solve_H(abs(w.real))
         return complex(math.copysign(pt.g, w.real) - w.real, -pt.h)
     if abs(w) >= _PHI_SERIES_FROM:
         iw = 1.0 / w
@@ -92,13 +86,13 @@ def voiculescu(w: complex, config: EvalConfig = DEFAULT_CONFIG) -> complex:
     z = None
     for seed in (w + 1.0 / w, w):
         try:
-            z, _, _ = _newton_confined(seed, w, config, log=True)
+            z, _, _ = _newton_confined(seed, w, log=True)
             break
-        except (NoConvergence, PoleProximity):
-            continue
+        except (NoConvergence, PoleProximity, DomainError):
+            continue  # w + 1/w is past the transform's range for tiny |w|
     if z is None:
         raise NoConvergence(f"inversion of f_tilde at w = {w!r} failed")
-    if not in_omega(z, config):
+    if not in_omega(z):
         raise NoConvergence(
             f"inversion at w = {w!r} converged outside the bijectivity domain",
             last_iterate=z,
@@ -106,19 +100,17 @@ def voiculescu(w: complex, config: EvalConfig = DEFAULT_CONFIG) -> complex:
     return z - w
 
 
-def tau_total_mass(
-    quad_tol: float, config: EvalConfig = DEFAULT_CONFIG
-) -> float:
+def tau_total_mass(quad_tol: float) -> float:
     """Total mass of ``tau`` by quadrature of ``h(|x|)/(pi (1 + x^2))``.
 
     The positive half line splits at the curve solver's regime thresholds:
 
-    * ``(0, x_lo]`` under ``x = exp(-u)``, where the integrand inherits the
+    * ``(0, X_LO]`` under ``x = exp(-u)``, where the integrand inherits the
       ``sqrt(2 log 1/x)`` growth of ``h`` and decays like ``exp(-u) sqrt(u)``
       (``u`` runs to 60, past which the integral is below 1e-25);
-    * ``[x_lo, x_hi]`` and ``[x_hi, x_asymptotic]`` directly against solver
+    * ``[X_LO, X_HI]`` and ``[X_HI, X_ASYMPTOTIC]`` directly against solver
       values;
-    * beyond ``x_asymptotic = 30`` the Gaussian factor of ``h`` puts the
+    * beyond ``X_ASYMPTOTIC = 30`` the Gaussian factor of ``h`` puts the
       integral below 1e-190, so it is left out.
 
     Each piece is one tanh-sinh quadrature, and the result is doubled by
@@ -129,7 +121,7 @@ def tau_total_mass(
         raise DomainError(f"need a finite positive tolerance, got {quad_tol}")
 
     def body(x: float) -> float:
-        return solve_H(x, config).h / (_PI * (1.0 + x * x))
+        return solve_H(x).h / (_PI * (1.0 + x * x))
 
     def small(u: float) -> float:
         x = math.exp(-u)
@@ -137,9 +129,9 @@ def tau_total_mass(
 
     total = err = 0.0
     for f, a, b in (
-        (small, -math.log(config.x_lo), 60.0),
-        (body, config.x_lo, config.x_hi),
-        (body, config.x_hi, config.x_asymptotic),
+        (small, -math.log(X_LO), 60.0),
+        (body, X_LO, X_HI),
+        (body, X_HI, X_ASYMPTOTIC),
     ):
         v, e = quad(f, a, b, epsabs=quad_tol / 8, epsrel=1e-12)
         total += v
@@ -151,9 +143,7 @@ def tau_total_mass(
     return 2.0 * total
 
 
-def semicircular_component_check(
-    T: float, config: EvalConfig = DEFAULT_CONFIG
-) -> float:
+def semicircular_component_check(T: float) -> float:
     """``|f_tilde(-iT) * T|``, the vanishing-atom witness at the origin.
 
     Decays like ``T exp(-T^2/2)/sqrt(2 pi)``; a nonvanishing limit would be
@@ -161,11 +151,12 @@ def semicircular_component_check(
     very large ``T`` cleanly underflows to 0.0 rather than failing.
     """
     T = float(T)
-    if T < 0:
-        raise DomainError(f"need T >= 0, got {T}")
-    if T == 0.0:
+    if not (T >= 0 and math.isfinite(T)):
+        raise DomainError(f"need a finite T >= 0, got {T}")
+    # from T ~ 38.7 the witness flushes to 0.0; past 1e154 -T^2/2 overflows
+    if T == 0.0 or T > 1e154:
         return 0.0
-    val = f_tilde(complex(0.0, -T), config) * T
+    val = f_tilde(complex(0.0, -T)) * T
     la = val.log_abs()
     if la < -745.0:
         return 0.0

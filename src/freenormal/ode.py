@@ -22,12 +22,10 @@ imaginary part is tracked in relative terms.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError, NoConvergence, NoSignChange, StepUnderflow
-from .transforms import f_tilde, g_tilde
+from .transforms import _require_normal, f_tilde, g_tilde
 
 __all__ = [
     "OdeState",
@@ -38,6 +36,13 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+
+#: absolute error slack of the real component (capped at 1e-3 tol)
+_ATOL = 1e-13
+#: ``StepUnderflow`` below this step, relative to ``max(1, |t|)``
+_MIN_STEP_FACTOR = 1e-14
+#: transport in ``log x`` when the target is below this fraction of the anchor
+_LOGX_RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -73,26 +78,26 @@ class AnchorPoint:
     state: OdeState
 
 
-def _im_g_on_vertical(c: float, y: float, config: EvalConfig) -> float:
-    return complex(g_tilde(complex(c, y), config)).imag
+def _im_g_on_vertical(c: float, y: float) -> float:
+    return complex(g_tilde(complex(c, y))).imag
 
 
-def _inner_root(c: float, config: EvalConfig) -> float:
+def _inner_root(c: float) -> float:
     """Root of ``Im g_tilde(c + iy)`` in ``y`` on ``(-pi/(2c), 0)``.
 
     Negative at the real axis, positive near the domain boundary; scanned
     from the boundary end until the sign change is bracketed.
     """
     y_hi = -1e-12
-    f_hi = _im_g_on_vertical(c, y_hi, config)
+    f_hi = _im_g_on_vertical(c, y_hi)
     y_lo = -_HALF_PI / c * (1.0 - 1e-9)
-    f_lo = _im_g_on_vertical(c, y_lo, config)
+    f_lo = _im_g_on_vertical(c, y_lo)
     if f_lo * f_hi > 0.0:
         # walk the lower end up through the strip to find the crossing
         found = False
         for k in range(1, 64):
             y_try = y_lo * (1.0 - k / 64.0)
-            f_try = _im_g_on_vertical(c, y_try, config)
+            f_try = _im_g_on_vertical(c, y_try)
             if f_try * f_hi < 0.0:
                 y_lo, f_lo = y_try, f_try
                 found = True
@@ -105,7 +110,7 @@ def _inner_root(c: float, config: EvalConfig) -> float:
         y_mid = 0.5 * (y_lo + y_hi)
         if y_mid == y_lo or y_mid == y_hi:
             break
-        f_mid = _im_g_on_vertical(c, y_mid, config)
+        f_mid = _im_g_on_vertical(c, y_mid)
         if f_mid == 0.0:
             return y_mid
         if f_mid * f_hi < 0.0:
@@ -115,7 +120,7 @@ def _inner_root(c: float, config: EvalConfig) -> float:
     return 0.5 * (y_lo + y_hi)
 
 
-def make_anchor(x0: float, config: EvalConfig = DEFAULT_CONFIG) -> AnchorPoint:
+def make_anchor(x0: float) -> AnchorPoint:
     """Bisect a curve point at ``x0`` in the well-conditioned band.
 
     Works entirely from the transform evaluator: an inner bisection finds
@@ -130,8 +135,8 @@ def make_anchor(x0: float, config: EvalConfig = DEFAULT_CONFIG) -> AnchorPoint:
         )
 
     def u_of(c: float) -> float:
-        y = _inner_root(c, config)
-        return complex(f_tilde(complex(c, y), config)).real - x0
+        y = _inner_root(c)
+        return complex(f_tilde(complex(c, y))).real - x0
 
     c_lo, c_hi = 1.0, 5.0
     f_lo, f_hi = u_of(c_lo), u_of(c_hi)
@@ -152,8 +157,8 @@ def make_anchor(x0: float, config: EvalConfig = DEFAULT_CONFIG) -> AnchorPoint:
         else:
             c_lo, f_lo = c_mid, f_mid
     c = 0.5 * (c_lo + c_hi)
-    y = _inner_root(c, config)
-    residual = abs(complex(f_tilde(complex(c, y), config)) - x0)
+    y = _inner_root(c)
+    residual = abs(complex(f_tilde(complex(c, y))) - x0)
     if residual > 1e-12 * max(1.0, x0):
         raise NoConvergence(
             f"anchor residual {residual:.3g} too large at x0 = {x0}",
@@ -201,7 +206,6 @@ def integrate(
     anchor: AnchorPoint,
     x_target: float,
     tol: float = 1e-10,
-    config: EvalConfig = DEFAULT_CONFIG,
 ) -> OdeState:
     """Transport the anchor state to ``x_target`` along the curve ODE.
 
@@ -219,7 +223,7 @@ def integrate(
     if not tol > 0.0:
         raise DomainError(f"need tol > 0, got {tol}")
 
-    log_mode = x_target < anchor.x0 * config.ode_logx_ratio
+    log_mode = x_target < anchor.x0 * _LOGX_RATIO
     if log_mode:
         rhs = _rhs_logx
         t, t_end = math.log(anchor.x0), math.log(x_target)
@@ -233,7 +237,7 @@ def integrate(
 
     # absolute slack for the real component only, tied to tol so tightening
     # the tolerance tightens both channels
-    atol = min(config.ode_atol, 1e-3 * tol)
+    atol = min(_ATOL, 1e-3 * tol)
     span = t_end - t
     dt = math.copysign(min(0.05 * abs(span), 0.1), span)
     k = [0j] * 7
@@ -254,7 +258,7 @@ def integrate(
             last = True
         else:
             last = False
-        floor = config.ode_min_step_factor * max(1.0, abs(t))
+        floor = _MIN_STEP_FACTOR * max(1.0, abs(t))
         if abs(dt) < floor:
             raise StepUnderflow(
                 f"step {abs(dt):.3g} fell below {floor:.3g} at t = {t}"
@@ -277,11 +281,7 @@ def integrate(
         sc_im = tol * max(abs(H.imag), abs(H5.imag))
         e_norm = max(abs(err.real) / sc_re, abs(err.imag) / sc_im)
         if e_norm <= 1.0 and _inside(H5):
-            if -H5.imag < sys.float_info.min:
-                raise DomainError(
-                    f"the curve height at x = {t + dt} is not a normal "
-                    "binary64 number"
-                )
+            _require_normal(-H5.imag, f"the curve height at x = {t + dt}")
             t += dt
             H = H5
             k[0] = k[6]  # first-same-as-last

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError
 from .scaled import ScaledComplex
 
@@ -90,13 +89,22 @@ class AsymptoticRegime(enum.Enum):
     NEAR_INFINITY = "NearInfinity"
 
 
-def regime_of(x: float, config: EvalConfig = DEFAULT_CONFIG) -> AsymptoticRegime:
-    """Classify ``x > 0`` against the crossover thresholds."""
+#: the curve solver's crossovers: at or below ``X_LO`` the zero-regime closed
+#: forms seed it (and it solves the logarithmic residual); at or above
+#: ``X_HI`` the large-x split solver takes over, and beyond ``X_ASYMPTOTIC``
+#: the large-x series is the answer
+X_LO = 0.05
+X_HI = 3.5
+X_ASYMPTOTIC = 30.0
+
+
+def regime_of(x: float) -> AsymptoticRegime:
+    """Classify ``x > 0`` against the crossovers ``X_LO`` and ``X_HI``."""
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"regime is defined for finite x > 0, got {x}")
-    if x <= config.x_lo:
+    if x <= X_LO:
         return AsymptoticRegime.NEAR_ZERO
-    if x >= config.x_hi:
+    if x >= X_HI:
         return AsymptoticRegime.NEAR_INFINITY
     return AsymptoticRegime.BULK
 

@@ -40,7 +40,6 @@ import enum
 import math
 import sys
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError, InvalidContour, PoleProximity, QuadratureFailure
 from .scaled import ScaledComplex
 
@@ -63,6 +62,19 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _HALF_PI = 0.5 * math.pi
 
 
+def _require_normal(v: float, what: str, hint: str = "") -> float:
+    """``v`` if it is a normal binary64 number, else ``DomainError``.
+
+    The one representability wall of the package: ``solve_H``, ``f_of``,
+    ``levy_density`` and ``ode.integrate`` refuse a value below the smallest
+    normal number (a subnormal keeps only a few significant bits), or an
+    infinite one, rather than return it degraded.
+    """
+    if not sys.float_info.min <= v < math.inf:
+        raise DomainError(f"{what} is not a normal binary64 number{hint}")
+    return v
+
+
 # --------------------------------------------------------------------------
 # domain classification
 # --------------------------------------------------------------------------
@@ -77,12 +89,16 @@ class DomainTag(enum.Enum):
     OUTSIDE_XI = "OutsideXi"
 
 
-def classify_domain(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> DomainTag:
+#: half width of the boundary band of ``classify_domain``: 4 ulps of pi/2
+_BOUNDARY_BAND = 4 * math.ulp(_HALF_PI)
+
+
+def classify_domain(z: complex) -> DomainTag:
     """Classify ``z`` against the region ``Xi``.
 
     The lower boundary is the hyperbola pair ``|Re z * Im z| = pi/2``; points
-    whose product lies within ``config.boundary_ulps`` ulps of ``pi/2`` are
-    reported as :attr:`DomainTag.XI_BOUNDARY` rather than forced to a side.
+    whose product lies within 4 ulps of ``pi/2`` are reported as
+    :attr:`DomainTag.XI_BOUNDARY` rather than forced to a side.
     """
     z = complex(z)
     if z.imag > 0.0:
@@ -90,8 +106,7 @@ def classify_domain(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> DomainTa
     if z.imag == 0.0:
         return DomainTag.REAL_AXIS
     p = abs(z.real) * (-z.imag)
-    band = config.boundary_ulps * math.ulp(_HALF_PI)
-    if abs(p - _HALF_PI) <= band:
+    if abs(p - _HALF_PI) <= _BOUNDARY_BAND:
         return DomainTag.XI_BOUNDARY
     if p < _HALF_PI:
         return DomainTag.XI_INTERIOR
@@ -130,7 +145,10 @@ def _w_upper(zeta: complex) -> complex:
     p = 0j
     for c in _W_COEF:
         p = p * Z + c
-    return 2.0 * p / den / den + (1.0 / _SQRT_PI) / den  # den^2 overflows at 1e154
+    w = 2.0 * p / den / den + (1.0 / _SQRT_PI) / den  # den^2 overflows at 1e154
+    if not cmath.isfinite(w):  # Z overflows with both parts of zeta near 1e308
+        raise DomainError(f"the Faddeeva kernel overflows at {zeta!r}")
+    return w
 
 
 def _dawson(xi: float) -> tuple[float, float]:
@@ -233,7 +251,6 @@ def _g_tilde_near_axis_parts(x: float, y: float) -> tuple[float, float]:
 _SCALED_FROM = 700.0
 #: below this ``|g_tilde|`` too, so ``1/g_tilde`` and ``F (z - F)`` stay finite
 _PLAIN_G_MIN = 1e-150
-_PLAIN_LOG_MIN = math.log(_PLAIN_G_MIN)
 
 
 def _g_eval(z: complex) -> complex | ScaledComplex:
@@ -254,8 +271,12 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
     if -y <= _NEAR_AXIS and abs(x * y) <= _HALF_PI:
         g = complex(*_g_tilde_near_axis_parts(x, y))
         return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
-    alg = complex(0.0, _SQRT_HALF_PI) * _w_upper(-z / _SQRT2)
     hi, lo = _half_diff_of_squares(x, y)
+    if not hi < math.inf:  # NaN or +inf; a finite hi implies a finite x*y
+        raise DomainError(f"-z^2/2 overflows binary64 at z = {z!r}")
+    alg = complex(0.0, _SQRT_HALF_PI) * _w_upper(-z / _SQRT2)
+    if hi == -math.inf:  # exp(-z^2/2) is 0, though x*y may be infinite
+        return alg if abs(alg) >= _PLAIN_G_MIN else ScaledComplex(alg)
     coeff = complex(0.0, -_SQRT_TWO_PI * (1.0 + lo))
     e = complex(hi, -x * y)
     if hi < _SCALED_FROM:
@@ -269,31 +290,36 @@ def _scaled(v: complex | ScaledComplex) -> ScaledComplex:
     return v if type(v) is ScaledComplex else ScaledComplex(v)
 
 
-def _f_eval(z: complex, config: EvalConfig) -> complex | ScaledComplex:
+#: ``1/g_tilde`` is refused where ``log|g_tilde|`` is below this, the log of
+#: the binary64 decade floor 1e-300
+_POLE_LOG_FLOOR = -690.775527898214
+
+
+def _f_eval(z: complex) -> complex | ScaledComplex:
     """``1/g_tilde(z)``, raising ``PoleProximity`` below the pole floor."""
     g = _g_eval(z)
-    if type(g) is complex and config.pole_log_floor <= _PLAIN_LOG_MIN:
+    if type(g) is complex:  # |g| >= 1e-150 = e^-345.4 is above the floor
         return 1.0 / g
-    g = _scaled(g)
-    if g.is_zero or g.log_abs() < config.pole_log_floor:
+    if g.is_zero or g.log_abs() < _POLE_LOG_FLOOR:
         raise PoleProximity(
             f"|g_tilde({z!r})| ~ exp({g.log_abs():.3g}) is below the pole floor"
         )
     return g.reciprocal()
 
 
-def g_tilde(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+def g_tilde(z: complex) -> ScaledComplex:
     """Entire continuation of the Gaussian Cauchy transform.
 
     Certified to relative error 1e-12 on ``Xi intersect {|z| <= 30}``; it
-    degrades only near the zeros, all below ``Xi``.  ``config`` configures
-    nothing here (one signature for all transforms).  Raises ``DomainError``
-    if ``z`` is not finite.
+    degrades only near the zeros, all below ``Xi``.  Raises ``DomainError``
+    if ``z`` is not finite, where the Faddeeva kernel overflows (both parts
+    of ``z`` near 1e308), and where ``Re(-z^2/2)`` overflows to ``+inf``
+    below the axis (``|Im z|`` past about 1.3e154).
     """
     return _scaled(_g_eval(z))
 
 
-def g_tilde_prime(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+def g_tilde_prime(z: complex) -> ScaledComplex:
     """Derivative of :func:`g_tilde` via the closed form ``1 - z*g_tilde(z)``."""
     z = complex(z)
     g = _g_eval(z)
@@ -303,30 +329,30 @@ def g_tilde_prime(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComp
     return _scaled(gp)
 
 
-def f_tilde(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+def f_tilde(z: complex) -> ScaledComplex:
     """Reciprocal transform ``1/g_tilde``.
 
-    Raises ``PoleProximity`` if ``log|g_tilde(z)|`` is below
-    ``config.pole_log_floor`` (the pole of ``f_tilde`` nearest to ``z``
-    would dominate the value).
+    Raises ``PoleProximity`` where ``|g_tilde(z)|`` is below ``1e-300``
+    (the pole of ``f_tilde`` nearest to ``z`` would dominate the value), and
+    ``DomainError`` where :func:`g_tilde` does.
     """
-    return _scaled(_f_eval(z, config))
+    return _scaled(_f_eval(z))
 
 
-def f_tilde_prime(z: complex, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+def f_tilde_prime(z: complex) -> ScaledComplex:
     """Derivative ``F (z - F)`` of ``F = f_tilde(z)``; raises as :func:`f_tilde`."""
     z = complex(z)
-    F = _f_eval(z, config)
+    F = _f_eval(z)
     return _scaled(F * (z - F))
 
 
-def rho(x: float, config: EvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+def rho(x: float) -> ScaledComplex:
     """``rho(x) = i * g_tilde(i x)``: positive, strictly decreasing on R.
 
     ``rho(x) = sqrt(pi/2) e^{x^2/2} erfc(x/sqrt 2)``, so it decays like
     ``1/x`` as ``x -> +inf`` and explodes like ``2 sqrt(pi/2) e^{x^2/2}`` as
-    ``x -> -inf``; the scaled return type keeps the latter representable for
-    any ``x``.
+    ``x -> -inf``; the scaled return type keeps the latter representable
+    down to ``x`` about ``-1.3e154``, past which ``DomainError`` is raised.
     """
     g = _scaled(_g_eval(complex(0.0, float(x))))
     return ScaledComplex(complex(-g.mantissa.imag, 0.0), g.log_scale)

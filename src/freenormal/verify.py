@@ -14,8 +14,8 @@ import random
 import time
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG
 from .curve import f_of, solve_H, trace_level_set, trace_p0
+from .errors import DomainError
 from .levy import (
     levy_density,
     semicircular_component_check,
@@ -358,7 +358,10 @@ CRITERIA = (
 
 
 def run_criterion(index: int, profile: str = "full") -> dict:
-    """Run one acceptance criterion by 1-based index; returns its report."""
+    """Run one acceptance criterion by 1-based index; returns its report.
+
+    Raises ``DomainError`` for an index with no criterion.
+    """
     for idx, name, fn, limit in CRITERIA:
         if idx == index:
             t0 = time.perf_counter()
@@ -368,13 +371,16 @@ def run_criterion(index: int, profile: str = "full") -> dict:
                    "seconds": seconds}
             out.update(result)
             return out
-    raise ValueError(f"no criterion {index}")
+    raise DomainError(f"no criterion {index}")
 
 
 def run_profile(profile: str = "full") -> dict:
-    """Run the whole suite; the report carries every measured quantity."""
+    """Run the whole suite; the report carries every measured quantity.
+
+    Raises ``DomainError`` for a profile other than ``"fast"`` or ``"full"``.
+    """
     if profile not in ("fast", "full"):
-        raise ValueError(f"profile must be fast or full, got {profile!r}")
+        raise DomainError(f"profile must be fast or full, got {profile!r}")
     t0 = time.perf_counter()
     criteria = [run_criterion(idx, profile) for idx, *_ in CRITERIA]
     # criterion 5 already transported and solved these points

@@ -7,7 +7,8 @@ its wall-clock budget.
 
 import pytest
 
-from freenormal.verify import CRITERIA, run_criterion
+from freenormal.errors import DomainError
+from freenormal.verify import CRITERIA, run_criterion, run_profile
 
 IDS = [f"{idx:02d}-{name}" for idx, name, _, _ in CRITERIA]
 
@@ -27,3 +28,10 @@ def test_criterion(idx, name, capsys):
         f"criterion {idx} ({name}) took {report['seconds']:.2f}s, "
         f"budget {report['limit_seconds']:g}s"
     )
+
+
+def test_unknown_criterion_or_profile_is_a_domain_error():
+    with pytest.raises(DomainError):
+        run_criterion(13)
+    with pytest.raises(DomainError):
+        run_profile("x")

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freenormal import curve
-from freenormal.config import DEFAULT_CONFIG
 from freenormal.curve import (
     CurvePoint,
     f_of,
@@ -30,7 +29,7 @@ from freenormal.curve import (
     trace_p0,
 )
 from freenormal.errors import DomainError, FreeNormalError
-from freenormal.series import eval_h_asym_infinity
+from freenormal.series import X_HI, X_LO, eval_h_asym_infinity
 from freenormal.transforms import f_tilde, g_tilde
 
 HALF_PI = math.pi / 2.0
@@ -131,7 +130,7 @@ class TestSolveRegimes:
     def test_solver_regimes_meet_at_x_hi(self):
         # complex Newton just below x_hi, the split solver just above: the
         # two points differ by the slope dH/dx = 1/(x (H - x)) times the gap
-        x1, x2 = (DEFAULT_CONFIG.x_hi * (1.0 + s) for s in (-1e-12, 1e-12))
+        x1, x2 = (X_HI * (1.0 + s) for s in (-1e-12, 1e-12))
         below, above = solve_H(x1), solve_H(x2)
         predicted = below.z + (x2 - x1) / (x1 * (below.z - x1))
         assert abs(above.g - predicted.real) <= 1e-12 * above.g
@@ -197,11 +196,7 @@ class TestSolveRegimes:
 
 
 class TestSkeletonSeededBulk:
-    XS = [
-        DEFAULT_CONFIG.x_lo
-        * (DEFAULT_CONFIG.x_hi / DEFAULT_CONFIG.x_lo) ** ((k + 0.5) / 200)
-        for k in range(200)
-    ]
+    XS = [X_LO * (X_HI / X_LO) ** ((k + 0.5) / 200) for k in range(200)]
 
     def test_cold_bulk_solve_makes_few_transform_calls(self, monkeypatch):
         solve_H(1.0)  # builds the cached skeleton outside the count
@@ -353,11 +348,11 @@ class TestGraphFunction:
         y2 = y1 + d
         assert y2 - d == y1 and d > 1e-15 * abs(y1)
 
-        def hopping(z, config):
+        def hopping(z):
             return complex(3.0, 3.0 * math.tan(d if z.imag == y1 else -d))
 
         monkeypatch.setattr(curve, "_f_eval", hopping)
-        assert curve._vertical_root(2.0, y1, DEFAULT_CONFIG) in (y1, y2)
+        assert curve._vertical_root(2.0, y1) in (y1, y2)
 
 
 class TestOmegaMembership:
@@ -376,6 +371,14 @@ class TestOmegaMembership:
     def test_closed_upper_half_plane_is_inside(self):
         assert in_omega(5.0 + 0j)
         assert in_omega(-17.0 + 3j)
+
+    def test_deeper_than_g_tilde_reaches(self):
+        # |Im z| past 1.3e154, where g_tilde raises: f is -pi/(2x) there
+        assert in_omega(complex(1e-300, -1e300))
+        assert in_omega(complex(-1e-160, -1e155))
+        y = -HALF_PI / 1e-160  # the curve, within the boundary band of Xi
+        assert in_omega(complex(1e-160, math.nextafter(y, 0.0)))
+        assert not in_omega(complex(1e-160, math.nextafter(y, -math.inf)))
 
 
 class TestOmegaSweep:

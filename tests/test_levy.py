@@ -134,6 +134,8 @@ class TestVoiculescu:
         # mpmath roots of g_tilde(z) = 1/w at 40 digits, minus w
         (1e-8j, -5.916374273413915),
         (1e-3j, -3.4619495572262053),
+        # here the seed is past the range where -z^2/2 is a binary64 number
+        (1e-300j, -37.14449055687826),
     ])
     def test_small_arguments_on_the_imaginary_axis(self, w, imag):
         # the seed w + 1/w lies so deep below the axis that f_tilde'
@@ -215,5 +217,8 @@ class TestSemicircularComponent:
     def test_edges(self):
         assert semicircular_component_check(0.0) == 0.0
         assert semicircular_component_check(80.0) == 0.0
-        with pytest.raises(DomainError):
-            semicircular_component_check(-1.0)
+        # past T = 1e154, where f_tilde(-iT) is no longer representable
+        assert semicircular_component_check(1e200) == 0.0
+        for T in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                semicircular_component_check(T)

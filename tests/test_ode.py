@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from freenormal.config import DEFAULT_CONFIG
+from freenormal import ode
 from freenormal.curve import solve_H
 from freenormal.errors import DomainError, StepUnderflow
 from freenormal.ode import (
@@ -115,11 +115,11 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(a, 50.0, tol=1e-8)
 
-    def test_oversized_step_floor_underflows_immediately(self):
+    def test_oversized_step_floor_underflows_immediately(self, monkeypatch):
         a = make_anchor(2.0)
-        cfg = DEFAULT_CONFIG.with_updates(ode_min_step_factor=1.0)
+        monkeypatch.setattr(ode, "_MIN_STEP_FACTOR", 1.0)
         with pytest.raises(StepUnderflow):
-            integrate(a, 5.0, tol=1e-8, config=cfg)
+            integrate(a, 5.0, tol=1e-8)
 
     def test_rejects_bad_targets(self):
         a = make_anchor(2.0)

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freenormal.config import DEFAULT_CONFIG
 from freenormal.errors import DomainError
 from freenormal.series import (
     AsymptoticRegime,
@@ -189,10 +188,9 @@ class TestZeroRegimeClosedForms:
 
 class TestRegimes:
     def test_thresholds(self):
-        cfg = DEFAULT_CONFIG
-        assert regime_of(1e-4, cfg) is AsymptoticRegime.NEAR_ZERO
-        assert regime_of(1.0, cfg) is AsymptoticRegime.BULK
-        assert regime_of(50.0, cfg) is AsymptoticRegime.NEAR_INFINITY
+        assert regime_of(1e-4) is AsymptoticRegime.NEAR_ZERO
+        assert regime_of(1.0) is AsymptoticRegime.BULK
+        assert regime_of(50.0) is AsymptoticRegime.NEAR_INFINITY
 
     def test_series_eval_tracks_scaled_height(self):
         # the scaled value must agree with the plain formula where both exist

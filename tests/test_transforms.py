@@ -19,8 +19,13 @@ from hypothesis import strategies as st
 from scipy.special import wofz
 
 from freenormal import transforms
-from freenormal.config import DEFAULT_CONFIG
-from freenormal.errors import DomainError, InvalidContour, PoleProximity, QuadratureFailure
+from freenormal.errors import (
+    DomainError,
+    FreeNormalError,
+    InvalidContour,
+    PoleProximity,
+    QuadratureFailure,
+)
 from freenormal.scaled import ScaledComplex
 from freenormal.transforms import (
     DomainTag,
@@ -215,11 +220,6 @@ class TestFaddeevaKernel:
         for z in (1e301j, complex(1e305, 0.0), complex(-2e302, 1.0)):
             with pytest.raises(PoleProximity):
                 fn(z)
-        # a floor above the plain range is honored on the plain path too
-        cfg = DEFAULT_CONFIG.with_updates(pole_log_floor=-5.0)
-        with pytest.raises(PoleProximity):
-            fn(400j, cfg)
-        fn(100j, cfg)
 
     def test_values_below_the_plain_range_stay_finite(self):
         for z in (1e200j, complex(1e200, -1e-210), complex(3e160, 1.0)):
@@ -338,6 +338,45 @@ class TestNonFiniteArguments:
     def test_rho_raises_a_domain_error(self, x):
         with pytest.raises(DomainError):
             rho(x)
+
+
+#: both parts of the binary64 sweep: every decade where a part of the
+#: evaluation (x*x, the kernel's (L - i zeta)^2, exp(-z^2/2)) overflows
+_SWEEP = sorted({s * v for s in (1.0, -1.0) for v in (
+    0.0, 1e-310, 1e-300, 1e-200, 1e-100, 1e-10, 1.0, 10.0, 1e10, 1e100,
+    1e150, 1e154, 1e155, 1e200, 1e300, 1.7e308)})
+
+
+def _finite_or_refused(call) -> bool:
+    try:
+        v = call()
+    except FreeNormalError:
+        return True
+    return (type(v) is ScaledComplex and math.isfinite(v.log_scale)
+            and cmath.isfinite(v.mantissa))
+
+
+class TestWholeBinary64Plane:
+    @pytest.mark.parametrize("fn", [g_tilde, g_tilde_prime, f_tilde, f_tilde_prime])
+    def test_transforms_return_finite_values_or_refuse(self, fn):
+        assert len(_SWEEP) == 31
+        bad = [complex(a, b) for a in _SWEEP for b in _SWEEP
+               if not _finite_or_refused(lambda: fn(complex(a, b)))]
+        assert bad == []
+
+    def test_rho_returns_finite_values_or_refuses(self):
+        assert [x for x in _SWEEP if not _finite_or_refused(lambda: rho(x))] == []
+
+    @pytest.mark.parametrize("z", [-2e154j, complex(1e155, -1e155), -1e155j])
+    def test_overflowing_exponent_is_a_domain_error(self, z):
+        with pytest.raises(DomainError):
+            g_tilde(z)
+        with pytest.raises(DomainError):
+            rho(z.imag)
+
+    def test_overflowing_kernel_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            g_tilde(complex(1.7e308, 1.7e308))
 
 
 class TestContourOracle:
