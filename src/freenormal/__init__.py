@@ -11,7 +11,6 @@ and an independent ODE transport that cross-validates the Newton solver.
 
 from .curve import (
     CurvePoint,
-    CurveTrace,
     LevelSetTrace,
     f_of,
     in_omega,
@@ -37,8 +36,6 @@ from .levy import (
     voiculescu,
 )
 from .ode import (
-    AnchorPoint,
-    OdeState,
     integrate,
     make_anchor,
     monotonicity_certificate,
@@ -73,10 +70,8 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorPoint",
     "AsymptoticRegime",
     "CurvePoint",
-    "CurveTrace",
     "DomainError",
     "DomainTag",
     "FreeNormalError",
@@ -84,7 +79,6 @@ __all__ = [
     "LevelSetTrace",
     "NoConvergence",
     "NoSignChange",
-    "OdeState",
     "PoleProximity",
     "QuadratureFailure",
     "RationalSeries",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -138,8 +137,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_curve(cfg: RunConfig) -> int:
-    trace = trace_p0(cfg.xmin, cfg.xmax, cfg.n)
-    pts = trace.points
+    pts = trace_p0(cfg.xmin, cfg.xmax, cfg.n)
     if cfg.fmt == "csv":
         text = csv_text(
             ["x", "g", "h", "residual"],
@@ -151,8 +149,7 @@ def cmd_curve(cfg: RunConfig) -> int:
                 "points": [
                     {"x": p.x, "g": p.g, "h": p.h, "residual": p.residual}
                     for p in pts
-                ],
-                "solver_stats": trace.solver_stats,
+                ]
             }
         )
     else:
@@ -390,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
-    p.add_argument("--profile", default=None, choices=["fast", "full"])
+    p.add_argument("--profile", default="full", choices=["fast", "full"])
     p.add_argument("--out", default=None)
     return parser
 
@@ -433,12 +430,7 @@ def _config_from_args(args: argparse.Namespace, argv) -> RunConfig:
     if args.subcommand == "asymptotics":
         kw["regime"] = args.regime
     if args.subcommand == "verify":
-        profile = args.profile or os.environ.get("FREENORMAL_PROFILE", "full")
-        if profile not in ("fast", "full"):
-            raise DomainError(
-                f"FREENORMAL_PROFILE must be fast or full, got {profile!r}"
-            )
-        kw["profile"] = profile
+        kw["profile"] = args.profile
     return RunConfig(**kw)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .errors import DomainError, FreeNormalError, NoConvergence, SeedNotFound
@@ -39,6 +39,7 @@ from .series import (
     X_HI,
     X_LO,
     AsymptoticRegime,
+    eval_f_asym_zero,
     eval_g_asym_infinity,
     eval_g_asym_zero,
     eval_h_asym_infinity,
@@ -57,7 +58,6 @@ from .transforms import (
 
 __all__ = [
     "CurvePoint",
-    "CurveTrace",
     "LevelSetTrace",
     "solve_H",
     "trace_p0",
@@ -108,14 +108,6 @@ class CurvePoint:
 
 
 @dataclass(frozen=True)
-class CurveTrace:
-    """Ordered solved points with strictly increasing x, plus solver counters."""
-
-    points: tuple[CurvePoint, ...]
-    solver_stats: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class LevelSetTrace:
     """The part of the level arc ``Im f_tilde = t`` in one half of the box."""
 
@@ -134,7 +126,7 @@ def _confined(z: complex) -> bool:
 
 def _newton_confined(
     z: complex, w: complex, log: bool = False
-) -> tuple[complex, complex, int]:
+) -> tuple[complex, complex]:
     """Damped Newton for ``f_tilde(z) = w`` kept inside ``Xi``.
 
     The derivative is ``f_tilde' = F (z - F)`` exactly, courtesy of the
@@ -144,7 +136,7 @@ def _newton_confined(
     polishes down to near machine precision but counts as converged once
     the residual contract (``_NEWTON_TOL * max(1, |w|)``) holds; exceeding
     ``_NEWTON_MAX_ITER`` raises ``NoConvergence`` with the last iterate
-    attached.  Returns the root, ``f_tilde`` there and the iteration count.
+    attached.  Returns the root and ``f_tilde`` there.
 
     With ``log`` the residual is ``log f_tilde(z) - log w``, relative rather
     than absolute: below ``X_LO`` the absolute contract is met by a whole
@@ -175,10 +167,10 @@ def _newton_confined(
                 rc, Fc = residual(z + dz)
                 if abs(rc) <= abs(r):
                     z, F = z + dz, Fc
-            return z, F, iters
+            return z, F
         if iters >= _NEWTON_MAX_ITER:
             if abs(r) <= contract:
-                return z, F, iters
+                return z, F
             raise NoConvergence(
                 f"no convergence for w = {w} after {iters} iterations",
                 last_iterate=z,
@@ -197,7 +189,7 @@ def _newton_confined(
                 break
         if not accepted or abs(dz) <= 1e-15 * (abs(z) + 1.0):
             if abs(r) <= contract:
-                return z, F, iters
+                return z, F
             raise NoConvergence(
                 f"Newton stalled at w = {w} with residual {abs(r):.3g}",
                 last_iterate=z,
@@ -289,7 +281,7 @@ def _bulk_skeleton() -> tuple[tuple[float, complex, complex], ...]:
     seed = _seed_zero(X_LO)
     for k in range(_SKELETON_NODES):
         x = X_HI if k == _SKELETON_NODES - 1 else math.exp(t_lo + k * dt)
-        z, _, _ = _newton_confined(seed, x)
+        z, _ = _newton_confined(seed, x)
         slope = 1.0 / (z - x)
         nodes.append((math.log(x), z, slope))
         seed = z + dt * slope
@@ -354,65 +346,43 @@ def solve_H(x: float) -> CurvePoint:
             )
         return CurvePoint(x=x, g=g, h=h, residual=residual)
     if regime is AsymptoticRegime.NEAR_ZERO:
-        z, F, _ = _newton_confined(_seed_zero(x), x, log=True)
+        z, F = _newton_confined(_seed_zero(x), x, log=True)
     else:
-        z, F, _ = _newton_confined(_skeleton_seed(x), x)
+        z, F = _newton_confined(_skeleton_seed(x), x)
     return CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
 
 
-def trace_p0(x_min: float, x_max: float, n: int) -> CurveTrace:
-    """Solve the curve on a log-uniform grid of ``n`` points.
+def trace_p0(x_min: float, x_max: float, n: int) -> tuple[CurvePoint, ...]:
+    """``solve_H`` on a log-uniform grid of ``n`` points from ``x_min`` to ``x_max``.
 
-    Continuation runs outward from the best-conditioned grid point (nearest
-    ``x = 2``): descending to ``x_min`` first, then ascending to ``x_max``,
-    reusing each solution as the next seed.  Monotonicity of ``g`` (up) and
-    ``h`` (down) is verified before returning.
+    Each point is a cold solve of its abscissa, so it equals ``solve_H``
+    there bit for bit; a failed solve is re-raised naming its ``x``.
+    Monotonicity of ``g`` (up) and ``h`` (down) is verified before
+    returning.  ``DomainError`` for a non-finite or unordered range, a
+    ratio ``x_max / x_min`` that overflows, or ``n`` not an integer >= 2.
     """
-    if not (0 < x_min < x_max):
-        raise DomainError(f"need 0 < x_min < x_max, got {x_min}, {x_max}")
-    if n < 2:
-        raise DomainError(f"need n >= 2 grid points, got {n}")
-    grid = [
-        x_min * (x_max / x_min) ** (k / (n - 1)) for k in range(n)
-    ]
+    if not (0 < x_min < x_max and math.isfinite(x_max)):
+        raise DomainError(f"need finite 0 < x_min < x_max, got {x_min}, {x_max}")
+    if not (isinstance(n, int) and n >= 2):
+        raise DomainError(f"need an integer n >= 2 grid points, got {n!r}")
+    ratio = x_max / x_min
+    if math.isinf(ratio):
+        raise DomainError(f"x_max / x_min overflows binary64 for {x_min}, {x_max}")
+    grid = [x_min * ratio ** (k / (n - 1)) for k in range(n)]
     grid[-1] = x_max
-    anchor_idx = min(range(n), key=lambda k: abs(math.log(grid[k] / 2.0)))
-    points: dict[int, CurvePoint] = {}
-    stats = {"newton_iterations": 0, "max_iterations_per_point": 0, "points": n}
-
-    def solve_at(idx: int, seed: complex | None) -> CurvePoint:
-        x = grid[idx]
+    points = []
+    for x in grid:
         try:
-            if seed is None or regime_of(x) is not AsymptoticRegime.BULK:
-                pt = solve_H(x)
-            else:
-                z, F, it = _newton_confined(seed, x)
-                pt = CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
-                stats["newton_iterations"] += it
-                stats["max_iterations_per_point"] = max(
-                    stats["max_iterations_per_point"], it
-                )
+            points.append(solve_H(x))
         except FreeNormalError as exc:
             raise type(exc)(f"trace failed at x = {x}: {exc}") from exc
-        points[idx] = pt
-        return pt
-
-    pt = solve_at(anchor_idx, None)
-    seed = pt.z
-    for idx in range(anchor_idx - 1, -1, -1):
-        seed = solve_at(idx, seed).z
-    seed = points[anchor_idx].z
-    for idx in range(anchor_idx + 1, n):
-        seed = solve_at(idx, seed).z
-
-    ordered = tuple(points[k] for k in range(n))
-    for a, b in zip(ordered, ordered[1:]):
+    for a, b in zip(points, points[1:]):
         if not (b.g > a.g and b.h < a.h):
             raise FreeNormalError(
                 f"monotonicity violated between x = {a.x} and x = {b.x}: "
                 f"g {a.g} -> {b.g}, h {a.h} -> {b.h}"
             )
-    return CurveTrace(points=ordered, solver_stats=stats)
+    return tuple(points)
 
 
 # --------------------------------------------------------------------------
@@ -445,10 +415,7 @@ def f_of(x: float) -> float:
     if a == 0.0:
         raise DomainError("f is defined on nonzero x only")
     if a < _F_CLOSED_FORM_BELOW:
-        f = -_HALF_PI / a
-        if math.isinf(f):
-            raise DomainError(f"f({x}) = -pi/(2x) overflows binary64")
-        return f
+        return eval_f_asym_zero(a)
     y = _vertical_root(a, -_HALF_PI / a if a < 2.0 else 0.0)
     _require_normal(-y, f"f({x})", ": the boundary height is exp(-x^2/2)-small")
     return y
@@ -532,7 +499,7 @@ def trace_level_set(
         # (high levels) and of rho(y) ~ sqrt(2 pi) exp(y^2/2) (low levels)
         y = max(t - 1.0 / t, -math.sqrt(2.0 * math.log1p(1.0 / (t * _SQRT_TWO_PI))))
         s = 0.0
-        z, F, _ = _newton_confined(complex(0.0, y), complex(0.0, t), log=True)
+        z, F = _newton_confined(complex(0.0, y), complex(0.0, t), log=True)
         z = complex(0.0, z.imag)
     else:
         # start on p0+ below the box: the parameter whose zero-regime height
@@ -550,7 +517,7 @@ def trace_level_set(
         d = F * (z - F)
         ds = step * abs(d)
         s += ds
-        z, F, _ = _newton_confined(z + ds / d, complex(s, t), log=True)
+        z, F = _newton_confined(z + ds / d, complex(s, t), log=True)
 
     right = tuple(z for z in arc if x0 <= z.real <= x1)
     # 0.0 - re keeps the axis point at +0

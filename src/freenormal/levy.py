@@ -86,7 +86,7 @@ def voiculescu(w: complex) -> complex:
     z = None
     for seed in (w + 1.0 / w, w):
         try:
-            z, _, _ = _newton_confined(seed, w, log=True)
+            z, _ = _newton_confined(seed, w, log=True)
             break
         except (NoConvergence, PoleProximity, DomainError):
             continue  # w + 1/w is past the transform's range for tiny |w|

@@ -9,7 +9,9 @@ band, then transport it with an adaptive Runge-Kutta integration of
 
 which is the derivative of the defining identity and involves no Newton
 steps at all.  Agreement of the two routes at distant abscissas is the
-strongest end-to-end check the package has.
+strongest end-to-end check the package has.  Of :mod:`freenormal.curve`
+this module uses only the point type ``CurvePoint``, never the solver it
+checks.
 
 The integrator is hand rolled (Dormand-Prince 5(4) on one complex state)
 rather than delegated: the step acceptance logic must reject any step that
@@ -22,14 +24,12 @@ imaginary part is tracked in relative terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .curve import CurvePoint
 from .errors import DomainError, NoConvergence, NoSignChange, StepUnderflow
 from .transforms import _require_normal, f_tilde, g_tilde
 
 __all__ = [
-    "OdeState",
-    "AnchorPoint",
     "make_anchor",
     "integrate",
     "monotonicity_certificate",
@@ -43,39 +43,6 @@ _ATOL = 1e-13
 _MIN_STEP_FACTOR = 1e-14
 #: transport in ``log x`` when the target is below this fraction of the anchor
 _LOGX_RATIO = 0.25
-
-
-@dataclass(frozen=True)
-class OdeState:
-    """One point ``(x, g, h)`` of the curve as carried by the integrator."""
-
-    x: float
-    g: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if not (self.x > 0.0 and self.g > 0.0 and self.h > 0.0):
-            raise DomainError(
-                f"curve states have positive coordinates, got "
-                f"(x, g, h) = ({self.x}, {self.g}, {self.h})"
-            )
-        if self.g * self.h >= _HALF_PI * (1.0 + 1e-12):
-            raise DomainError(
-                f"state left the continuation domain: g * h = "
-                f"{self.g * self.h} >= pi/2"
-            )
-
-    @property
-    def z(self) -> complex:
-        return complex(self.g, -self.h)
-
-
-@dataclass(frozen=True)
-class AnchorPoint:
-    """A certified starting state of the transport."""
-
-    x0: float
-    state: OdeState
 
 
 def _im_g_on_vertical(c: float, y: float) -> float:
@@ -120,7 +87,7 @@ def _inner_root(c: float) -> float:
     return 0.5 * (y_lo + y_hi)
 
 
-def make_anchor(x0: float) -> AnchorPoint:
+def make_anchor(x0: float) -> CurvePoint:
     """Bisect a curve point at ``x0`` in the well-conditioned band.
 
     Works entirely from the transform evaluator: an inner bisection finds
@@ -164,7 +131,7 @@ def make_anchor(x0: float) -> AnchorPoint:
             f"anchor residual {residual:.3g} too large at x0 = {x0}",
             residual=residual,
         )
-    return AnchorPoint(x0=x0, state=OdeState(x=x0, g=c, h=-y))
+    return CurvePoint(x=x0, g=c, h=-y, residual=residual)
 
 
 def _rhs_direct(x: float, H: complex) -> complex:
@@ -203,11 +170,11 @@ def _inside(H: complex) -> bool:
 
 
 def integrate(
-    anchor: AnchorPoint,
+    anchor: CurvePoint,
     x_target: float,
     tol: float = 1e-10,
-) -> OdeState:
-    """Transport the anchor state to ``x_target`` along the curve ODE.
+) -> CurvePoint:
+    """Transport the anchor point to ``x_target`` along the curve ODE.
 
     Dormand-Prince 5(4) with component-wise error control at relative
     tolerance ``tol``; switches the independent variable to ``log x`` when
@@ -216,6 +183,7 @@ def integrate(
     size; ``StepUnderflow`` is raised when halving bottoms out.  Where the
     transported height is no longer a normal binary64 number (from about
     ``x = 37.8``) ``DomainError`` is raised, as ``solve_H`` does at its wall.
+    The point returned carries the residual ``|f_tilde(H) - x_target|``.
     """
     x_target = float(x_target)
     if not (x_target > 0.0 and math.isfinite(x_target)):
@@ -223,17 +191,17 @@ def integrate(
     if not tol > 0.0:
         raise DomainError(f"need tol > 0, got {tol}")
 
-    log_mode = x_target < anchor.x0 * _LOGX_RATIO
+    log_mode = x_target < anchor.x * _LOGX_RATIO
     if log_mode:
         rhs = _rhs_logx
-        t, t_end = math.log(anchor.x0), math.log(x_target)
+        t, t_end = math.log(anchor.x), math.log(x_target)
     else:
         rhs = _rhs_direct
-        t, t_end = anchor.x0, x_target
+        t, t_end = anchor.x, x_target
 
-    H = anchor.state.z
+    H = anchor.z
     if t == t_end:
-        return anchor.state
+        return anchor
 
     # absolute slack for the real component only, tied to tol so tightening
     # the tolerance tightens both channels
@@ -295,20 +263,21 @@ def integrate(
             dt *= 0.5
         else:
             dt *= min(1.0, max(0.2, (0.1 / e_norm) ** 0.2))
-    return OdeState(x=x_target, g=H.real, h=-H.imag)
+    residual = abs(complex(f_tilde(H)) - x_target)
+    return CurvePoint(x=x_target, g=H.real, h=-H.imag, residual=residual)
 
 
-def monotonicity_certificate(states) -> dict:
-    """Check the sign structure of the curve ODE on a sequence of states.
+def monotonicity_certificate(points) -> dict:
+    """Check the sign structure of the curve ODE on a sequence of curve points.
 
     The right hand sides ``g' = (g - x) / (x ((g - x)^2 + h^2))`` and
     ``h' = -h / (x ((g - x)^2 + h^2))`` keep ``g`` increasing and ``h``
     decreasing exactly when ``g > x`` and everything is finite.  Returns a
     report dict whose ``violations`` list must be empty.
     """
-    states = list(states)
+    points = list(points)
     violations = []
-    for s in states:
+    for s in points:
         d = s.x * ((s.g - s.x) ** 2 + s.h * s.h)
         reasons = []
         if not s.g > s.x:
@@ -317,4 +286,4 @@ def monotonicity_certificate(states) -> dict:
             reasons.append("non-finite derivative")
         if reasons:
             violations.append({"x": s.x, "reasons": reasons})
-    return {"checked": len(states), "violations": violations}
+    return {"checked": len(points), "violations": violations}

@@ -318,6 +318,8 @@ def eval_h_asym_infinity(x: float, N: int) -> ScaledComplex:
 
     ``N = 1`` is the bare prefactor; each increment appends one ``a`` term.
     Returned scaled because the prefactor passes below 1e-300 near x = 37.
+    ``DomainError`` where ``sqrt(pi/2) x^2`` overflows (``|x|`` past about
+    1.2e154).
     """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
@@ -330,8 +332,10 @@ def eval_h_asym_infinity(x: float, N: int) -> ScaledComplex:
         for k in reversed(range(N - 1)):
             acc = acc * u + float(a[k])
         acc = 1.0 + acc * u
-    pre = ScaledComplex.exp_of(complex(-0.5 * x * x - 1.0, 0.0))
-    return pre * (_SQRT_HALF_PI * x * x * acc)
+    scale = _SQRT_HALF_PI * x * x * acc
+    if math.isinf(scale):
+        raise DomainError(f"the prefactor sqrt(pi/2) x^2 overflows binary64 at x = {x}")
+    return ScaledComplex.exp_of(complex(-0.5 * x * x - 1.0, 0.0)) * scale
 
 
 def _check_zero_range(x: float) -> float:
@@ -365,6 +369,11 @@ def eval_h_asym_zero(x: float) -> float:
 
 
 def eval_f_asym_zero(x: float) -> float:
-    """Leading boundary-function asymptotic ``-pi/(2x)`` near 0."""
-    x = _check_zero_range(x)
-    return -_HALF_PI / x
+    """Leading boundary-function asymptotic ``-pi/(2x)`` near 0.
+
+    ``DomainError`` below about 8.7e-309, where ``-pi/(2x)`` overflows.
+    """
+    f = -_HALF_PI / _check_zero_range(x)
+    if math.isinf(f):
+        raise DomainError(f"f({x}) = -pi/(2x) overflows binary64")
+    return f

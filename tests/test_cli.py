@@ -151,7 +151,7 @@ class TestCurveExport:
         assert main(argv + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_json_carries_points_and_solver_stats(self, tmp_path):
+    def test_json_carries_points(self, tmp_path):
         out = tmp_path / "curve.json"
         rc = main(["curve", "--xmin", "0.5", "--xmax", "3", "--n", "5",
                    "--format", "json", "--out", str(out)])
@@ -159,7 +159,6 @@ class TestCurveExport:
         doc = json.loads(out.read_text())
         assert len(doc["points"]) == 5
         assert all(p["residual"] <= 1e-10 for p in doc["points"])
-        assert doc["solver_stats"]["points"] == 5
 
     def test_svg_is_self_contained(self, tmp_path):
         out = tmp_path / "curve.svg"
@@ -285,17 +284,6 @@ class TestVerifyCommand:
             s, q = integrate(anchor, x, tol=1e-10), solve_H(x)
             assert (row["ode_g"], row["ode_h"]) == (s.g, s.h)
             assert (row["newton_g"], row["newton_h"]) == (q.g, q.h)
-
-    def test_profile_env_fallback(self, tmp_path, monkeypatch):
-        out = tmp_path / "report.json"
-        monkeypatch.setenv("FREENORMAL_PROFILE", "fast")
-        assert main(["verify", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["profile"] == "fast"
-
-    def test_invalid_profile_env_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("FREENORMAL_PROFILE", "sloppy")
-        assert main(["verify"]) == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestStdout:

@@ -247,23 +247,54 @@ class TestSkeletonSeededBulk:
 
 class TestTrace:
     def test_monotone_and_complete(self):
-        trace = trace_p0(0.02, 8.0, 60)
-        assert len(trace.points) == 60
-        gs = [p.g for p in trace.points]
-        hs = [p.h for p in trace.points]
+        points = trace_p0(0.02, 8.0, 60)
+        assert len(points) == 60
+        gs = [p.g for p in points]
+        hs = [p.h for p in points]
         assert all(b > a for a, b in zip(gs, gs[1:]))
         assert all(b < a for a, b in zip(hs, hs[1:]))
-        assert trace.solver_stats["points"] == 60
 
     def test_degenerate_two_point_trace(self):
-        trace = trace_p0(1.0, 1.0000001, 2)
-        assert len(trace.points) == 2
+        points = trace_p0(1.0, 1.0000001, 2)
+        assert len(points) == 2
+
+    @pytest.mark.parametrize(
+        "a, b, n", [(0.01, 10.0, 400), (1e-3, 37.0, 97), (5.0, 30.0, 7)]
+    )
+    def test_each_point_is_solve_H_of_its_grid_abscissa(self, a, b, n):
+        grid = [a * (b / a) ** (k / (n - 1)) for k in range(n)]
+        grid[-1] = b
+        points = trace_p0(a, b, n)
+        assert len(points) == n
+        for k, p in enumerate(points):
+            assert p == solve_H(grid[k])
 
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
             trace_p0(2.0, 1.0, 10)
         with pytest.raises(DomainError):
             trace_p0(0.5, 1.0, 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, 2.0, 2.5),
+            (1.0, 2.0, "3"),
+            (1.0, math.inf, 3),
+            (1.0, math.nan, 3),
+            (math.nan, 1.0, 3),
+            (1e-320, 1.0, 3),
+            (5e-324, 1.0, 3),
+            (1e-300, 1e10, 3),
+        ],
+    )
+    def test_input_walls_are_domain_errors(self, args):
+        with pytest.raises(DomainError):
+            trace_p0(*args)
+
+    def test_failed_point_names_its_abscissa(self):
+        with pytest.raises(DomainError, match="trace failed at x = 40.0"):
+            trace_p0(30.0, 40.0, 3)
 
 
 class TestGraphFunction:
@@ -504,3 +535,5 @@ class TestCurvePointInvariants:
     def test_rejects_nonpositive_coordinates(self):
         with pytest.raises(FreeNormalError):
             CurvePoint(x=1.0, g=-1.0, h=0.5, residual=0.0)
+        with pytest.raises(DomainError):
+            CurvePoint(x=0.0, g=1.0, h=1.0, residual=0.0)

@@ -5,18 +5,16 @@ import sys
 
 import pytest
 
-from freenormal import ode
-from freenormal.curve import solve_H
+from freenormal import curve, ode, verify
+from freenormal.curve import CurvePoint, solve_H, trace_p0
 from freenormal.errors import DomainError, StepUnderflow
 from freenormal.ode import (
-    AnchorPoint,
-    OdeState,
     integrate,
     make_anchor,
     monotonicity_certificate,
 )
 from freenormal.series import eval_h_asym_infinity
-from freenormal.transforms import g_tilde
+from freenormal.transforms import f_tilde, g_tilde
 
 HALF_PI = math.pi / 2.0
 
@@ -25,24 +23,29 @@ class TestAnchor:
     def test_matches_newton_solution_at_two(self):
         a = make_anchor(2.0)
         pt = solve_H(2.0)
-        assert abs(a.state.g - pt.g) <= 1e-10
-        assert abs(a.state.h - pt.h) <= 1e-10
+        assert abs(a.g - pt.g) <= 1e-10
+        assert abs(a.h - pt.h) <= 1e-10
 
     def test_state_inside_the_domain(self):
         a = make_anchor(3.0)
-        assert a.state.g * a.state.h < HALF_PI
+        assert a.g * a.h < HALF_PI
 
     def test_scan_endpoint_signs(self):
         # below the curve (toward the real axis) the imaginary part is
         # negative, above it (toward the domain boundary) positive
         a = make_anchor(2.0)
-        c = a.state.g
+        c = a.g
         near_axis = complex(g_tilde(complex(c, -1e-6))).imag
         near_boundary = complex(
             g_tilde(complex(c, -(HALF_PI / c) * (1 - 1e-6)))
         ).imag
         assert near_axis < 0.0
         assert near_boundary > 0.0
+
+    def test_residual_is_the_transform_defect(self):
+        a = make_anchor(2.0)
+        assert a.residual == abs(complex(f_tilde(a.z)) - 2.0)
+        assert a.residual <= 1e-12
 
     def test_band_restriction(self):
         with pytest.raises(DomainError):
@@ -54,15 +57,15 @@ class TestAnchor:
         for x0 in (0.5, 1.0, 4.0):
             a = make_anchor(x0)
             pt = solve_H(x0)
-            assert abs(a.state.g - pt.g) <= 1e-10
-            assert abs(a.state.h - pt.h) <= 1e-9 * pt.h
+            assert abs(a.g - pt.g) <= 1e-10
+            assert abs(a.h - pt.h) <= 1e-9 * pt.h
 
 
 class TestIntegrate:
     def test_zero_length_returns_the_anchor(self):
         a = make_anchor(2.0)
         s = integrate(a, 2.0, tol=1e-10)
-        assert s == a.state
+        assert s == a
 
     def test_agreement_with_newton_down_to_small_x(self):
         a = make_anchor(2.0)
@@ -71,6 +74,14 @@ class TestIntegrate:
             q = solve_H(x)
             assert abs(s.g - q.g) <= 1e-6
             assert abs(s.h - q.h) / q.h <= 1e-6
+
+    def test_transported_points_carry_their_residual(self):
+        a = make_anchor(2.0)
+        for x in (0.01, 0.1, 0.5, 1.0, 3.0, 5.0):
+            s = integrate(a, x, tol=1e-10)
+            assert s.x == x
+            assert s.residual == abs(complex(f_tilde(s.z)) - x)
+            assert s.residual <= 1e-10 * max(1.0, x)
 
     def test_height_at_six_matches_the_series(self):
         a = make_anchor(2.0)
@@ -83,9 +94,9 @@ class TestIntegrate:
         for tol in (1e-8, 1e-10):
             for xt in (5.0, 0.01, 0.3):
                 s = integrate(a, xt, tol=tol)
-                back = integrate(AnchorPoint(x0=xt, state=s), 2.0, tol=tol)
-                assert abs(back.g - a.state.g) <= 10 * tol
-                assert abs(back.h - a.state.h) <= 10 * tol
+                back = integrate(s, 2.0, tol=tol)
+                assert abs(back.g - a.g) <= 10 * tol
+                assert abs(back.h - a.h) <= 10 * tol
 
     def test_tolerance_scaling(self):
         a = make_anchor(2.0)
@@ -150,21 +161,34 @@ class TestCertificate:
         assert report["violations"] == []
 
     def test_flags_state_with_wrong_ordering(self):
-        bad = OdeState(x=2.0, g=1.5, h=0.1)  # valid state, but g <= x
+        bad = CurvePoint(x=2.0, g=1.5, h=0.1, residual=0.0)  # valid point, but g <= x
         report = monotonicity_certificate([bad])
         assert len(report["violations"]) == 1
         assert "g <= x" in report["violations"][0]["reasons"]
+
+    def test_newton_trace_has_no_violations(self):
+        report = monotonicity_certificate(trace_p0(1e-3, 12.0, 400))
+        assert report["checked"] == 400
+        assert report["violations"] == []
+
+    def test_criterion_6_counts_certificate_violations(self, monkeypatch):
+        good = trace_p0(1e-3, 12.0, 150)
+        bad = CurvePoint(x=20.0, g=15.0, h=1e-30, residual=0.0)  # g <= x
+        monkeypatch.setattr(verify, "trace_p0", lambda *args: good + (bad,))
+        assert verify.monotonicity("fast")["violations"] == 1
+        monkeypatch.setattr(verify, "trace_p0", lambda *args: good)
+        assert verify.monotonicity("fast")["violations"] == 0
 
     def test_large_x_margin_is_the_leading_cumulant(self):
         s = solve_H(10.0)
         assert math.isclose(s.g - 10.0, 0.1, rel_tol=0.02)
 
 
-class TestStateInvariants:
-    def test_rejects_states_outside_the_domain(self):
-        with pytest.raises(DomainError):
-            OdeState(x=1.0, g=3.0, h=1.0)  # g*h >= pi/2
-        with pytest.raises(DomainError):
-            OdeState(x=1.0, g=-1.0, h=1.0)
-        with pytest.raises(DomainError):
-            OdeState(x=0.0, g=1.0, h=1.0)
+class TestIndependence:
+    def test_shares_only_the_point_type_with_the_newton_solver(self):
+        # the oracle must not share the Newton code it checks
+        borrowed = [
+            name for name, obj in vars(ode).items()
+            if getattr(obj, "__module__", None) == curve.__name__
+        ]
+        assert borrowed == ["CurvePoint"]

@@ -8,6 +8,7 @@ coefficient tables by and exp/compose kernels checked on their defining
 identities.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -179,6 +180,15 @@ class TestZeroRegimeClosedForms:
             model = math.sqrt(2.0 * math.log(1.0 / x))
             assert 0.8 * model <= h <= 1.2 * model
 
+    @pytest.mark.parametrize("x", [1e-300, 1e-309, 5e-324])
+    def test_f_closed_form_is_finite_or_a_domain_error(self, x):
+        try:
+            f = eval_f_asym_zero(x)
+        except DomainError:
+            assert x < 8.7e-309
+        else:
+            assert math.isfinite(f) and f == -math.pi / 2.0 / x
+
     def test_zero_forms_reject_bulk_arguments(self):
         with pytest.raises(DomainError):
             eval_h_asym_zero(0.5)
@@ -214,3 +224,15 @@ class TestRegimes:
             eval_h_asym_infinity(x, 3)
         with pytest.raises(DomainError):
             regime_of(x)
+
+    @pytest.mark.parametrize(
+        "x", [1e150, 1e154, 1.3e154, 1e160, 1e300, 1.7e308, -1e160]
+    )
+    def test_huge_argument_is_finite_or_a_domain_error(self, x):
+        try:
+            v = eval_h_asym_infinity(x, 6)
+        except DomainError:
+            assert math.isinf(math.sqrt(math.pi / 2.0) * x * x)
+        else:
+            assert cmath.isfinite(v.mantissa) and math.isfinite(v.log_scale)
+            assert v.log_abs() < -0.49 * x * x
