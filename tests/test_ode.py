@@ -184,6 +184,18 @@ class TestCertificate:
         assert math.isclose(s.g - 10.0, 0.1, rel_tol=0.02)
 
 
+class TestStateInvariants:
+    """The ODE carries its state as ``CurvePoint``; a state outside Xi is refused."""
+
+    def test_rejects_states_outside_the_domain(self):
+        with pytest.raises(DomainError):
+            CurvePoint(x=1.0, g=3.0, h=1.0, residual=0.0)  # g*h >= pi/2
+        with pytest.raises(DomainError):
+            CurvePoint(x=1.0, g=-1.0, h=1.0, residual=0.0)
+        with pytest.raises(DomainError):
+            CurvePoint(x=0.0, g=1.0, h=1.0, residual=0.0)
+
+
 class TestIndependence:
     def test_shares_only_the_point_type_with_the_newton_solver(self):
         # the oracle must not share the Newton code it checks
