@@ -7,112 +7,52 @@ Cauchy transform and its reciprocal, the boundary curve of the bijectivity
 domain, exact rational cumulant tables, small- and large-argument
 asymptotic expansions, the free Levy measure with its quadrature checks,
 and an independent ODE transport that cross-validates the Newton solver.
-"""
 
-from .curve import (
-    CurvePoint,
-    LevelSetTrace,
-    f_of,
-    in_omega,
-    solve_H,
-    trace_level_set,
-    trace_p0,
-)
-from .errors import (
-    DomainError,
-    FreeNormalError,
-    InvalidContour,
-    NoConvergence,
-    NoSignChange,
-    PoleProximity,
-    QuadratureFailure,
-    SeedNotFound,
-    StepUnderflow,
-)
-from .levy import (
-    levy_density,
-    semicircular_component_check,
-    tau_total_mass,
-    voiculescu,
-)
-from .ode import (
-    integrate,
-    make_anchor,
-    monotonicity_certificate,
-)
-from .scaled import ScaledComplex
-from .series import (
-    AsymptoticRegime,
-    RationalSeries,
-    boolean_cumulants,
-    eval_f_asym_zero,
-    eval_g_asym_infinity,
-    eval_g_asym_zero,
-    eval_h_asym_infinity,
-    eval_h_asym_zero,
-    f_infinity_coefficients,
-    free_cumulants,
-    h_infinity_coefficients,
-    moments,
-    regime_of,
-)
-from .transforms import (
-    DomainTag,
-    classify_domain,
-    f_tilde,
-    f_tilde_prime,
-    g_tilde,
-    g_tilde_contour_oracle,
-    g_tilde_prime,
-    rho,
-)
+``import freenormal`` loads no submodule: each name of ``__all__`` is
+imported from its home module on first access (PEP 562), so a caller pays
+only for the layers it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticRegime",
-    "CurvePoint",
-    "DomainError",
-    "DomainTag",
-    "FreeNormalError",
-    "InvalidContour",
-    "LevelSetTrace",
-    "NoConvergence",
-    "NoSignChange",
-    "PoleProximity",
-    "QuadratureFailure",
-    "RationalSeries",
-    "ScaledComplex",
-    "SeedNotFound",
-    "StepUnderflow",
-    "boolean_cumulants",
-    "classify_domain",
-    "eval_f_asym_zero",
-    "eval_g_asym_infinity",
-    "eval_g_asym_zero",
-    "eval_h_asym_infinity",
-    "eval_h_asym_zero",
-    "f_infinity_coefficients",
-    "f_of",
-    "f_tilde",
-    "f_tilde_prime",
-    "free_cumulants",
-    "g_tilde",
-    "g_tilde_contour_oracle",
-    "g_tilde_prime",
-    "h_infinity_coefficients",
-    "in_omega",
-    "integrate",
-    "levy_density",
-    "make_anchor",
-    "moments",
-    "monotonicity_certificate",
-    "regime_of",
-    "rho",
-    "semicircular_component_check",
-    "solve_H",
-    "tau_total_mass",
-    "trace_level_set",
-    "trace_p0",
-    "voiculescu",
-]
+#: public name -> the submodule that defines it
+_HOME = {
+    name: module
+    for module, names in (
+        ("curve", "CurvePoint LevelSetTrace f_of in_omega solve_H trace_level_set "
+                  "trace_p0"),
+        ("errors", "DomainError FreeNormalError InvalidContour NoConvergence "
+                   "NoSignChange PoleProximity QuadratureFailure SeedNotFound "
+                   "StepUnderflow"),
+        ("levy", "levy_density semicircular_component_check tau_total_mass "
+                 "voiculescu"),
+        ("ode", "integrate make_anchor monotonicity_certificate"),
+        ("scaled", "ScaledComplex"),
+        ("series", "AsymptoticRegime RationalSeries boolean_cumulants "
+                   "eval_f_asym_zero eval_g_asym_infinity eval_g_asym_zero "
+                   "eval_h_asym_infinity eval_h_asym_zero f_infinity_coefficients "
+                   "free_cumulants h_infinity_coefficients moments regime_of"),
+        ("transforms", "DomainTag classify_domain f_tilde f_tilde_prime g_tilde "
+                       "g_tilde_contour_oracle g_tilde_prime rho"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _HOME.values():
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_HOME.values()})

@@ -12,65 +12,20 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
-from .curve import solve_H, trace_level_set, trace_p0
+# ``output`` and ``transforms`` stay at module scope, every other layer is
+# imported by the command that runs it: the benchmark's tracer
+# (bench/tracer.py) wraps the functions of each loaded layer, ``output``
+# included, right after ``import freenormal.cli``, and rebinds the plain
+# functions held in ``_EVAL_FNS`` and ``_DISPATCH``.
 from .errors import DomainError, FreeNormalError
-from .levy import levy_density
 from .output import csv_text, json_text, svg_figure, write_text
 from .scaled import ScaledComplex
-from .series import (
-    boolean_cumulants,
-    eval_g_asym_infinity,
-    eval_g_asym_zero,
-    eval_h_asym_infinity,
-    eval_h_asym_zero,
-    free_cumulants,
-    moments,
-)
 from .transforms import f_tilde, f_tilde_prime, g_tilde, g_tilde_prime, rho
-from .verify import run_profile
 
-__all__ = ["RunConfig", "main", "parse_complex", "format_value"]
+__all__ = ["main", "parse_complex", "format_value"]
 
 _LN10 = math.log(10.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    subcommand: str
-    fmt: str = "csv"
-    out: str | None = None
-    fn: str | None = None
-    z: complex | None = None
-    xmin: float = 0.0
-    xmax: float = 0.0
-    n: int = 2
-    t_list: tuple[float, ...] = ()
-    bbox: tuple[float, float, float, float] = (-3.2, 3.2, -2.2, 2.2)
-    step: float = 0.08
-    order: int = 8
-    regime: str = "zero"
-    profile: str = "full"
-    command_line: str = ""
-
-    def __post_init__(self) -> None:
-        if self.subcommand in ("curve", "density"):
-            if not (0.0 < self.xmin < self.xmax):
-                raise DomainError(
-                    f"bounds must be positive and ordered, got "
-                    f"[{self.xmin}, {self.xmax}]"
-                )
-            if self.n < 2:
-                raise DomainError(f"need at least 2 points, got {self.n}")
-        if any(t < 0.0 for t in self.t_list):
-            raise DomainError(f"level values must be >= 0, got {self.t_list}")
-        if self.subcommand == "levelsets" and not self.step > 0.0:
-            raise DomainError(f"need a positive step, got {self.step}")
-        if self.subcommand == "cumulants" and self.order < 2:
-            raise DomainError(f"need order >= 2, got {self.order}")
 
 
 def parse_complex(text: str) -> complex:
@@ -123,27 +78,28 @@ _EVAL_FNS = {
 }
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    if cfg.fn == "rho":
-        if cfg.z.imag != 0.0:
-            raise DomainError(
-                f"the density is evaluated on the real line, got {cfg.z}"
-            )
-        value = rho(cfg.z.real)
+def cmd_eval(args: argparse.Namespace) -> int:
+    z = parse_complex(args.z)
+    if args.fn == "rho":
+        if z.imag != 0.0:
+            raise DomainError(f"the density is evaluated on the real line, got {z}")
+        value = rho(z.real)
     else:
-        value = _EVAL_FNS[cfg.fn](cfg.z)
+        value = _EVAL_FNS[args.fn](z)
     print(format_value(value))
     return 0
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    pts = trace_p0(cfg.xmin, cfg.xmax, cfg.n)
-    if cfg.fmt == "csv":
+def cmd_curve(args: argparse.Namespace) -> int:
+    from .curve import trace_p0
+
+    pts = trace_p0(args.xmin, args.xmax, args.n)
+    if args.format == "csv":
         text = csv_text(
             ["x", "g", "h", "residual"],
             [(p.x, p.g, p.h, p.residual) for p in pts],
         )
-    elif cfg.fmt == "json":
+    elif args.format == "json":
         text = json_text(
             {
                 "points": [
@@ -153,7 +109,7 @@ def cmd_curve(cfg: RunConfig) -> int:
             }
         )
     else:
-        xlog = cfg.xmax / cfg.xmin > 50.0
+        xlog = args.xmax / args.xmin > 50.0
         hs = [p.h for p in pts]
         ylog = min(hs) > 0.0 and max(hs) / min(hs) > 1e4
         boundary = []
@@ -178,20 +134,29 @@ def cmd_curve(cfg: RunConfig) -> int:
                 "xlabel": "Re", "ylabel": "Im",
             },
         ]
-        text = svg_figure(cfg.command_line, panels)
-    write_text(cfg.out, text)
+        text = svg_figure(args.command_line, panels)
+    write_text(args.out, text)
     return 0
 
 
-def cmd_density(cfg: RunConfig) -> int:
+def cmd_density(args: argparse.Namespace) -> int:
+    from .levy import levy_density
+
+    # levy_density is even and accepts x < 0, so the grid keeps its own wall
+    if not (0.0 < args.xmin < args.xmax):
+        raise DomainError(
+            f"bounds must be positive and ordered, got [{args.xmin}, {args.xmax}]"
+        )
+    if args.n < 2:
+        raise DomainError(f"need at least 2 points, got {args.n}")
     grid = [
-        cfg.xmin + (cfg.xmax - cfg.xmin) * i / (cfg.n - 1)
-        for i in range(cfg.n)
+        args.xmin + (args.xmax - args.xmin) * i / (args.n - 1)
+        for i in range(args.n)
     ]
     rows = [(x, levy_density(x)) for x in grid]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         text = csv_text(["x", "density"], rows)
-    elif cfg.fmt == "json":
+    elif args.format == "json":
         text = json_text(
             {"points": [{"x": x, "density": d} for x, d in rows]}
         )
@@ -206,23 +171,30 @@ def cmd_density(cfg: RunConfig) -> int:
                 "ylog": ylog,
             }
         ]
-        text = svg_figure(cfg.command_line, panels)
-    write_text(cfg.out, text)
+        text = svg_figure(args.command_line, panels)
+    write_text(args.out, text)
     return 0
 
 
-def cmd_levelsets(cfg: RunConfig) -> int:
-    results = []
-    for t in cfg.t_list:
-        results.append((t, trace_level_set(t, cfg.bbox, cfg.step)))
-    if cfg.fmt == "csv":
+def cmd_levelsets(args: argparse.Namespace) -> int:
+    from .curve import trace_level_set
+
+    try:
+        levels = [float(s) for s in args.t.split(",")]
+        bbox = tuple(float(s) for s in args.bbox.split(","))
+    except ValueError as exc:
+        raise DomainError(f"bad numeric list: {exc}") from exc
+    if len(bbox) != 4:
+        raise DomainError(f"bbox needs 4 entries, got {args.bbox!r}")
+    results = [(t, trace_level_set(t, bbox, args.step)) for t in levels]
+    if args.format == "csv":
         rows = []
         for t, traces in results:
             for tr in traces:
                 for i, z in enumerate(tr.points):
                     rows.append((t, tr.branch, i, z.real, z.imag))
         text = csv_text(["t", "branch", "index", "re", "im"], rows)
-    elif cfg.fmt == "json":
+    elif args.format == "json":
         text = json_text(
             {
                 "levels": [
@@ -255,19 +227,21 @@ def cmd_levelsets(cfg: RunConfig) -> int:
                 "xlabel": "Re", "ylabel": "Im",
             }
         ]
-        text = svg_figure(cfg.command_line, panels)
-    write_text(cfg.out, text)
+        text = svg_figure(args.command_line, panels)
+    write_text(args.out, text)
     return 0
 
 
-def cmd_cumulants(cfg: RunConfig) -> int:
-    n = cfg.order // 2
+def cmd_cumulants(args: argparse.Namespace) -> int:
+    from .series import boolean_cumulants, free_cumulants, moments
+
+    n = args.order // 2
     tables = {
         "free": free_cumulants(n),
         "boolean": boolean_cumulants(n),
         "moments": moments(n),
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = json_text(
             {name: [str(c) for c in t.coefficients] for name, t in tables.items()}
         )
@@ -279,13 +253,21 @@ def cmd_cumulants(cfg: RunConfig) -> int:
             for k, c in enumerate(t.coefficients):
                 rows.append((name, 2 * (k + start), str(c)))
         text = csv_text(["table", "order", "value"], rows)
-    write_text(cfg.out, text)
+    write_text(args.out, text)
     return 0
 
 
-def cmd_asymptotics(cfg: RunConfig) -> int:
+def cmd_asymptotics(args: argparse.Namespace) -> int:
+    from .curve import solve_H
+    from .series import (
+        eval_g_asym_infinity,
+        eval_g_asym_zero,
+        eval_h_asym_infinity,
+        eval_h_asym_zero,
+    )
+
     rows = []
-    if cfg.regime == "zero":
+    if args.regime == "zero":
         for x in (1e-3, 1e-4, 1e-5, 1e-6):
             pt = solve_H(x)
             g0, h0 = eval_g_asym_zero(x), eval_h_asym_zero(x)
@@ -313,9 +295,9 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
                     "h_rel_err": abs(pt.h - hi) / pt.h,
                 }
             )
-    if cfg.fmt == "json":
-        text = json_text({"regime": cfg.regime, "rows": rows})
-    elif cfg.fmt == "csv":
+    if args.format == "json":
+        text = json_text({"regime": args.regime, "rows": rows})
+    elif args.format == "csv":
         header = list(rows[0].keys())
         text = csv_text(header, [tuple(r[k] for k in header) for r in rows])
     else:
@@ -325,19 +307,21 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
                     ("h rel err", [(r["x"], r["h_rel_err"]) for r in rows]),
                     ("g rel err", [(r["x"], r["g_rel_err"]) for r in rows]),
                 ],
-                "title": f"solver vs {cfg.regime} asymptotics",
+                "title": f"solver vs {args.regime} asymptotics",
                 "xlabel": "x", "ylabel": "relative error",
-                "xlog": cfg.regime == "zero", "ylog": True,
+                "xlog": args.regime == "zero", "ylog": True,
             }
         ]
-        text = svg_figure(cfg.command_line, panels)
-    write_text(cfg.out, text)
+        text = svg_figure(args.command_line, panels)
+    write_text(args.out, text)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = run_profile(cfg.profile)
-    write_text(cfg.out, json_text(report))
+def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_profile
+
+    report = run_profile(args.profile)
+    write_text(args.out, json_text(report))
     return 0 if report["all_passed"] else 1
 
 
@@ -403,44 +387,13 @@ _DISPATCH = {
 }
 
 
-def _config_from_args(args: argparse.Namespace, argv) -> RunConfig:
-    kw = {"subcommand": args.subcommand,
-          "command_line": "freenormal " + " ".join(argv)}
-    if hasattr(args, "format"):
-        kw["fmt"] = args.format
-    if hasattr(args, "out"):
-        kw["out"] = args.out
-    if args.subcommand == "eval":
-        kw["fn"] = args.fn
-        kw["z"] = parse_complex(args.z)
-    if args.subcommand in ("curve", "density"):
-        kw.update(xmin=args.xmin, xmax=args.xmax, n=args.n)
-    if args.subcommand == "levelsets":
-        try:
-            kw["t_list"] = tuple(float(s) for s in args.t.split(","))
-            bbox = tuple(float(s) for s in args.bbox.split(","))
-        except ValueError as exc:
-            raise DomainError(f"bad numeric list: {exc}") from exc
-        if len(bbox) != 4:
-            raise DomainError(f"bbox needs 4 entries, got {args.bbox!r}")
-        kw["bbox"] = bbox
-        kw["step"] = args.step
-    if args.subcommand == "cumulants":
-        kw["order"] = args.order
-    if args.subcommand == "asymptotics":
-        kw["regime"] = args.regime
-    if args.subcommand == "verify":
-        kw["profile"] = args.profile
-    return RunConfig(**kw)
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(argv)
+    args.command_line = "freenormal " + " ".join(argv)
     try:
-        cfg = _config_from_args(args, argv)
-        return _DISPATCH[cfg.subcommand](cfg)
+        return _DISPATCH[args.subcommand](args)
     except FreeNormalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+from .errors import FreeNormalError
+
 __all__ = [
     "csv_cell",
     "csv_text",
@@ -44,12 +46,18 @@ def json_text(obj) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Write to a file, or to stdout when path is None or '-'."""
+    """Write to a file, or to stdout when path is None or '-'.
+
+    ``FreeNormalError`` if the file cannot be opened or written.
+    """
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FreeNormalError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 _COLORS = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910", "#117a8b")

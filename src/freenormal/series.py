@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,24 +50,41 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _HALF_PI = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
 class RationalSeries:
-    """Truncated even Laurent series with exact rational coefficients.
+    """Truncated even Laurent series with exact rational coefficients; read-only.
 
     ``coefficients[n]`` multiplies ``z**(-2*n + offset)``; e.g. the moment
     series of the Cauchy transform has ``offset = -1`` and coefficients
     ``m_0, m_2, ...``.
     """
 
-    coefficients: tuple[Fraction, ...]
-    offset: int
+    __slots__ = ("coefficients", "offset")
 
-    def __post_init__(self) -> None:
-        if len(self.coefficients) < 1:
+    def __init__(self, coefficients, offset: int) -> None:
+        coefficients = tuple(Fraction(c) for c in coefficients)
+        if not coefficients:
             raise ValueError("a RationalSeries holds at least one coefficient")
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "offset", offset)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"RationalSeries is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not RationalSeries:
+            return NotImplemented
+        return (self.coefficients, self.offset) == (other.coefficients, other.offset)
+
+    def __hash__(self) -> int:
+        return hash((self.coefficients, self.offset))
+
+    def __repr__(self) -> str:
+        return f"RationalSeries(coefficients={self.coefficients!r}, offset={self.offset!r})"
+
+    def __reduce__(self):
+        return RationalSeries, (self.coefficients, self.offset)
 
     def __len__(self) -> int:
         return len(self.coefficients)

@@ -12,12 +12,28 @@ from xml.etree import ElementTree
 
 import pytest
 
-from freenormal.cli import RunConfig, format_value, main, parse_complex
+from freenormal.cli import format_value, main, parse_complex
 from freenormal.curve import solve_H
 from freenormal.errors import DomainError
 from freenormal.ode import integrate, make_anchor
 from freenormal.scaled import ScaledComplex
 from freenormal.transforms import f_tilde, g_tilde, rho
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_fresh(argv, timeout=120):
+    """Run ``python <argv>`` in a fresh interpreter with the package on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def _run_script(script):
+    proc = _run_fresh(["-c", textwrap.dedent(script)])
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestParseComplex:
@@ -64,26 +80,6 @@ class TestFormatValue:
         assert format_value(v) == "0 + 1i"
 
 
-class TestRunConfig:
-    def test_rejects_bad_grid_bounds(self):
-        with pytest.raises(DomainError):
-            RunConfig(subcommand="curve", xmin=-1.0, xmax=1.0, n=10)
-        with pytest.raises(DomainError):
-            RunConfig(subcommand="density", xmin=2.0, xmax=1.0, n=10)
-        with pytest.raises(DomainError):
-            RunConfig(subcommand="curve", xmin=0.1, xmax=1.0, n=1)
-
-    def test_rejects_negative_levels_and_steps(self):
-        with pytest.raises(DomainError):
-            RunConfig(subcommand="levelsets", t_list=(0.1, -0.5))
-        with pytest.raises(DomainError):
-            RunConfig(subcommand="levelsets", t_list=(0.1,), step=0.0)
-
-    def test_rejects_tiny_cumulant_order(self):
-        with pytest.raises(DomainError):
-            RunConfig(subcommand="cumulants", order=1)
-
-
 class TestEval:
     def test_spec_point_at_the_origin(self, capsys):
         rc = main(["eval", "--fn", "F", "--z", "0+0i"])
@@ -127,6 +123,45 @@ class TestExitCodes:
         assert main(["levelsets", "--bbox", "1,2,3"]) == 2
         assert main(["levelsets", "--t", "0.1,oops"]) == 2
         capsys.readouterr()
+
+    # each wall lives in the library (trace_p0, trace_level_set, the
+    # cumulant tables), except the density grid's: levy_density is even
+    def test_rejects_bad_grid_bounds(self, capsys):
+        assert main(["curve", "--xmin", "-1", "--xmax", "1", "--n", "10"]) == 2
+        assert main(["density", "--xmin", "2", "--xmax", "1", "--n", "10"]) == 2
+        assert main(["curve", "--xmin", "0.1", "--xmax", "1", "--n", "1"]) == 2
+        assert main(["density", "--xmin", "-1", "--xmax", "1", "--n", "10"]) == 2
+        assert main(["density", "--n", "1"]) == 2
+        assert capsys.readouterr().err.count("error:") == 5
+
+    def test_rejects_negative_levels_and_steps(self, capsys):
+        assert main(["levelsets", "--t", "0.1,-0.5"]) == 2
+        assert main(["levelsets", "--t", "0.1", "--step", "0"]) == 2
+        assert capsys.readouterr().err.count("error:") == 2
+
+    def test_rejects_tiny_cumulant_order(self, capsys):
+        assert main(["cumulants", "--order", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("args", [
+        ["curve", "--n", "3"],
+        ["verify", "--profile", "fast"],
+    ])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, args):
+        target = tmp_path / "missing" / "f.csv"
+        assert main([*args, "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in err
+        assert not target.parent.exists()
+
+    def test_a_step_too_small_to_move_ends_with_exit_2(self):
+        # every step advances the level parameter by about 1e-300; the
+        # per-arc step bound ends the trace instead of letting it run on
+        proc = _run_fresh(["-m", "freenormal.cli", "levelsets", "--t", "0.7",
+                           "--step", "1e-300"], timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: the level Im f_tilde = 0.7 takes more")
 
 
 class TestCurveExport:
@@ -298,7 +333,7 @@ class TestStartup:
     def test_no_command_loads_scipy_or_numpy(self):
         # the package runs on the standard library alone; the quadratures
         # (verify, tau_total_mass, the contour oracle) included
-        script = textwrap.dedent("""
+        _run_script("""
             import os
             import sys
             import freenormal
@@ -319,11 +354,80 @@ class TestStartup:
                             if m.split(".")[0] in ("scipy", "numpy"))
             assert not loaded, loaded
         """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+
+    def test_import_freenormal_loads_no_submodule(self):
+        out = _run_script("""
+            import sys
+            import freenormal
+            print(sorted(m for m in sys.modules if m.startswith("freenormal.")))
+        """)
+        assert out == "[]\n"
+
+    def test_import_cli_loads_only_its_module_scope_layers(self):
+        out = _run_script("""
+            import sys
+            import freenormal.cli
+            print(sorted(m for m in sys.modules if m.startswith("freenormal.")))
+            print("dataclasses" in sys.modules)
+        """)
+        assert out.splitlines() == [
+            "['freenormal.cli', 'freenormal.errors', 'freenormal.output', "
+            "'freenormal.scaled', 'freenormal.transforms']",
+            "False",
+        ]
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--fn", "G", "--z", "1-0.5i"],
+        ["cumulants", "--order", "6"],
+    ])
+    def test_eval_and_cumulants_load_no_curve_code(self, args):
+        out = _run_script(f"""
+            import sys
+            from freenormal.cli import main
+            assert main({args!r}) == 0
+            print(sorted(m for m in ("curve", "levy", "ode", "verify")
+                         if "freenormal." + m in sys.modules))
+        """)
+        assert out.splitlines()[-1] == "[]"
+
+    def test_no_command_loads_dataclasses(self):
+        out = _run_script("""
+            import os
+            import sys
+            from freenormal.cli import main
+            for args in (
+                ["eval", "--fn", "F", "--z", "1.5-0.2i"],
+                ["curve", "--xmin", "0.5", "--xmax", "3", "--n", "5"],
+                ["density", "--xmin", "0.5", "--xmax", "2", "--n", "5"],
+                ["levelsets", "--t", "0,0.7", "--step", "0.2"],
+                ["cumulants", "--order", "4"],
+                ["asymptotics", "--regime", "infinity"],
+                ["verify", "--profile", "fast", "--out", os.devnull],
+            ):
+                assert main(args) == 0, args
+            assert "freenormal.ode" in sys.modules
+            print("dataclasses" in sys.modules)
+        """)
+        assert out.splitlines()[-1] == "False"
+
+    def test_star_import_binds_every_export(self):
+        out = _run_script("""
+            import freenormal
+            names = {}
+            exec("from freenormal import *", names)
+            assert set(freenormal.__all__) <= set(names), freenormal.__all__
+            assert set(freenormal.__all__) <= set(dir(freenormal))
+            assert freenormal.levy_density is freenormal.levy.levy_density
+            print(len(freenormal.__all__))
+        """)
+        assert out == "45\n"
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        out = _run_script("""
+            import freenormal
+            try:
+                freenormal.no_such_name
+            except AttributeError as exc:
+                print(exc)
+        """)
+        assert out == "module 'freenormal' has no attribute 'no_such_name'\n"

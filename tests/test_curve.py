@@ -8,6 +8,7 @@ no code with the Newton machinery under test.
 
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from freenormal.curve import (
     trace_level_set,
     trace_p0,
 )
-from freenormal.errors import DomainError, FreeNormalError
+from freenormal.errors import DomainError, FreeNormalError, NoConvergence
 from freenormal.series import X_HI, X_LO, eval_h_asym_infinity
 from freenormal.transforms import f_tilde, g_tilde
 
@@ -518,6 +519,16 @@ class TestLevelSets:
             for z in tr.points:
                 assert abs(complex(f_tilde(z)).imag - t) <= 1e-12 * t + 1e-15
 
+    def test_an_arc_past_the_step_bound_raises(self, monkeypatch):
+        # the right arc of t = 0.7 at step 0.08 takes 43 steps
+        monkeypatch.setattr(curve, "_LEVEL_MAX_STEPS", 43)
+        assert len(trace_level_set(0.7, self.BBOX, 0.08)[0].points) == 42
+        monkeypatch.setattr(curve, "_LEVEL_MAX_STEPS", 42)
+        with pytest.raises(NoConvergence) as err:
+            trace_level_set(0.7, self.BBOX, 0.08)
+        assert "takes more than 42 steps" in str(err.value)
+        assert err.value.last_iterate is not None
+
     def test_positive_level_starts_on_the_imaginary_axis(self):
         right, _ = trace_level_set(1.0, self.BBOX, 0.08)
         z = right.points[0]
@@ -528,6 +539,20 @@ class TestLevelSets:
 
 
 class TestCurvePointInvariants:
+    def test_is_a_read_only_value(self):
+        p = solve_H(1.0)
+        q = CurvePoint(x=p.x, g=p.g, h=p.h, residual=p.residual)
+        assert q == p and hash(q) == hash(p) and q is not p
+        assert q != CurvePoint(x=p.x, g=p.g, h=p.h, residual=1.0)
+        assert eval(repr(p)) == p
+        assert pickle.loads(pickle.dumps(p)) == p
+        for name in ("x", "g", "h", "residual", "z", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 2.0)
+        with pytest.raises(AttributeError):
+            del p.g
+        assert (p.x, p.g, p.h) == (1.0, q.g, q.h)
+
     def test_rejects_points_outside_the_domain(self):
         with pytest.raises(FreeNormalError):
             CurvePoint(x=1.0, g=3.0, h=2.0, residual=0.0)  # g*h > pi/2

@@ -10,6 +10,7 @@ identities.
 
 import cmath
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,22 @@ class TestExactTables:
     def test_string_pairs_are_exact(self):
         pairs = h_infinity_coefficients(3).as_string_pairs()
         assert pairs == [["-5", "2"], ["-43", "8"], ["-579", "16"]]
+
+    def test_series_is_a_read_only_value(self):
+        s = RationalSeries([1, Fraction(1, 2)], offset=-1)
+        assert s.coefficients == (Fraction(1), Fraction(1, 2))
+        assert s == RationalSeries((Fraction(1), Fraction(1, 2)), -1)
+        assert hash(s) == hash(RationalSeries([1, Fraction(1, 2)], offset=-1))
+        assert s != RationalSeries([1, Fraction(1, 2)], offset=-2)
+        assert eval(repr(s)) == s
+        assert pickle.loads(pickle.dumps(s)) == s
+        assert (len(s), s[1]) == (2, Fraction(1, 2))
+        with pytest.raises(AttributeError):
+            s.offset = 0
+        with pytest.raises(AttributeError):
+            del s.coefficients
+        with pytest.raises(ValueError):
+            RationalSeries((), offset=-1)
 
 
 class TestAsymptoticCoefficients:
