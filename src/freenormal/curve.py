@@ -17,11 +17,10 @@ closed-form small-x asymptotics below ``X_LO``, large-x series above
 cubic Hermite interpolant in ``log x`` of a cached set of curve points, with
 the exact slopes ``dH/dlog x = 1/(H - x)`` of the curve ODE.  Above
 ``X_HI`` the height falls like ``exp(-x^2/2)`` (``h(3.5) ~ 9e-3``,
-``h(6) ~ 2e-7`` against ``g ~ 6``) and the absolute residual of complex
-Newton sees it only through cancellation, so the solve switches to an
-alternating pair of real 1-D Newton iterations on the split form of the
-transform, where the exponential term carrying the tiny imaginary scale is
-explicit.
+``h(6) ~ 2e-7`` against ``g ~ 6``).  The transform carries that scale to
+full relative accuracy (its near-axis split evaluation), and the Newton
+there runs on the relative residual ``log f_tilde(z) - log x``, then takes
+one pass on the absolute residual, which settles the last digits of ``h``.
 """
 
 from __future__ import annotations
@@ -49,10 +48,8 @@ from .series import (
 from .transforms import (
     DomainTag,
     _f_eval,
-    _g_tilde_near_axis_parts,
     _require_normal,
     classify_domain,
-    f_tilde,
     g_tilde,
 )
 
@@ -149,13 +146,14 @@ def _newton_confined(
     """Damped Newton for ``f_tilde(z) = w`` kept inside ``Xi``.
 
     The derivative is ``f_tilde' = F (z - F)`` exactly, courtesy of the
-    quadratic ODE the transform satisfies, so an iterate costs one
-    ``f_tilde`` call.  Steps that would leave the region or grow the
-    residual are halved up to ``_NEWTON_MAX_HALVINGS`` times.  The iteration
-    polishes down to near machine precision but counts as converged once
-    the residual contract (``_NEWTON_TOL * max(1, |w|)``) holds; exceeding
-    ``_NEWTON_MAX_ITER`` raises ``NoConvergence`` with the last iterate
-    attached.  Returns the root and ``f_tilde`` there.
+    quadratic ODE the transform satisfies, so an iterate costs one plain
+    ``_f_eval`` call, in ``complex`` wherever ``|f_tilde|`` stays below
+    1e150 (``ScaledComplex`` only beyond).  Steps that would leave the
+    region or grow the residual are halved up to ``_NEWTON_MAX_HALVINGS``
+    times.  The iteration polishes down to near machine precision but counts
+    as converged once the residual contract (``_NEWTON_TOL * max(1, |w|)``)
+    holds; exceeding ``_NEWTON_MAX_ITER`` raises ``NoConvergence`` with the
+    last iterate attached.  Returns the root and ``f_tilde`` there.
 
     With ``log`` the residual is ``log f_tilde(z) - log w``, relative rather
     than absolute: below ``X_LO`` the absolute contract is met by a whole
@@ -171,11 +169,13 @@ def _newton_confined(
     lw, unit = math.log(abs(w)), (w / abs(w)).conjugate()
 
     def residual(v: complex) -> tuple[complex, complex]:
-        ft = f_tilde(v)
-        F = complex(ft)
-        if log:
-            return complex(ft.log_abs() - lw, cmath.phase(ft.mantissa * unit)), F
-        return F - w, F
+        F = _f_eval(v)
+        if type(F) is complex:
+            r = complex(math.log(abs(F)) - lw, cmath.phase(F * unit)) if log else F - w
+            return r, F
+        Fc = complex(F)  # |F| past 1e150
+        r = complex(F.log_abs() - lw, cmath.phase(F.mantissa * unit)) if log else Fc - w
+        return r, Fc
 
     r, F = residual(z)
     iters = 0
@@ -217,7 +217,7 @@ def _newton_confined(
 
 
 # --------------------------------------------------------------------------
-# the curve on one vertical, and the split solver for large x
+# the curve on one vertical
 # --------------------------------------------------------------------------
 
 def _vertical_root(a: float, y: float) -> float:
@@ -251,30 +251,6 @@ def _vertical_root(a: float, y: float) -> float:
     raise NoConvergence(
         f"no crossing of the curve found on Re z = {a}", last_iterate=complex(a, y)
     )
-
-
-def _solve_split(x: float) -> tuple[float, float, float]:
-    """Solve at ``x >= X_HI`` by alternating 1-D Newton pairs.
-
-    Coordinates ``z = u + i y`` with ``y < 0``.  The inner solve finds the
-    root of ``Im g_tilde(u + i y)`` in ``y`` (equivalent to ``Im f_tilde = 0``
-    since the transform and its reciprocal vanish together in the imaginary
-    part); the outer solve matches ``Re f_tilde = x`` in ``u``.  Both parts
-    come from the near-axis split evaluation, which keeps the ``exp(-x^2/2)``
-    imaginary scale exact instead of buried under the real part's roundoff.
-    """
-    u = eval_g_asym_infinity(x, 3)
-    y = -float(eval_h_asym_infinity(x, 3).to_complex().real)
-    for _ in range(40):
-        y = _vertical_root(u, y)
-        re, im = _g_tilde_near_axis_parts(u, y)
-        # outer: one Newton step of Re g_tilde(u) = 1/x, slope Re(1 - z g)
-        du = (1.0 / x - re) / (1.0 - (u * re - y * im))
-        u += du
-        if abs(du) <= 1e-15 * abs(u):
-            break
-    residual = abs(1.0 / complex(*_g_tilde_near_axis_parts(u, y)) - x)
-    return u, -y, residual
 
 
 # --------------------------------------------------------------------------
@@ -328,11 +304,14 @@ def _skeleton_seed(x: float) -> complex:
 def solve_H(x: float) -> CurvePoint:
     """Solve ``f_tilde(g - i h) = x`` inside ``Xi``.
 
-    Residual contract: ``|f_tilde(z) - x| <= 1e-10 * max(1, x)``.  The
-    regime (``regime_of``) picks the method.  In the bulk the solve is
-    skeleton-seeded Newton with a polish step: the seed is the cubic
-    Hermite interpolant of a cached set of curve points (see
-    ``_bulk_skeleton``), so the result depends on ``x`` alone.  Above
+    Residual contract: ``|f_tilde(z) - x| <= 1e-10 * max(1, x)``.  Below
+    ``X_ASYMPTOTIC`` the one confined Newton solves it; the regime picks the
+    seed.  In the bulk it is the cubic Hermite interpolant of a cached set
+    of curve points (``_bulk_skeleton``), so the result depends on ``x``
+    alone.  At or below ``X_LO`` it is the small-x closed form, and the
+    residual is relative.  On ``[X_HI, X_ASYMPTOTIC]`` it is the order-3
+    large-x series; the relative residual converges, and one pass on the
+    absolute one wins back digits of ``h`` the logarithm rounds away.  Above
     ``X_ASYMPTOTIC`` the large-x series of order ``_LARGE_X_ORDER`` is
     returned directly (residuals there sit below binary64 noise).  The
     curve height falls below the smallest normal binary64 number near
@@ -345,29 +324,24 @@ def solve_H(x: float) -> CurvePoint:
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"the curve is parametrized by finite x > 0, got {x}")
     regime = regime_of(x)
-    if regime is AsymptoticRegime.NEAR_INFINITY:
-        if x > X_ASYMPTOTIC:
-            g = eval_g_asym_infinity(x, _LARGE_X_ORDER)
-            h_sc = eval_h_asym_infinity(x, _LARGE_X_ORDER)
-            h = float(h_sc.to_complex().real) if h_sc.log_abs() > -740 else 0.0
-            _require_normal(
-                h, f"curve height at x = {x}",
-                "; use eval_h_asym_infinity for a scaled value",
-            )
-            residual = abs(1.0 / complex(*_g_tilde_near_axis_parts(g, -h)) - x)
-            return CurvePoint(x=x, g=g, h=h, residual=residual)
-        g, h, residual = _solve_split(x)
-        if residual > _NEWTON_TOL * max(1.0, x):
-            raise NoConvergence(
-                f"split solve stalled at x = {x}",
-                last_iterate=complex(g, -h),
-                residual=residual,
-            )
+    if x > X_ASYMPTOTIC:
+        g = eval_g_asym_infinity(x, _LARGE_X_ORDER)
+        h_sc = eval_h_asym_infinity(x, _LARGE_X_ORDER)
+        h = float(h_sc.to_complex().real) if h_sc.log_abs() > -740 else 0.0
+        _require_normal(
+            h, f"curve height at x = {x}",
+            "; use eval_h_asym_infinity for a scaled value",
+        )
+        residual = abs(_f_eval(complex(g, -h)) - x)
         return CurvePoint(x=x, g=g, h=h, residual=residual)
     if regime is AsymptoticRegime.NEAR_ZERO:
         z, F = _newton_confined(_seed_zero(x), x, log=True)
-    else:
+    elif regime is AsymptoticRegime.BULK:
         z, F = _newton_confined(_skeleton_seed(x), x)
+    else:
+        h = eval_h_asym_infinity(x, 3).to_complex().real
+        z, _ = _newton_confined(complex(eval_g_asym_infinity(x, 3), -h), x, log=True)
+        z, F = _newton_confined(z, x)
     return CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
 
 

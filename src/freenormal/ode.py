@@ -2,8 +2,9 @@
 
 The curve solver in :mod:`freenormal.curve` finds each point by Newton
 iteration on ``f_tilde(H) = x``.  This module reaches the same points by a
-different route: anchor one point by pure bisection in a well-conditioned
-band, then transport it with an adaptive Runge-Kutta integration of
+different route: anchor one point by derivative-free bracketing (bisection
+and regula falsi) in a well-conditioned band, then transport it with an
+adaptive Runge-Kutta integration of
 
     H'(x) = 1 / (x (H(x) - x)),
 
@@ -45,55 +46,76 @@ _MIN_STEP_FACTOR = 1e-14
 _LOGX_RATIO = 0.25
 
 
-def _im_g_on_vertical(c: float, y: float) -> float:
-    return complex(g_tilde(complex(c, y))).imag
+#: first step from the previous inner root, relative to it; the steps double
+#: until ``Im g_tilde`` changes sign
+_NEAR_STEP = 1e-3
 
 
-def _inner_root(c: float) -> float:
+def _inner_root(c: float, near: float | None = None) -> float:
     """Root of ``Im g_tilde(c + iy)`` in ``y`` on ``(-pi/(2c), 0)``.
 
-    Negative at the real axis, positive near the domain boundary; scanned
-    from the boundary end until the sign change is bracketed.
+    Negative at the real axis, positive near the domain boundary.  With
+    ``near``, a root on a nearby vertical, doubling steps from it towards
+    the root bracket the sign change; without, or if they leave the strip,
+    the strip is scanned from the boundary end.  Illinois regula falsi
+    closes the bracket without a derivative.
     """
-    y_hi = -1e-12
-    f_hi = _im_g_on_vertical(c, y_hi)
-    y_lo = -_HALF_PI / c * (1.0 - 1e-9)
-    f_lo = _im_g_on_vertical(c, y_lo)
-    if f_lo * f_hi > 0.0:
-        # walk the lower end up through the strip to find the crossing
-        found = False
-        for k in range(1, 64):
-            y_try = y_lo * (1.0 - k / 64.0)
-            f_try = _im_g_on_vertical(c, y_try)
-            if f_try * f_hi < 0.0:
-                y_lo, f_lo = y_try, f_try
-                found = True
+    def im_g(y: float) -> float:
+        return complex(g_tilde(complex(c, y))).imag
+
+    y_top, y_bot = -1e-12, -_HALF_PI / c * (1.0 - 1e-9)
+    if near is not None:
+        a, fa = near, im_g(near)
+        step = math.copysign(_NEAR_STEP * near, fa)  # down while above the curve
+        while y_bot <= a + step <= y_top:
+            b, fb = a + step, im_g(a + step)
+            if fa * fb <= 0.0:
+                return _illinois(im_g, a, fa, b, fb)
+            a, fa, step = b, fb, 2.0 * step
+    f_top = im_g(y_top)
+    for k in range(64):  # walk the lower end up through the strip
+        y = y_bot * (1.0 - k / 64.0)
+        f = im_g(y)
+        if f * f_top <= 0.0:
+            return _illinois(im_g, y, f, y_top, f_top)
+    raise NoSignChange(f"no sign change of Im g_tilde on the vertical at c = {c}")
+
+
+def _illinois(fn, a: float, fa: float, b: float, fb: float) -> float:
+    """Root of ``fn`` between ``a`` and ``b``, where ``fa`` and ``fb`` differ in sign.
+
+    Regula falsi, with the Illinois rule: an end kept twice in a row has its
+    value halved, so both ends close in.  A point that rounds onto or past
+    an end is replaced by the midpoint, and that one is returned once the
+    ends are adjacent floats.
+    """
+    kept = 0  # the end the last step kept: -1 for a, +1 for b
+    for _ in range(200):
+        m = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < m < max(a, b):
+            m = 0.5 * (a + b)
+            if m == a or m == b:
                 break
-        if not found:
-            raise NoSignChange(
-                f"no sign change of Im g_tilde on the vertical at c = {c}"
-            )
-    for _ in range(80):
-        y_mid = 0.5 * (y_lo + y_hi)
-        if y_mid == y_lo or y_mid == y_hi:
+        fm = fn(m)
+        if fm == 0.0:
             break
-        f_mid = _im_g_on_vertical(c, y_mid)
-        if f_mid == 0.0:
-            return y_mid
-        if f_mid * f_hi < 0.0:
-            y_lo = y_mid
+        if (fm > 0.0) == (fb > 0.0):
+            b, fb, fa = m, fm, 0.5 * fa if kept == -1 else fa
+            kept = -1
         else:
-            y_hi, f_hi = y_mid, f_mid
-    return 0.5 * (y_lo + y_hi)
+            a, fa, fb = m, fm, 0.5 * fb if kept == 1 else fb
+            kept = 1
+    return m
 
 
 def make_anchor(x0: float) -> CurvePoint:
-    """Bisect a curve point at ``x0`` in the well-conditioned band.
+    """Bracket a curve point at ``x0`` in the well-conditioned band.
 
-    Works entirely from the transform evaluator: an inner bisection finds
-    the height of the curve above each candidate abscissa ``c``, an outer
-    bisection moves ``c`` until ``Re f_tilde`` equals ``x0``.  Restricted to
-    ``x0`` in ``[0.5, 4]`` where every quantity is order one.
+    Works entirely from the transform evaluator: an inner bracketed root
+    (``_inner_root``, started from the previous one) finds the height of the
+    curve above each candidate abscissa ``c``, an outer bisection moves
+    ``c`` until ``Re f_tilde`` equals ``x0``.  Restricted to ``x0`` in
+    ``[0.5, 4]`` where every quantity is order one.
     """
     x0 = float(x0)
     if not 0.5 <= x0 <= 4.0:
@@ -101,9 +123,12 @@ def make_anchor(x0: float) -> CurvePoint:
             f"anchors are restricted to the band [0.5, 4], got x0 = {x0}"
         )
 
+    near = None  # the last inner root, where the next bracket starts
+
     def u_of(c: float) -> float:
-        y = _inner_root(c)
-        return complex(f_tilde(complex(c, y))).real - x0
+        nonlocal near
+        near = _inner_root(c, near)
+        return complex(f_tilde(complex(c, near))).real - x0
 
     c_lo, c_hi = 1.0, 5.0
     f_lo, f_hi = u_of(c_lo), u_of(c_hi)
@@ -124,7 +149,7 @@ def make_anchor(x0: float) -> CurvePoint:
         else:
             c_lo, f_lo = c_mid, f_mid
     c = 0.5 * (c_lo + c_hi)
-    y = _inner_root(c)
+    y = _inner_root(c, near)
     residual = abs(complex(f_tilde(complex(c, y))) - x0)
     if residual > 1e-12 * max(1.0, x0):
         raise NoConvergence(

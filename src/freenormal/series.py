@@ -107,8 +107,9 @@ class AsymptoticRegime(enum.Enum):
 
 #: the curve solver's crossovers: at or below ``X_LO`` the zero-regime closed
 #: forms seed it (and it solves the logarithmic residual); at or above
-#: ``X_HI`` the large-x split solver takes over, and beyond ``X_ASYMPTOTIC``
-#: the large-x series is the answer
+#: ``X_HI`` the order-3 large-x series seeds it (the logarithmic residual,
+#: then one absolute pass), and beyond ``X_ASYMPTOTIC`` the large-x series is
+#: the answer
 X_LO = 0.05
 X_HI = 3.5
 X_ASYMPTOTIC = 30.0

@@ -30,7 +30,7 @@ from freenormal.curve import (
     trace_p0,
 )
 from freenormal.errors import DomainError, FreeNormalError, NoConvergence
-from freenormal.series import X_HI, X_LO, eval_h_asym_infinity
+from freenormal.series import X_ASYMPTOTIC, X_HI, X_LO, eval_h_asym_infinity
 from freenormal.transforms import f_tilde, g_tilde
 
 HALF_PI = math.pi / 2.0
@@ -129,8 +129,9 @@ class TestSolveRegimes:
             assert abs(pt.h - h) <= 1e-9 * h
 
     def test_solver_regimes_meet_at_x_hi(self):
-        # complex Newton just below x_hi, the split solver just above: the
-        # two points differ by the slope dH/dx = 1/(x (H - x)) times the gap
+        # Newton from the skeleton just below x_hi, from the large-x series
+        # just above: the two points differ by the slope dH/dx = 1/(x (H - x))
+        # times the gap
         x1, x2 = (X_HI * (1.0 + s) for s in (-1e-12, 1e-12))
         below, above = solve_H(x1), solve_H(x2)
         predicted = below.z + (x2 - x1) / (x1 * (below.z - x1))
@@ -198,28 +199,46 @@ class TestSolveRegimes:
 
 class TestSkeletonSeededBulk:
     XS = [X_LO * (X_HI / X_LO) ** ((k + 0.5) / 200) for k in range(200)]
+    # the large-x Newton's range, [X_HI, X_ASYMPTOTIC]
+    XS_LARGE = [X_HI * (X_ASYMPTOTIC / X_HI) ** (k / 399) for k in range(400)]
+
+    @staticmethod
+    def _worst_evaluations(monkeypatch, xs):
+        """Most ``_f_eval`` calls of one ``solve_H`` over ``xs``."""
+        calls = [0]
+        f_eval = curve._f_eval
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return f_eval(*args, **kwargs)
+
+        monkeypatch.setattr(curve, "_f_eval", counted)
+        worst = 0
+        for x in xs:
+            calls[0] = 0
+            solve_H(x)
+            assert calls[0] >= 1, x
+            worst = max(worst, calls[0])
+        return worst
 
     def test_cold_bulk_solve_makes_few_transform_calls(self, monkeypatch):
         solve_H(1.0)  # builds the cached skeleton outside the count
-        calls = [0]
+        assert self._worst_evaluations(monkeypatch, self.XS) <= 10
 
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls[0] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(curve, "f_tilde", counted(curve.f_tilde))
-        worst = 0
-        for x in self.XS:
-            calls[0] = 0
-            solve_H(x)
-            worst = max(worst, calls[0])
-        assert worst <= 10
+    def test_large_x_solve_makes_few_transform_calls(self, monkeypatch):
+        assert self._worst_evaluations(monkeypatch, self.XS_LARGE) <= 10
 
     def test_upper_bulk_matches_mpmath(self):
         for k in range(16):
             x = 3.0 + 3.0 * k / 16
+            pt = solve_H(x)
+            ref = mpmath_curve_point(x, pt.z)
+            assert abs(pt.g - ref.real) <= 1e-12 * ref.real, x
+            assert abs(pt.h + ref.imag) <= 1e-12 * -ref.imag, x
+
+    def test_large_x_newton_matches_mpmath(self):
+        xs = [X_HI * (X_ASYMPTOTIC / X_HI) ** (k / 39) for k in range(40)]
+        for x in [X_HI * (1.0 + 1e-12)] + xs:
             pt = solve_H(x)
             ref = mpmath_curve_point(x, pt.z)
             assert abs(pt.g - ref.real) <= 1e-12 * ref.real, x

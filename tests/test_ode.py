@@ -60,6 +60,31 @@ class TestAnchor:
             assert abs(a.g - pt.g) <= 1e-10
             assert abs(a.h - pt.h) <= 1e-9 * pt.h
 
+    def test_few_transform_calls(self, monkeypatch):
+        calls = [0]
+        g = ode.g_tilde
+
+        def counted(z):
+            calls[0] += 1
+            return g(z)
+
+        monkeypatch.setattr(ode, "g_tilde", counted)
+        make_anchor(2.0)
+        assert 0 < calls[0] <= 1000
+
+    @pytest.mark.parametrize("x0", [0.5, 1.0, 2.0, 3.0, 4.0])
+    def test_anchor_residual(self, x0):
+        assert make_anchor(x0).residual <= 1e-12
+
+    @pytest.mark.parametrize("c", [1.3, 2.6, 4.3])
+    def test_inner_root_is_the_same_from_any_start(self, c):
+        # starts next to the root, far off it, and at either end of the strip
+        # (these two fall back to the scan) close on the same crossing
+        root = ode._inner_root(c)
+        assert complex(f_tilde(complex(c, root))).imag == pytest.approx(0.0, abs=1e-12)
+        for near in (root * (1.0 + 1e-9), root * 0.5, -1e-12, -HALF_PI / c):
+            assert ode._inner_root(c, near) == pytest.approx(root, rel=1e-14)
+
 
 class TestIntegrate:
     def test_zero_length_returns_the_anchor(self):
