@@ -141,7 +141,7 @@ def _confined(z: complex) -> bool:
 
 
 def _newton_confined(
-    z: complex, w: complex, log: bool = False
+    z: complex, w: complex, log: bool = False, F: complex | None = None
 ) -> tuple[complex, complex]:
     """Damped Newton for ``f_tilde(z) = w`` kept inside ``Xi``.
 
@@ -153,7 +153,8 @@ def _newton_confined(
     times.  The iteration polishes down to near machine precision but counts
     as converged once the residual contract (``_NEWTON_TOL * max(1, |w|)``)
     holds; exceeding ``_NEWTON_MAX_ITER`` raises ``NoConvergence`` with the
-    last iterate attached.  Returns the root and ``f_tilde`` there.
+    last iterate attached.  Returns the root and ``f_tilde`` there.  ``F``,
+    when given, is ``f_tilde(z)`` already in hand (``z`` is not evaluated).
 
     With ``log`` the residual is ``log f_tilde(z) - log w``, relative rather
     than absolute: below ``X_LO`` the absolute contract is met by a whole
@@ -168,8 +169,8 @@ def _newton_confined(
     contract = _NEWTON_TOL * scale
     lw, unit = math.log(abs(w)), (w / abs(w)).conjugate()
 
-    def residual(v: complex) -> tuple[complex, complex]:
-        F = _f_eval(v)
+    def residual(v: complex, F=None) -> tuple[complex, complex]:
+        F = _f_eval(v) if F is None else F
         if type(F) is complex:
             r = complex(math.log(abs(F)) - lw, cmath.phase(F * unit)) if log else F - w
             return r, F
@@ -177,12 +178,12 @@ def _newton_confined(
         r = complex(F.log_abs() - lw, cmath.phase(F.mantissa * unit)) if log else Fc - w
         return r, Fc
 
-    r, F = residual(z)
+    r, F = residual(z, F)
     iters = 0
     while True:
         dz = -r / (z - F) if log else -r / (F * (z - F))
         if abs(r) <= goal:
-            if _confined(z + dz):
+            if z + dz != z and _confined(z + dz):
                 rc, Fc = residual(z + dz)
                 if abs(rc) <= abs(r):
                     z, F = z + dz, Fc
@@ -340,8 +341,8 @@ def solve_H(x: float) -> CurvePoint:
         z, F = _newton_confined(_skeleton_seed(x), x)
     else:
         h = eval_h_asym_infinity(x, 3).to_complex().real
-        z, _ = _newton_confined(complex(eval_g_asym_infinity(x, 3), -h), x, log=True)
-        z, F = _newton_confined(z, x)
+        z, F = _newton_confined(complex(eval_g_asym_infinity(x, 3), -h), x, log=True)
+        z, F = _newton_confined(z, x, F=F)
     return CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
 
 

@@ -2,8 +2,8 @@
 
 The curve solver in :mod:`freenormal.curve` finds each point by Newton
 iteration on ``f_tilde(H) = x``.  This module reaches the same points by a
-different route: anchor one point by derivative-free bracketing (bisection
-and regula falsi) in a well-conditioned band, then transport it with an
+different route: anchor one point by derivative-free bracketing (Illinois
+regula falsi) in a well-conditioned band, then transport it with an
 adaptive Runge-Kutta integration of
 
     H'(x) = 1 / (x (H(x) - x)),
@@ -113,9 +113,9 @@ def make_anchor(x0: float) -> CurvePoint:
 
     Works entirely from the transform evaluator: an inner bracketed root
     (``_inner_root``, started from the previous one) finds the height of the
-    curve above each candidate abscissa ``c``, an outer bisection moves
-    ``c`` until ``Re f_tilde`` equals ``x0``.  Restricted to ``x0`` in
-    ``[0.5, 4]`` where every quantity is order one.
+    curve above each candidate abscissa ``c``, and an outer Illinois regula
+    falsi moves ``c`` until ``Re f_tilde`` equals ``x0``.  Restricted to
+    ``x0`` in ``[0.5, 4]`` where every quantity is order one.
     """
     x0 = float(x0)
     if not 0.5 <= x0 <= 4.0:
@@ -136,19 +136,7 @@ def make_anchor(x0: float) -> CurvePoint:
         raise NoSignChange(
             f"Re f_tilde - x0 does not change sign on [{c_lo}, {c_hi}]"
         )
-    for _ in range(90):
-        c_mid = 0.5 * (c_lo + c_hi)
-        if c_mid == c_lo or c_mid == c_hi:
-            break
-        f_mid = u_of(c_mid)
-        if f_mid == 0.0:
-            c_lo = c_hi = c_mid
-            break
-        if f_mid * f_lo < 0.0:
-            c_hi, f_hi = c_mid, f_mid
-        else:
-            c_lo, f_lo = c_mid, f_mid
-    c = 0.5 * (c_lo + c_hi)
+    c = _illinois(u_of, c_lo, f_lo, c_hi, f_hi)
     y = _inner_root(c, near)
     residual = abs(complex(f_tilde(complex(c, y))) - x0)
     if residual > 1e-12 * max(1.0, x0):

@@ -63,11 +63,11 @@ def write_text(path, text: str) -> None:
 _COLORS = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910", "#117a8b")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5):
+def _nice_ticks(lo: float, hi: float):
+    """About five round tick values covering ``[lo, hi]``."""
     if not (hi > lo):
         hi = lo + 1.0
-    span = hi - lo
-    raw = span / max(1, target)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 5.0, 10.0):
         if raw <= m * mag:
@@ -94,7 +94,7 @@ def _tick_label(v: float) -> str:
 
 
 def _panel(series, x0, y0, w, h, title="", xlabel="", ylabel="",
-           xlog=False, ylog=False, extra_lines=()):
+           xlog=False, ylog=False):
     """Render one plot panel as an SVG fragment at (x0, y0)."""
 
     def fx(v):
@@ -202,17 +202,18 @@ def _panel(series, x0, y0, w, h, title="", xlabel="", ylabel="",
                 f'<text x="{x0 + ml + pw - 52:.2f}" y="{ly:.2f}" '
                 f'font-size="10" fill="#222">{label}</text>'
             )
-    out.extend(extra_lines)
     return "\n".join(out)
 
 
-def svg_figure(command: str, panels, width=640, panel_height=300) -> str:
+def svg_figure(command: str, panels) -> str:
     """Assemble panels (dicts of ``_panel`` keyword arguments) into one SVG.
 
     The rendered document references nothing external; the generating
     command line is kept as a comment right after the XML declaration, with
     each ``--`` written as ``- -`` because XML forbids ``--`` in a comment.
+    Each panel is 640 by 300 pixels, stacked vertically.
     """
+    width, panel_height = 640, 300
     while "--" in command:
         command = command.replace("--", "- -")
     height = panel_height * len(panels)

@@ -1,13 +1,16 @@
 """Exact rational series: moments, cumulants, and asymptotic coefficients.
 
-Everything here is formal Laurent-series arithmetic over ``fractions.Fraction``
-in the variable ``u = z^{-2}`` (all series involved are even).  The chain is
+Every table comes from one ODE.  The reciprocal Cauchy transform of N(0, 1)
+satisfies the Riccati equation ``F' = F (z - F)``, and the boundary curve
+the ODE ``H' = 1/(x (H - x))`` derived from it.  Put into them, each
+expansion (in ``u = z^{-2}``, all series being even) becomes a short exact
+recurrence over ``fractions.Fraction``:
 
     moments           m_{2n} = (2n-1)!!            (Gaussian moments)
-    boolean cumulants 1/G-series reciprocal:  f_tilde(z) ~ z - sum b_{2n} z^{1-2n}
-    free cumulants    compositional inverse:  f_tilde^{-1}(w) ~ w + sum k_{2n} w^{1-2n}
+    boolean cumulants f_tilde(z) ~ z - sum b_{2n} z^{1-2n}        (F' = F (z - F))
+    free cumulants    f_tilde^{-1}(w) ~ w + sum k_{2n} w^{1-2n}   (w phi (1 + phi') = 1)
     a-coefficients    h(x) ~ (1/e) sqrt(pi/2) x^2 e^{-x^2/2} (1 + sum a_{2n} x^{-2n})
-    c-coefficients    (1 - sum b u^n)^2 / (1 + sum (2n-1) b u^n)
+    c-coefficients    (1 - sum b u^n)^2 / (1 + sum (2n-1) b u^n) = u/B(u) - u
 
 plus floating evaluators for the closed-form asymptotics of the boundary
 curve ``H(x) = g(x) - i h(x)`` in both limits: series above for ``x -> inf``
@@ -152,33 +155,12 @@ def _recip(a: list[Fraction], n: int) -> list[Fraction]:
     return out
 
 
-def _compose(outer: list[Fraction], inner: list[Fraction], n: int) -> list[Fraction]:
-    """``outer(inner(u))`` for ``inner`` with zero constant term."""
-    if inner and inner[0] != 0:
-        raise ValueError("composition needs a zero constant term inside")
-    out = [Fraction(0)] * n
-    out[0] = outer[0] if outer else Fraction(0)
-    power = [Fraction(0)] * n
-    power[0] = Fraction(1)
-    for k in range(1, len(outer)):
-        power = _mul(power, inner, n)
-        if all(c == 0 for c in power):
-            break
-        ck = outer[k]
-        if ck != 0:
-            for i in range(n):
-                out[i] += ck * power[i]
-    return out
-
-
 def _exp(a: list[Fraction], n: int) -> list[Fraction]:
-    """``exp`` of a series with zero constant term, by the ODE recurrence.
+    """``exp`` of a series whose constant term is zero, by the ODE recurrence.
 
     With ``e = exp(a)``, ``e' = a' e`` gives
     ``n e_n = sum_{k=1..n} k a_k e_{n-k}``, exact over rationals.
     """
-    if a and a[0] != 0:
-        raise ValueError("series exponential needs a zero constant term")
     out = [Fraction(0)] * n
     out[0] = Fraction(1)
     for k in range(1, n):
@@ -199,70 +181,59 @@ def _moment_list(n: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def _boolean_list(n: int) -> tuple[Fraction, ...]:
-    m = list(_moment_list(n + 1))
-    p = _recip(m, n + 1)
-    return tuple(-p[k] for k in range(1, n + 1))
+    """``b_2, b_4, ..., b_{2n}`` from ``F' = F (z - F)``.
+
+    With ``F = z - sum b_N z^{1-2N}`` (``b_N`` for ``b_{2N}``), the ODE at
+    ``z^{-2N}`` gives ``b_{N+1} = (2N-1) b_N + sum_{j=1..N} b_j b_{N+1-j}``; ``b_1 = 1``.
+    """
+    b = [1]
+    for N in range(1, n):
+        b.append((2 * N - 1) * b[N - 1] + sum(b[j] * b[N - 1 - j] for j in range(N)))
+    return tuple(map(Fraction, b))
 
 
 @lru_cache(maxsize=None)
 def _free_list(n: int) -> tuple[Fraction, ...]:
-    """Free cumulants by iterative re-substitution of the inverse series.
+    """``k_1..k_n`` with ``k_N = kappa_{2N}``, from the ODE of the inverse.
 
-    Writing ``f_tilde(z) = z (1 - B(u))`` with ``u = z^{-2}`` and the inverse
-    ``f_tilde^{-1}(w) = w K(v)`` with ``v = w^{-2}``, the identity
-    ``f_tilde(f_tilde^{-1}(w)) = w`` becomes the fixed point
-
-        K = 1 + K * B(v / K^2),
-
-    which gains one correct order per substitution starting from ``K = 1``.
+    ``F^{-1}(w) = w + phi(w)`` with ``phi = sum k_N w^{1-2N}``; differentiating
+    ``F(w + phi) = w`` with ``F' = F (z - F)`` gives ``w phi (1 + phi') = 1``,
+    whose ``w^{2-2N}`` coefficient, symmetrized, is
+    ``k_N = (N-1) sum_{j=1..N-1} k_j k_{N-j}``, and ``k_1 = 1``.
     """
-    order = n + 1
-    b = _boolean_list(n)
-    bs = [Fraction(0)] + list(b)  # B(u) = sum_{k>=1} b_k u^k
-    k_ser = [Fraction(1)] + [Fraction(0)] * (order - 1)
-    for _ in range(order):
-        k2 = _mul(k_ser, k_ser, order)
-        inv_k2 = _recip(k2, order)
-        inner = [Fraction(0)] + inv_k2[: order - 1]  # v / K(v)^2
-        bk = _compose(bs, inner, order)
-        k_ser = _mul(k_ser, bk, order)
-        k_ser[0] += 1
-    return tuple(k_ser[1 : n + 1])
+    k = [1]
+    for N in range(2, n + 1):
+        k.append((N - 1) * sum(k[j] * k[N - 2 - j] for j in range(N - 1)))
+    return tuple(map(Fraction, k))
 
 
 @lru_cache(maxsize=None)
 def _a_list(n: int) -> tuple[Fraction, ...]:
     """Coefficients of ``1 + sum a_{2n} x^{-2n}``, the refined h-prefactor.
 
-    The generating identity multiplies the derivative series of the inverse
-    transform by the exponential of ``-(f_tilde^{-1}(x)^2 - x^2 - 2)/2``,
-    which is an honest power series in ``x^{-2}`` because the quadratic and
-    constant terms cancel against ``x^2 + 2``.
+    Dropping the exponentially small ``h^2`` from the curve ODE
+    ``H' = 1/(x (H - x))`` leaves ``(log h)' = -1/(x phi(x)^2)``, which by
+    ``x phi (1 + phi') = 1`` is ``-x D(u)^2`` with ``u = x^{-2}`` and
+    ``D = 1 + phi' = 1 - sum (2n-1) k_n u^n``.  ``D^2 = 1 - 2u + ...``
+    supplies the prefactor ``x^2 e^{-x^2/2}``; the rest integrates to
+    ``1 + sum a_n u^n = exp(sum_{m>=1} e_{m+1} u^m / (2m))``, ``e_j = [u^j] D^2``.
     """
-    order = n + 1
-    kap = _free_list(order)
-    k_ser = [Fraction(1)] + list(kap[:order])
-    k2 = _mul(k_ser, k_ser, order + 1)
-    # x^2 (K(v)^2 - 1) - 2 = sum_{j>=1} [K^2]_{j+1} v^j  (the v^1 term is 2 k2 = 2)
-    w = [Fraction(0)] * order
-    for j in range(1, order):
-        if j + 1 < len(k2):
-            w[j] = k2[j + 1]
-    e = _exp([-c / 2 for c in w], order)
-    dinv = [Fraction(1)] + [-(2 * j - 1) * kap[j - 1] for j in range(1, order)]
-    full = _mul(dinv, e, order)
-    return tuple(full[1 : n + 1])
+    kap = _free_list(n + 1)
+    d = [Fraction(1)] + [-(2 * j + 1) * c for j, c in enumerate(kap)]
+    e = _mul(d, d, n + 2)
+    log_a = [Fraction(0)] + [e[m + 1] / (2 * m) for m in range(1, n + 1)]
+    return tuple(_exp(log_a, n + 1)[1:])
 
 
 @lru_cache(maxsize=None)
 def _c_list(n: int) -> tuple[Fraction, ...]:
-    order = n + 1
-    b = _boolean_list(order)
-    one_minus_b = [Fraction(1)] + [-b[j - 1] for j in range(1, order)]
-    num = _mul(one_minus_b, one_minus_b, order)
-    den = [Fraction(1)] + [(2 * j - 1) * b[j - 1] for j in range(1, order)]
-    full = _mul(num, _recip(den, order), order)
-    return tuple(full[1 : n + 1])
+    """Coefficients of ``(1 - B)^2 / F' = u/B(u) - u`` with ``B = sum b_n u^n``.
+
+    ``F' = F (z - F) = B (1 - B) / u`` turns the quotient into one reciprocal.
+    """
+    full = _recip(list(_boolean_list(n + 1)), n + 1)
+    full[1] -= 1
+    return tuple(full[1:])
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +248,7 @@ def moments(N: int) -> RationalSeries:
 
 
 def boolean_cumulants(N: int) -> RationalSeries:
-    """``b_2, ..., b_{2N}`` from the reciprocal of the moment Laurent series.
+    """``b_2, ..., b_{2N}``, by a recurrence read off ``F' = F (z - F)``.
 
     These are the coefficients in ``f_tilde(z) ~ z - sum b_{2n} z^{1-2n}``;
     the first few are 1, 2, 10.
@@ -288,7 +259,7 @@ def boolean_cumulants(N: int) -> RationalSeries:
 
 
 def free_cumulants(N: int) -> RationalSeries:
-    """``k_2, ..., k_{2N}`` from compositional inversion; prefix 1, 1, 4, 27."""
+    """``k_2, ..., k_{2N}`` of the inverse transform; prefix 1, 1, 4, 27."""
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
     return RationalSeries(_free_list(N), offset=-1)

@@ -451,7 +451,6 @@ def quad(
 def g_tilde_contour_oracle(
     z: complex,
     eta: float,
-    radius: float | None = None,
     eps: float | None = None,
     tol: float = 1e-10,
 ) -> ScaledComplex:
@@ -466,14 +465,14 @@ def g_tilde_contour_oracle(
     independent of the Faddeeva kernel; tests use it as the oracle.
 
     ``eps`` defaults to a hair inside the largest cone containing ``z``;
-    pass it explicitly to assert membership in a particular ``D_eps``.  When
-    ``radius`` is omitted one meeting ``tol`` is chosen from the tail bound.
+    pass it explicitly to assert membership in a particular ``D_eps``.  The
+    rays are truncated at a radius chosen from the tail bound to meet ``tol``.
 
     Raises
     ------
     InvalidContour
         If the angle ordering ``0 < eta < eps < pi/4`` fails, ``z`` is
-        outside the cone, or the requested ``radius`` cannot meet ``tol``.
+        outside the cone, or the quadrature cannot meet ``tol``.
     """
     z = complex(z)
     if eps is None:
@@ -501,12 +500,11 @@ def g_tilde_contour_oracle(
         gap = r - abs(z)
         return 2.0 * math.exp(-0.5 * r * r * s2) / (_SQRT_TWO_PI * gap * r * s2)
 
-    if radius is None:
-        radius = abs(z) + 2.0
-        for _ in range(200):
-            if tail_bound(radius) < 0.1 * tol:
-                break
-            radius *= 1.25
+    radius = abs(z) + 2.0
+    for _ in range(200):
+        if tail_bound(radius) < 0.1 * tol:
+            break
+        radius *= 1.25
     if tail_bound(radius) > tol:
         raise InvalidContour(
             f"radius {radius} leaves tail bound {tail_bound(radius):.3g} > tol {tol}"
@@ -531,7 +529,7 @@ def g_tilde_contour_oracle(
     return ScaledComplex.from_complex(total)
 
 
-def contour_moment(n: int, eta: float, radius: float | None = None) -> float:
+def contour_moment(n: int, eta: float) -> float:
     """``integral of w^n`` against the Gaussian density over the rotated contour.
 
     Reproduces the moments: 1 for ``n = 0``, ``(n-1)!!`` for even ``n``, 0 for
@@ -544,8 +542,7 @@ def contour_moment(n: int, eta: float, radius: float | None = None) -> float:
     """
     if not (0.0 < eta < 0.25 * math.pi):
         raise InvalidContour(f"need 0 < eta < pi/4, got {eta}")
-    if radius is None:
-        radius = math.sqrt(2.0 * (40.0 + 3.0 * n) / math.sin(2.0 * eta))
+    radius = math.sqrt(2.0 * (40.0 + 3.0 * n) / math.sin(2.0 * eta))
     alpha = -0.25 * math.pi + eta
     e_r = cmath.exp(complex(0.0, alpha))
     e_l = cmath.exp(complex(0.0, math.pi - alpha))

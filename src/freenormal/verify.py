@@ -94,12 +94,7 @@ def ode_identity(profile: str) -> dict:
         if classify_domain(z) in (DomainTag.OUTSIDE_XI, DomainTag.XI_BOUNDARY):
             continue
         fd = sum(complex(f_tilde(z + 0.05 * u)) / u for u in circle) / 0.8
-        lhs = ScaledComplex.from_complex(fd)
-        rhs = f_tilde_prime(z)
-        diff = lhs - rhs
-        if not diff.is_zero:
-            rel = math.exp(diff.log_abs() - max(lhs.log_abs(), rhs.log_abs()))
-            worst = max(worst, rel)
+        worst = max(worst, _rel_scaled(ScaledComplex.from_complex(fd), f_tilde_prime(z)))
         count += 1
     return {"passed": worst <= 1e-9, "points": n, "max_rel_error": worst}
 

@@ -226,7 +226,7 @@ class TestSkeletonSeededBulk:
         assert self._worst_evaluations(monkeypatch, self.XS) <= 10
 
     def test_large_x_solve_makes_few_transform_calls(self, monkeypatch):
-        assert self._worst_evaluations(monkeypatch, self.XS_LARGE) <= 10
+        assert self._worst_evaluations(monkeypatch, self.XS_LARGE) <= 6
 
     def test_upper_bulk_matches_mpmath(self):
         for k in range(16):

@@ -70,7 +70,7 @@ class TestAnchor:
 
         monkeypatch.setattr(ode, "g_tilde", counted)
         make_anchor(2.0)
-        assert 0 < calls[0] <= 1000
+        assert 0 < calls[0] <= 150
 
     @pytest.mark.parametrize("x0", [0.5, 1.0, 2.0, 3.0, 4.0])
     def test_anchor_residual(self, x0):
