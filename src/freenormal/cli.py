@@ -235,6 +235,8 @@ def cmd_levelsets(args: argparse.Namespace) -> int:
 def cmd_cumulants(args: argparse.Namespace) -> int:
     from .series import boolean_cumulants, free_cumulants, moments
 
+    if args.order < 2:
+        raise DomainError(f"need --order >= 2, got {args.order}")
     n = args.order // 2
     tables = {
         "free": free_cumulants(n),

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .curve import _newton_confined, in_omega, solve_H
 from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
-from .series import X_ASYMPTOTIC, X_HI, X_LO, free_cumulants
+from .series import X_HI, free_cumulants
 from .transforms import _require_normal, f_tilde, quad
 
 __all__ = [
@@ -35,6 +36,8 @@ _PI = math.pi
 #: from this |w| on, phi(w) is the series in kappa_2 .. kappa_{2 _PHI_SERIES_ORDER}
 _PHI_SERIES_FROM = 30.0
 _PHI_SERIES_ORDER = 8
+#: tau_total_mass integrates up to here; the normal tail past it is 6e-16
+_TAU_CUT = 8.0
 
 
 def levy_density(x: float) -> float:
@@ -63,7 +66,9 @@ def voiculescu(w: complex) -> complex:
     Below, a relative-residual Newton iteration on ``log f_tilde(z) = log w``
     runs from the two-term large-argument seed ``w + 1/w`` (falling back to
     ``w``), confined to the certified region, and the solution is verified
-    to lie in the bijectivity domain.
+    to lie in the bijectivity domain.  Past ``|w| = 1/sys.float_info.min``
+    (about 4.49e307), where ``|phi| ~ 1/|w|`` is no longer a normal binary64
+    number, ``DomainError`` is raised.
     """
     w = complex(w)
     if not cmath.isfinite(w):
@@ -72,10 +77,14 @@ def voiculescu(w: complex) -> complex:
         raise DomainError("the shifted inverse transform has a pole at w = 0")
     if w.imag < 0.0:
         raise DomainError(f"defined on the closed upper half plane, got {w!r}")
+    # hypot gives inf where abs(w) would raise OverflowError
+    r = math.hypot(w.real, w.imag)
+    if r > 1.0 / sys.float_info.min:
+        raise DomainError(f"|phi| ~ 1/|w| is subnormal at w = {w!r}")
     if w.imag == 0.0:
         pt = solve_H(abs(w.real))
         return complex(math.copysign(pt.g, w.real) - w.real, -pt.h)
-    if abs(w) >= _PHI_SERIES_FROM:
+    if r >= _PHI_SERIES_FROM:
         iw = 1.0 / w
         u = iw * iw
         acc = 0j
@@ -103,19 +112,16 @@ def voiculescu(w: complex) -> complex:
 def tau_total_mass(quad_tol: float) -> float:
     """Total mass of ``tau`` by quadrature of ``h(|x|)/(pi (1 + x^2))``.
 
-    The positive half line splits at the curve solver's regime thresholds:
-
-    * ``(0, X_LO]`` under ``x = exp(-u)``, where the integrand inherits the
-      ``sqrt(2 log 1/x)`` growth of ``h`` and decays like ``exp(-u) sqrt(u)``
-      (``u`` runs to 60, past which the integral is below 1e-25);
-    * ``[X_LO, X_HI]`` and ``[X_HI, X_ASYMPTOTIC]`` directly against solver
-      values;
-    * beyond ``X_ASYMPTOTIC = 30`` the Gaussian factor of ``h`` puts the
-      integral below 1e-190, so it is left out.
-
-    Each piece is one tanh-sinh quadrature, and the result is doubled by
-    symmetry.  Raises ``QuadratureFailure`` when the combined error estimate
-    exceeds ``quad_tol``.
+    The positive half line is integrated in two tanh-sinh pieces on ``x``
+    itself, ``(0, X_HI]`` and ``[X_HI, _TAU_CUT]``, and the result is doubled
+    by symmetry.  The rule takes the ``sqrt(2 log 1/x)`` growth of ``h`` at
+    the origin in its stride, and the cut at ``X_HI`` lets each piece stop
+    at the step its own integrand needs.  Past ``X_HI``,
+    ``h ~ e^-1 sqrt(pi/2) x^2 exp(-x^2/2)``, so the integrand lies below the
+    normal density ``exp(-x^2/2)/sqrt(2 pi)``; the part past ``_TAU_CUT``
+    is left out, and its bound ``erfc(_TAU_CUT/sqrt 2)/2`` (6e-16) is added
+    to the error estimate.  Raises ``QuadratureFailure`` when the combined
+    error estimate exceeds ``quad_tol``.
     """
     if not (quad_tol > 0 and math.isfinite(quad_tol)):
         raise DomainError(f"need a finite positive tolerance, got {quad_tol}")
@@ -123,17 +129,10 @@ def tau_total_mass(quad_tol: float) -> float:
     def body(x: float) -> float:
         return solve_H(x).h / (_PI * (1.0 + x * x))
 
-    def small(u: float) -> float:
-        x = math.exp(-u)
-        return body(x) * x
-
-    total = err = 0.0
-    for f, a, b in (
-        (small, -math.log(X_LO), 60.0),
-        (body, X_LO, X_HI),
-        (body, X_HI, X_ASYMPTOTIC),
-    ):
-        v, e = quad(f, a, b, epsabs=quad_tol / 8, epsrel=1e-12)
+    total = 0.0
+    err = 0.5 * math.erfc(_TAU_CUT / math.sqrt(2.0))
+    for a, b in ((0.0, X_HI), (X_HI, _TAU_CUT)):
+        v, e = quad(body, a, b, epsabs=quad_tol / 8, epsrel=1e-12)
         total += v
         err += e
     if err > quad_tol:

@@ -142,6 +142,9 @@ class TestExitCodes:
     def test_rejects_tiny_cumulant_order(self, capsys):
         assert main(["cumulants", "--order", "1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        # the message names the flag as set, not the halved table size
+        assert main(["cumulants", "--order", "-5"]) == 2
+        assert capsys.readouterr().err == "error: need --order >= 2, got -5\n"
 
     @pytest.mark.parametrize("args", [
         ["curve", "--n", "3"],

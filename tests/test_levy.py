@@ -8,8 +8,13 @@ import sys
 import mpmath
 import pytest
 
-from freenormal.curve import in_omega, solve_H
-from freenormal.errors import DomainError, NoConvergence
+from freenormal.curve import f_of, in_omega, solve_H
+from freenormal.errors import (
+    DomainError,
+    FreeNormalError,
+    NoConvergence,
+    QuadratureFailure,
+)
 from freenormal.levy import (
     levy_density,
     semicircular_component_check,
@@ -20,6 +25,10 @@ from freenormal.series import eval_h_asym_infinity
 from freenormal.transforms import f_tilde
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+# tau(R) = -Im phi(i) = 1 - Im z for the root z of g_tilde(z) = -i, from
+# mpmath.findroot at 40 digits
+TAU_MASS = 0.69736915928842724
 
 
 def mpmath_inverse(w: complex, seed: complex, dps: int = 50) -> mpmath.mpc:
@@ -170,6 +179,28 @@ class TestVoiculescu:
         with pytest.raises(DomainError):
             voiculescu(w)
 
+    @pytest.mark.parametrize("w", [
+        # abs(w) overflows for these
+        complex(1.7e308, 1.7e308), complex(-1.7e308, 1.7e308),
+        complex(1e308, 1.7e308), complex(-1e308, 1.7e308),
+        complex(1.7e308, 1e308), complex(-1.7e308, 1e308),
+        # here |phi| ~ 1/|w| would be subnormal, or 1/w underflow to 0
+        complex(1e308, 1.0), complex(-1e308, 1.0), 1e308j, 1.7e308j,
+        complex(1e308, 1e308), complex(4.5e307, 1.0),
+    ])
+    def test_huge_arguments_are_a_domain_error(self, w):
+        with pytest.raises(DomainError) as info:
+            voiculescu(w)
+        assert type(info.value) is DomainError
+
+    def test_normal_up_to_the_wall(self):
+        w = complex(4e307, 1.0)
+        phi = voiculescu(w)
+        assert math.isclose(phi.real, 2.5e-308, rel_tol=1e-15)
+        assert phi.real >= sys.float_info.min
+        # the true imaginary part, about -1/|w|^3, underflows to zero
+        assert phi.imag == 0.0
+
     def test_rejects_zero_and_lower_half_plane(self):
         with pytest.raises(DomainError):
             voiculescu(0.0)
@@ -201,6 +232,25 @@ class TestTauMass:
         with pytest.raises(DomainError):
             tau_total_mass(tol)
 
+    @pytest.mark.parametrize("tol,most", [(1e-8, 160), (1e-10, 210)])
+    def test_curve_solves_per_call(self, monkeypatch, tol, most):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return solve_H(x)
+
+        monkeypatch.setattr("freenormal.levy.solve_H", counted)
+        tau_total_mass(tol)
+        assert 0 < len(calls) <= most
+
+    def test_roundoff_accurate_at_the_default_tolerance(self):
+        assert math.isclose(tau_total_mass(1e-8), TAU_MASS, rel_tol=1e-14)
+
+    def test_tolerance_below_the_tail_bound_fails(self):
+        with pytest.raises(QuadratureFailure):
+            tau_total_mass(1e-16)
+
 
 class TestSemicircularComponent:
     def test_decays_like_the_model(self):
@@ -222,3 +272,69 @@ class TestSemicircularComponent:
         for T in (-1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 semicircular_component_check(T)
+
+
+SWEEP = [
+    0.0, -0.0,
+    *(s * v
+      for v in (5e-324, 1e-310, 1e-300, 1e-154, 0.3, 3.5, 30.0, 37.9, 38.6,
+                1e154, 1e308, 1.7e308, math.inf)
+      for s in (1.0, -1.0)),
+    math.nan,
+]
+
+
+def _or_none(f, *args):
+    """``f(*args)``, or None where it refuses with a ``FreeNormalError``."""
+    try:
+        return f(*args)
+    except FreeNormalError:
+        return None
+
+
+class TestRobustnessSweep:
+    """Each call returns a finite value that meets its documented invariant
+    or raises a ``FreeNormalError``; any other exception fails the test."""
+
+    @pytest.mark.parametrize("x", SWEEP)
+    def test_real_arguments(self, x):
+        density = _or_none(levy_density, x)
+        if density is not None:
+            assert sys.float_info.min <= density < math.inf
+            assert levy_density(-x) == density
+        witness = _or_none(semicircular_component_check, x)
+        if witness is not None:
+            assert 0.0 <= witness < 1.0
+        f = _or_none(f_of, x)
+        if f is not None:
+            assert sys.float_info.min <= -f < math.inf
+            assert f_of(-x) == f
+        pt = _or_none(solve_H, x)
+        if pt is not None:
+            assert pt.x == x and 0.0 < pt.g < math.inf
+            assert sys.float_info.min <= pt.h < math.inf
+            assert math.isfinite(pt.residual)
+
+    @pytest.mark.parametrize("re", SWEEP)
+    def test_complex_arguments(self, re):
+        for im in SWEEP:
+            w = complex(re, im)
+            phi = _or_none(voiculescu, w)
+            if phi is not None:
+                assert cmath.isfinite(phi)
+                assert math.hypot(phi.real, phi.imag) >= sys.float_info.min
+                assert phi.imag <= 0.0
+            inside = _or_none(in_omega, w)
+            if inside is not None:
+                assert type(inside) is bool
+                # the closed upper half plane and the imaginary axis
+                assert inside or not (im >= 0.0 or re == 0.0)
+
+    @pytest.mark.parametrize(
+        "tol", [5e-324, 1e-8, 1e300, 0.0, -1.0, math.inf, math.nan]
+    )
+    def test_tau_total_mass(self, tol):
+        mass = _or_none(tau_total_mass, tol)
+        if mass is not None:
+            assert 0.0 < mass < math.inf
+            assert abs(mass - TAU_MASS) <= 2.0 * tol
