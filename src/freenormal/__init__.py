@@ -28,10 +28,10 @@ _HOME = {
                  "voiculescu"),
         ("ode", "integrate make_anchor monotonicity_certificate"),
         ("scaled", "ScaledComplex"),
-        ("series", "AsymptoticRegime RationalSeries boolean_cumulants "
-                   "eval_f_asym_zero eval_g_asym_infinity eval_g_asym_zero "
-                   "eval_h_asym_infinity eval_h_asym_zero f_infinity_coefficients "
-                   "free_cumulants h_infinity_coefficients moments regime_of"),
+        ("series", "boolean_cumulants eval_f_asym_zero eval_g_asym_infinity "
+                   "eval_g_asym_zero eval_h_asym_infinity eval_h_asym_zero "
+                   "f_infinity_coefficients free_cumulants h_infinity_coefficients "
+                   "moments"),
         ("transforms", "DomainTag classify_domain f_tilde f_tilde_prime g_tilde "
                        "g_tilde_contour_oracle g_tilde_prime rho"),
     )

@@ -184,8 +184,6 @@ def cmd_levelsets(args: argparse.Namespace) -> int:
         bbox = tuple(float(s) for s in args.bbox.split(","))
     except ValueError as exc:
         raise DomainError(f"bad numeric list: {exc}") from exc
-    if len(bbox) != 4:
-        raise DomainError(f"bbox needs 4 entries, got {args.bbox!r}")
     results = [(t, trace_level_set(t, bbox, args.step)) for t in levels]
     if args.format == "csv":
         rows = []
@@ -245,14 +243,14 @@ def cmd_cumulants(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         text = json_text(
-            {name: [str(c) for c in t.coefficients] for name, t in tables.items()}
+            {name: [str(c) for c in t] for name, t in tables.items()}
         )
     else:
         rows = []
         for name, t in tables.items():
             # cumulant tables start at order 2, the moment table at m0
             start = 0 if name == "moments" else 1
-            for k, c in enumerate(t.coefficients):
+            for k, c in enumerate(t):
                 rows.append((name, 2 * (k + start), str(c)))
         text = csv_text(["table", "order", "value"], rows)
     write_text(args.out, text)

@@ -32,18 +32,12 @@ from collections import namedtuple
 from functools import cache
 
 from .errors import DomainError, FreeNormalError, NoConvergence, SeedNotFound
-from .scaled import ScaledComplex
 from .series import (
-    X_ASYMPTOTIC,
-    X_HI,
-    X_LO,
-    AsymptoticRegime,
     eval_f_asym_zero,
     eval_g_asym_infinity,
     eval_g_asym_zero,
     eval_h_asym_infinity,
     eval_h_asym_zero,
-    regime_of,
 )
 from .transforms import (
     DomainTag,
@@ -66,6 +60,15 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
+#: the solver's crossovers: at or below ``X_LO`` the zero-regime closed
+#: forms seed it (and it solves the logarithmic residual); at or above
+#: ``X_HI`` the order-3 large-x series seeds it (the logarithmic residual,
+#: then one absolute pass), and beyond ``X_ASYMPTOTIC`` the large-x series is
+#: the answer
+X_LO = 0.05
+X_HI = 3.5
+X_ASYMPTOTIC = 30.0
+
 #: order of the large-x series returned above ``X_ASYMPTOTIC``
 _LARGE_X_ORDER = 6
 
@@ -80,44 +83,25 @@ _NEWTON_MAX_ITER = 60
 _NEWTON_MAX_HALVINGS = 8
 
 
-class CurvePoint:
-    """One solved point ``H(x) = g - i h`` of the boundary curve; read-only."""
+class CurvePoint(namedtuple("CurvePoint", "x g h residual")):
+    """One solved point ``H(x) = g - i h`` of the boundary curve; read-only.
 
-    __slots__ = ("x", "g", "h", "residual")
+    Every way of building one (the constructor, ``_make``, ``_replace``,
+    pickle and copy) checks that it lies inside ``Xi``.
+    """
 
-    def __init__(self, x: float, g: float, h: float, residual: float) -> None:
+    __slots__ = ()
+
+    def __new__(cls, x: float, g: float, h: float, residual: float):
         if not (x > 0 and g > 0 and h > 0):
             raise DomainError(f"curve point needs positive x, g, h; got {x}, {g}, {h}")
         if classify_domain(complex(g, -h)) is DomainTag.OUTSIDE_XI:
             raise DomainError(f"curve point left Xi: g*h = {g * h!r} > pi/2")
-        init = object.__setattr__
-        init(self, "x", x)
-        init(self, "g", g)
-        init(self, "h", h)
-        init(self, "residual", residual)
+        return super().__new__(cls, x, g, h, residual)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"CurvePoint is read-only: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple[float, float, float, float]:
-        return (self.x, self.g, self.h, self.residual)
-
-    def __eq__(self, other):
-        if type(other) is not CurvePoint:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"CurvePoint(x={self.x!r}, g={self.g!r}, h={self.h!r}, "
-                f"residual={self.residual!r})")
-
-    def __reduce__(self):
-        return CurvePoint, self._key()
+    @classmethod
+    def _make(cls, iterable):  # the inherited one skips __new__
+        return cls(*iterable)
 
     @property
     def z(self) -> complex:
@@ -324,7 +308,6 @@ def solve_H(x: float) -> CurvePoint:
     x = float(x)
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"the curve is parametrized by finite x > 0, got {x}")
-    regime = regime_of(x)
     if x > X_ASYMPTOTIC:
         g = eval_g_asym_infinity(x, _LARGE_X_ORDER)
         h_sc = eval_h_asym_infinity(x, _LARGE_X_ORDER)
@@ -335,9 +318,9 @@ def solve_H(x: float) -> CurvePoint:
         )
         residual = abs(_f_eval(complex(g, -h)) - x)
         return CurvePoint(x=x, g=g, h=h, residual=residual)
-    if regime is AsymptoticRegime.NEAR_ZERO:
+    if x <= X_LO:
         z, F = _newton_confined(_seed_zero(x), x, log=True)
-    elif regime is AsymptoticRegime.BULK:
+    elif x < X_HI:
         z, F = _newton_confined(_skeleton_seed(x), x)
     else:
         h = eval_h_asym_infinity(x, 3).to_complex().real
@@ -478,7 +461,7 @@ def trace_level_set(
     ------
     DomainError
         For a negative or non-finite ``t``, a non-finite or non-positive
-        ``step``, or a non-finite or degenerate ``bbox``.
+        ``step``, or a ``bbox`` that is not four finite, ordered bounds.
     SeedNotFound
         If the arc misses the box.
     NoConvergence
@@ -489,6 +472,8 @@ def trace_level_set(
         raise DomainError(f"level sets are defined for finite t >= 0, got {t}")
     if not (step > 0.0 and math.isfinite(step)):
         raise DomainError(f"need a finite step > 0, got {step}")
+    if len(bbox) != 4:
+        raise DomainError(f"bbox needs 4 entries, got {bbox!r}")
     if not all(math.isfinite(v) for v in bbox):
         raise DomainError(f"bbox needs finite bounds, got {bbox}")
     x0, x1, y0, y1 = bbox

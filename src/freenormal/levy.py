@@ -19,9 +19,9 @@ import cmath
 import math
 import sys
 
-from .curve import _newton_confined, in_omega, solve_H
+from .curve import X_HI, _newton_confined, in_omega, solve_H
 from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
-from .series import X_HI, free_cumulants
+from .series import free_cumulants
 from .transforms import _require_normal, f_tilde, quad
 
 __all__ = [
@@ -88,7 +88,7 @@ def voiculescu(w: complex) -> complex:
         iw = 1.0 / w
         u = iw * iw
         acc = 0j
-        for kappa in reversed(free_cumulants(_PHI_SERIES_ORDER).coefficients):
+        for kappa in reversed(free_cumulants(_PHI_SERIES_ORDER)):
             acc = acc * u + float(kappa)
         return acc * iw
 
@@ -146,17 +146,16 @@ def semicircular_component_check(T: float) -> float:
     """``|f_tilde(-iT) * T|``, the vanishing-atom witness at the origin.
 
     Decays like ``T exp(-T^2/2)/sqrt(2 pi)``; a nonvanishing limit would be
-    the mass of a semicircular component.  Computed in scaled arithmetic, so
-    very large ``T`` cleanly underflows to 0.0 rather than failing.
+    the mass of a semicircular component.  Computed in scaled arithmetic,
+    and returned as 0.0 wherever it falls below the smallest normal binary64
+    number (``T`` below about 2.8e-308, or above about 37.71) rather than as
+    a subnormal with a few significant bits.
     """
     T = float(T)
     if not (T >= 0 and math.isfinite(T)):
         raise DomainError(f"need a finite T >= 0, got {T}")
-    # from T ~ 38.7 the witness flushes to 0.0; past 1e154 -T^2/2 overflows
+    # past 1e154 -T^2/2 overflows
     if T == 0.0 or T > 1e154:
         return 0.0
-    val = f_tilde(complex(0.0, -T)) * T
-    la = val.log_abs()
-    if la < -745.0:
-        return 0.0
-    return abs(val.to_complex())
+    val = abs((f_tilde(complex(0.0, -T)) * T).to_complex())
+    return val if val >= sys.float_info.min else 0.0

@@ -76,10 +76,6 @@ class ScaledComplex:
     # ---- constructors ----
 
     @classmethod
-    def from_complex(cls, value: complex) -> "ScaledComplex":
-        return cls(value, 0.0)
-
-    @classmethod
     def exp_of(cls, w: complex) -> "ScaledComplex":
         """``exp(w)`` for arbitrary complex ``w``, never overflowing.
 
@@ -118,9 +114,6 @@ class ScaledComplex:
         if self.is_zero:
             return -math.inf
         return math.log(abs(self._m)) + self._s
-
-    def arg(self) -> float:
-        return cmath.phase(self._m)
 
     def to_complex(self) -> complex:
         """Plain complex value.
@@ -175,12 +168,6 @@ class ScaledComplex:
             return _ZERO
         return ScaledComplex(self._m / o._m, self._s - o._s)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
-
     def reciprocal(self) -> "ScaledComplex":
         if self.is_zero:
             raise ZeroDivisionError("reciprocal of zero ScaledComplex")
@@ -219,38 +206,10 @@ class ScaledComplex:
             return o
         return o + (-self)
 
-    def conjugate(self) -> "ScaledComplex":
-        if self.is_zero:
-            return self
-        return ScaledComplex(self._m.conjugate(), self._s)
-
-    def __abs__(self) -> float:
-        """Magnitude as a plain float; inf on overflow, 0 on underflow."""
-        if self._s == 0.0:
-            return abs(self._m)
-        la = self.log_abs()
-        if la > 709.0:
-            return math.inf
-        if la == -math.inf or la < -745.0:
-            return 0.0
-        return math.exp(la)
-
     # ---- misc ----
 
     def __repr__(self) -> str:
         return f"ScaledComplex({self._m!r}, log_scale={self._s!r})"
-
-    def isclose(self, other, rel_tol: float = 1e-12) -> bool:
-        """Relative closeness that works at any scale."""
-        o = self._coerce(other)
-        if self.is_zero or o.is_zero:
-            return self.is_zero and o.is_zero
-        m, s = self._normalized()
-        om, os = o._normalized()
-        gap = s - os
-        if abs(gap) > 1.0:  # > e apart: cannot be close at sane rel_tol
-            return False
-        return abs(m - om * math.exp(-gap)) <= rel_tol * abs(m)
 
 
 _ZERO = ScaledComplex(0j, 0.0)

@@ -24,7 +24,6 @@ whose product ``g h = pi/2`` holds exactly at the level of the closed forms.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -33,9 +32,6 @@ from .errors import DomainError
 from .scaled import ScaledComplex
 
 __all__ = [
-    "RationalSeries",
-    "AsymptoticRegime",
-    "regime_of",
     "moments",
     "boolean_cumulants",
     "free_cumulants",
@@ -51,82 +47,6 @@ __all__ = [
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _HALF_PI = 0.5 * math.pi
-
-
-class RationalSeries:
-    """Truncated even Laurent series with exact rational coefficients; read-only.
-
-    ``coefficients[n]`` multiplies ``z**(-2*n + offset)``; e.g. the moment
-    series of the Cauchy transform has ``offset = -1`` and coefficients
-    ``m_0, m_2, ...``.
-    """
-
-    __slots__ = ("coefficients", "offset")
-
-    def __init__(self, coefficients, offset: int) -> None:
-        coefficients = tuple(Fraction(c) for c in coefficients)
-        if not coefficients:
-            raise ValueError("a RationalSeries holds at least one coefficient")
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "offset", offset)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"RationalSeries is read-only: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not RationalSeries:
-            return NotImplemented
-        return (self.coefficients, self.offset) == (other.coefficients, other.offset)
-
-    def __hash__(self) -> int:
-        return hash((self.coefficients, self.offset))
-
-    def __repr__(self) -> str:
-        return f"RationalSeries(coefficients={self.coefficients!r}, offset={self.offset!r})"
-
-    def __reduce__(self):
-        return RationalSeries, (self.coefficients, self.offset)
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coefficients[n]
-
-    def as_string_pairs(self) -> list[list[str]]:
-        """Coefficients as exact ``[numerator, denominator]`` string pairs."""
-        return [[str(c.numerator), str(c.denominator)] for c in self.coefficients]
-
-
-class AsymptoticRegime(enum.Enum):
-    """Which asymptotic family describes the curve at a given abscissa."""
-
-    NEAR_ZERO = "NearZero"
-    BULK = "Bulk"
-    NEAR_INFINITY = "NearInfinity"
-
-
-#: the curve solver's crossovers: at or below ``X_LO`` the zero-regime closed
-#: forms seed it (and it solves the logarithmic residual); at or above
-#: ``X_HI`` the order-3 large-x series seeds it (the logarithmic residual,
-#: then one absolute pass), and beyond ``X_ASYMPTOTIC`` the large-x series is
-#: the answer
-X_LO = 0.05
-X_HI = 3.5
-X_ASYMPTOTIC = 30.0
-
-
-def regime_of(x: float) -> AsymptoticRegime:
-    """Classify ``x > 0`` against the crossovers ``X_LO`` and ``X_HI``."""
-    if not (x > 0 and math.isfinite(x)):
-        raise DomainError(f"regime is defined for finite x > 0, got {x}")
-    if x <= X_LO:
-        return AsymptoticRegime.NEAR_ZERO
-    if x >= X_HI:
-        return AsymptoticRegime.NEAR_INFINITY
-    return AsymptoticRegime.BULK
 
 
 # --------------------------------------------------------------------------
@@ -240,43 +160,43 @@ def _c_list(n: int) -> tuple[Fraction, ...]:
 # public tables
 # --------------------------------------------------------------------------
 
-def moments(N: int) -> RationalSeries:
+def _require_order(N: int) -> None:
+    if not (isinstance(N, int) and N >= 1):
+        raise DomainError(f"need an integer order N >= 1, got {N!r}")
+
+
+def moments(N: int) -> tuple[Fraction, ...]:
     """Gaussian moments ``m_0, m_2, ..., m_{2(N-1)}`` with ``m_{2n} = (2n-1)!!``."""
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
-    return RationalSeries(_moment_list(N), offset=-1)
+    _require_order(N)
+    return _moment_list(N)
 
 
-def boolean_cumulants(N: int) -> RationalSeries:
+def boolean_cumulants(N: int) -> tuple[Fraction, ...]:
     """``b_2, ..., b_{2N}``, by a recurrence read off ``F' = F (z - F)``.
 
     These are the coefficients in ``f_tilde(z) ~ z - sum b_{2n} z^{1-2n}``;
     the first few are 1, 2, 10.
     """
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
-    return RationalSeries(_boolean_list(N), offset=-1)
+    _require_order(N)
+    return _boolean_list(N)
 
 
-def free_cumulants(N: int) -> RationalSeries:
+def free_cumulants(N: int) -> tuple[Fraction, ...]:
     """``k_2, ..., k_{2N}`` of the inverse transform; prefix 1, 1, 4, 27."""
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
-    return RationalSeries(_free_list(N), offset=-1)
+    _require_order(N)
+    return _free_list(N)
 
 
-def h_infinity_coefficients(N: int) -> RationalSeries:
+def h_infinity_coefficients(N: int) -> tuple[Fraction, ...]:
     """``a_2, ..., a_{2N}`` of the large-x correction to h; prefix -5/2, -43/8, -579/16."""
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
-    return RationalSeries(_a_list(N), offset=-2)
+    _require_order(N)
+    return _a_list(N)
 
 
-def f_infinity_coefficients(N: int) -> RationalSeries:
+def f_infinity_coefficients(N: int) -> tuple[Fraction, ...]:
     """``c_2, ..., c_{2N}`` of the large-x correction family; c_2 = -3."""
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
-    return RationalSeries(_c_list(N), offset=-2)
+    _require_order(N)
+    return _c_list(N)
 
 
 # --------------------------------------------------------------------------
@@ -290,8 +210,7 @@ def _check_large_argument(x: float) -> None:
 
 def eval_g_asym_infinity(x: float, N: int) -> float:
     """``x + k_2/x + k_4/x^3 + ...`` truncated after ``k_{2N}``."""
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
+    _require_order(N)
     _check_large_argument(x)
     kap = _free_list(N)
     u = 1.0 / (x * x)
@@ -309,8 +228,7 @@ def eval_h_asym_infinity(x: float, N: int) -> ScaledComplex:
     ``DomainError`` where ``sqrt(pi/2) x^2`` overflows (``|x|`` past about
     1.2e154).
     """
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
+    _require_order(N)
     _check_large_argument(x)
     u = 1.0 / (x * x)
     acc = 1.0

@@ -526,7 +526,7 @@ def g_tilde_contour_oracle(
         raise InvalidContour(
             f"quadrature error estimate {qerr:.3g} exceeds tolerance {tol}"
         )
-    return ScaledComplex.from_complex(total)
+    return ScaledComplex(total)
 
 
 def contour_moment(n: int, eta: float) -> float:

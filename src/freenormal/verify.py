@@ -54,9 +54,9 @@ def _rel_scaled(a, b) -> float:
 
 def exact_cumulant_tables(profile: str) -> dict:
     """Criterion 1: exact rational cumulant and coefficient tables."""
-    free = free_cumulants(4).coefficients
+    free = free_cumulants(4)
     want_free = (Fraction(1), Fraction(1), Fraction(4), Fraction(27))
-    hcoef = h_infinity_coefficients(3).coefficients
+    hcoef = h_infinity_coefficients(3)
     want_h = (Fraction(-5, 2), Fraction(-43, 8), Fraction(-579, 16))
     return {
         "passed": free == want_free and hcoef == want_h,
@@ -94,7 +94,7 @@ def ode_identity(profile: str) -> dict:
         if classify_domain(z) in (DomainTag.OUTSIDE_XI, DomainTag.XI_BOUNDARY):
             continue
         fd = sum(complex(f_tilde(z + 0.05 * u)) / u for u in circle) / 0.8
-        worst = max(worst, _rel_scaled(ScaledComplex.from_complex(fd), f_tilde_prime(z)))
+        worst = max(worst, _rel_scaled(ScaledComplex(fd), f_tilde_prime(z)))
         count += 1
     return {"passed": worst <= 1e-9, "points": n, "max_rel_error": worst}
 
@@ -182,7 +182,7 @@ def monotonicity(profile: str) -> dict:
 
 def h_infinity_convergence(profile: str) -> dict:
     """Criterion 7: the large-x expansion of h with its remainder bound."""
-    a2, a4, a6 = (float(c) for c in h_infinity_coefficients(3).coefficients)
+    a2, a4, a6 = (float(c) for c in h_infinity_coefficients(3))
     checks = []
     ok = True
     for x in (6.0, 8.0, 10.0):

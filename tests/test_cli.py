@@ -21,6 +21,19 @@ from freenormal.transforms import f_tilde, g_tilde, rho
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+#: ``freenormal.__all__``: the paper's quantities, their checks and errors
+PUBLIC_API = set("""
+    CurvePoint DomainError DomainTag FreeNormalError InvalidContour
+    LevelSetTrace NoConvergence NoSignChange PoleProximity QuadratureFailure
+    ScaledComplex SeedNotFound StepUnderflow boolean_cumulants classify_domain
+    eval_f_asym_zero eval_g_asym_infinity eval_g_asym_zero eval_h_asym_infinity
+    eval_h_asym_zero f_infinity_coefficients f_of f_tilde f_tilde_prime
+    free_cumulants g_tilde g_tilde_contour_oracle g_tilde_prime
+    h_infinity_coefficients in_omega integrate levy_density make_anchor moments
+    monotonicity_certificate rho semicircular_component_check solve_H
+    tau_total_mass trace_level_set trace_p0 voiculescu
+""".split())
+
 
 def _run_fresh(argv, timeout=120):
     """Run ``python <argv>`` in a fresh interpreter with the package on its path."""
@@ -64,7 +77,7 @@ class TestParseComplex:
 
 class TestFormatValue:
     def test_zero(self):
-        assert format_value(ScaledComplex.from_complex(0j)) == "0 + 0i"
+        assert format_value(ScaledComplex(0j)) == "0 + 0i"
 
     def test_moderate_values(self):
         assert format_value(f_tilde(0j)) == "0 + 0.797884560802865i"
@@ -76,7 +89,7 @@ class TestFormatValue:
         assert format_value(rho(-40.0)) == "(6.83400758969195 + 0i) * 10^347"
 
     def test_negative_zero_is_normalized(self):
-        v = ScaledComplex.from_complex(complex(-0.0, 1.0))
+        v = ScaledComplex(complex(-0.0, 1.0))
         assert format_value(v) == "0 + 1i"
 
 
@@ -421,9 +434,10 @@ class TestStartup:
             assert set(freenormal.__all__) <= set(names), freenormal.__all__
             assert set(freenormal.__all__) <= set(dir(freenormal))
             assert freenormal.levy_density is freenormal.levy.levy_density
-            print(len(freenormal.__all__))
+            print(*freenormal.__all__)
         """)
-        assert out == "45\n"
+        assert set(out.split()) == PUBLIC_API
+        assert len(out.split()) == len(PUBLIC_API) == 42
 
     def test_unknown_attribute_raises_attribute_error(self):
         out = _run_script("""

@@ -6,6 +6,7 @@ on a vertical line, move the line until Re F hits the target.  It shares
 no code with the Newton machinery under test.
 """
 
+import copy
 import math
 import os
 import pickle
@@ -22,6 +23,9 @@ from hypothesis import strategies as st
 
 from freenormal import curve
 from freenormal.curve import (
+    X_ASYMPTOTIC,
+    X_HI,
+    X_LO,
     CurvePoint,
     f_of,
     in_omega,
@@ -30,7 +34,7 @@ from freenormal.curve import (
     trace_p0,
 )
 from freenormal.errors import DomainError, FreeNormalError, NoConvergence
-from freenormal.series import X_ASYMPTOTIC, X_HI, X_LO, eval_h_asym_infinity
+from freenormal.series import eval_h_asym_infinity
 from freenormal.transforms import f_tilde, g_tilde
 
 HALF_PI = math.pi / 2.0
@@ -513,7 +517,8 @@ class TestLevelSets:
         for step in (-0.1, 0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 trace_level_set(0.5, self.BBOX, step)
-        for bbox in ((-1.0, math.inf, -1.0, 1.0), (math.nan, 1.0, -1.0, 1.0)):
+        for bbox in ((-1.0, math.inf, -1.0, 1.0), (math.nan, 1.0, -1.0, 1.0),
+                     (0.0, 1.0, 2.0), (-1.0, 1.0, -1.0, 1.0, 2.0)):
             with pytest.raises(DomainError):
                 trace_level_set(0.5, bbox, 0.1)
 
@@ -563,14 +568,31 @@ class TestCurvePointInvariants:
         q = CurvePoint(x=p.x, g=p.g, h=p.h, residual=p.residual)
         assert q == p and hash(q) == hash(p) and q is not p
         assert q != CurvePoint(x=p.x, g=p.g, h=p.h, residual=1.0)
-        assert eval(repr(p)) == p
-        assert pickle.loads(pickle.dumps(p)) == p
+        # a named tuple: equal to the plain tuple of its fields
+        assert p == (p.x, p.g, p.h, p.residual)
+        for r in (eval(repr(p)), pickle.loads(pickle.dumps(p)), copy.copy(p),
+                  copy.deepcopy(p), p._replace(), CurvePoint._make(p)):
+            assert type(r) is CurvePoint and r == p
         for name in ("x", "g", "h", "residual", "z", "other"):
             with pytest.raises(AttributeError):
                 setattr(p, name, 2.0)
         with pytest.raises(AttributeError):
             del p.g
         assert (p.x, p.g, p.h) == (1.0, q.g, q.h)
+
+    def test_every_constructor_validates(self):
+        p = solve_H(1.0)
+        with pytest.raises(DomainError):
+            p._replace(g=-1.0)
+        with pytest.raises(DomainError):
+            p._replace(h=10.0)  # g*h > pi/2
+        with pytest.raises(DomainError):
+            CurvePoint._make((1.0, 3.0, 2.0, 0.0))
+        # pickle and copy rebuild a point by this call, which validates
+        rebuild, (cls, x, g, h, residual) = p.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+        assert rebuild(cls, x, g, h, residual) == p
+        with pytest.raises(DomainError):
+            rebuild(cls, x, -g, h, residual)
 
     def test_rejects_points_outside_the_domain(self):
         with pytest.raises(FreeNormalError):

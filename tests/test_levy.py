@@ -304,7 +304,7 @@ class TestRobustnessSweep:
             assert levy_density(-x) == density
         witness = _or_none(semicircular_component_check, x)
         if witness is not None:
-            assert 0.0 <= witness < 1.0
+            assert witness == 0.0 or sys.float_info.min <= witness < 1.0
         f = _or_none(f_of, x)
         if f is not None:
             assert sys.float_info.min <= -f < math.inf

@@ -34,7 +34,7 @@ class TestAgainstComplex:
     @given(moderate_complex(), moderate_complex())
     @settings(max_examples=200, deadline=None)
     def test_add_mul_match_plain_arithmetic(self, a, b):
-        sa, sb = ScaledComplex.from_complex(a), ScaledComplex.from_complex(b)
+        sa, sb = ScaledComplex(a), ScaledComplex(b)
         assert _close((sa + sb).to_complex(), a + b)
         assert _close((sa * sb).to_complex(), a * b)
         assert _close((sa - sb).to_complex(), a - b)
@@ -44,27 +44,28 @@ class TestAgainstComplex:
         [(1238, -1239), (997859, -999327 + 1j), (1024, -1023.75), (1e6 + 1, -1e6)],
     )
     def test_cancelling_sum_is_plain_float_addition(self, a, b):
-        sa, sb = ScaledComplex.from_complex(a), ScaledComplex.from_complex(b)
+        sa, sb = ScaledComplex(a), ScaledComplex(b)
         assert (sa + sb).to_complex() == a + b
         assert (sb + sa).to_complex() == a + b
-        assert (sa - ScaledComplex.from_complex(-b)).to_complex() == a + b
+        assert (sa - ScaledComplex(-b)).to_complex() == a + b
+        assert (a - ScaledComplex(-b)).to_complex() == a + b  # __rsub__
 
     @given(moderate_complex(), nonzero_complex())
     @settings(max_examples=200, deadline=None)
     def test_division_matches_plain_arithmetic(self, a, b):
-        sa, sb = ScaledComplex.from_complex(a), ScaledComplex.from_complex(b)
+        sa, sb = ScaledComplex(a), ScaledComplex(b)
         assert _close((sa / sb).to_complex(), a / b)
 
     @given(nonzero_complex())
     @settings(max_examples=200, deadline=None)
     def test_reciprocal_round_trip(self, a):
-        sa = ScaledComplex.from_complex(a)
+        sa = ScaledComplex(a)
         assert _close(sa.reciprocal().reciprocal().to_complex(), a)
 
     @given(moderate_complex())
     @settings(max_examples=100, deadline=None)
     def test_mantissa_normalized(self, a):
-        sa = ScaledComplex.from_complex(a)
+        sa = ScaledComplex(a)
         if not sa.is_zero:
             assert 0.5 <= abs(sa.mantissa) < 2.0
 
@@ -74,7 +75,7 @@ class TestExtremeScales:
         w = complex(-50000.0, 1.25)
         s = ScaledComplex.exp_of(w)
         assert s.log_abs() == -50000.0
-        assert math.isclose(s.arg(), 1.25, abs_tol=1e-15)
+        assert math.isclose(cmath.phase(s.mantissa), 1.25, abs_tol=1e-15)
 
     def test_products_far_beyond_float_range(self):
         a = ScaledComplex.exp_of(complex(800.0, 0.3))
@@ -83,13 +84,13 @@ class TestExtremeScales:
         assert math.isclose(p.log_abs(), 1500.0, rel_tol=1e-15)
         q = p / a
         assert math.isclose(q.log_abs(), 700.0, rel_tol=1e-15)
-        assert math.isclose(q.arg(), -0.1, abs_tol=1e-12)
+        assert math.isclose(cmath.phase(q.mantissa), -0.1, abs_tol=1e-12)
 
     def test_addition_flushes_hopelessly_small_term(self):
         big = ScaledComplex.exp_of(complex(1000.0, 0.0))
         tiny = ScaledComplex.exp_of(complex(-1000.0, 0.0))
         s = big + tiny
-        assert s.isclose(big)
+        assert (s.mantissa, s.log_scale) == (big.mantissa, big.log_scale)
 
     def test_to_complex_overflow_raises(self):
         with pytest.raises(OverflowError):
@@ -100,29 +101,23 @@ class TestExtremeScales:
         assert v == 0
 
     def test_zero_behavior(self):
-        z = ScaledComplex.from_complex(0.0)
+        z = ScaledComplex(0.0)
         assert z.is_zero
         assert z.log_abs() == -math.inf
-        one = ScaledComplex.from_complex(1.0)
+        one = ScaledComplex(1.0)
         assert (z * one).is_zero
-        assert (one + z).isclose(one)
+        assert (one + z).to_complex() == 1.0
         with pytest.raises(ZeroDivisionError):
             one / z
 
     def test_cancellation_to_zero(self):
-        a = ScaledComplex.from_complex(3.5 + 1j)
+        a = ScaledComplex(3.5 + 1j)
         assert (a - a).is_zero
 
     def test_conjugate_and_neg(self):
         a = ScaledComplex.exp_of(complex(900.0, 2.0))
-        c = a.conjugate()
-        assert math.isclose(c.arg(), -a.arg(), abs_tol=1e-14)
+        c = ScaledComplex(a.mantissa.conjugate(), a.log_scale)
+        assert math.isclose(cmath.phase(c.mantissa), -cmath.phase(a.mantissa), abs_tol=1e-14)
+        assert c.log_abs() == a.log_abs()
         n = -a
         assert math.isclose(abs(cmath.phase(n.mantissa) - cmath.phase(a.mantissa)) % (2 * math.pi), math.pi, abs_tol=1e-12)
-
-    def test_isclose_tracks_relative_error(self):
-        a = ScaledComplex.exp_of(complex(5000.0, 1.0))
-        b = a * ScaledComplex.from_complex(1.0 + 1e-13)
-        c = a * ScaledComplex.from_complex(1.0 + 1e-9)
-        assert a.isclose(b)
-        assert not a.isclose(c)
