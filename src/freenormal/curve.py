@@ -121,7 +121,11 @@ mirror image); ``points`` is a tuple of complex numbers.
 # --------------------------------------------------------------------------
 
 def _confined(z: complex) -> bool:
-    return classify_domain(z) is not DomainTag.OUTSIDE_XI
+    """``z`` in ``Xi``; a non-finite Newton candidate counts as outside."""
+    try:
+        return classify_domain(z) is not DomainTag.OUTSIDE_XI
+    except DomainError:
+        return False
 
 
 def _newton_confined(

@@ -13,7 +13,9 @@ would put an error of a few ulps of the operands into every value and so into
 every cancellation.  The window keeps every product and quotient of two stored
 mantissas inside binary64 range.  The public :attr:`mantissa` and
 :attr:`log_scale` are the normalized view of the same value, with
-``0.5 <= |mantissa| < 2`` (or exactly 0).
+``0.5 <= |mantissa| < 2`` (or exactly 0).  The constructor builds that view
+once, from the stored pair, and keeps it in two more slots, so reading it is
+an attribute read.
 
 Addition aligns the two scales and flushes the smaller summand when the scales
 differ by more than ``FLUSH_LOG_GAP`` in natural log, because past that point
@@ -22,12 +24,16 @@ one value carries one scale, so a component (real or imaginary part) smaller
 than the other by more than the flush window is represented as zero.
 
 Instances are immutable and cheap; arithmetic never raises on magnitude alone.
+A mantissa that is not finite, or a NaN log-scale, is refused with
+``DomainError``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+from .errors import DomainError
 
 __all__ = ["ScaledComplex", "FLUSH_LOG_GAP"]
 
@@ -42,6 +48,9 @@ _MANT_HI = 2.0
 # of either end is still a normal binary64 number.
 _STORE_LO = 2.0**-64
 _STORE_HI = 2.0**64
+_LN2 = math.log(2.0)
+
+_set = object.__setattr__
 
 
 class ScaledComplex:
@@ -52,26 +61,59 @@ class ScaledComplex:
     mantissa : complex
     log_scale : float
         Natural-log scale factor.  The constructor renormalizes when needed, so
-        any ``(mantissa, log_scale)`` pair with finite entries is accepted.
+        any ``(mantissa, log_scale)`` pair with finite entries is accepted; a
+        mantissa that is not finite, or a NaN ``log_scale``, raises
+        ``DomainError``.
+
+    Attributes
+    ----------
+    mantissa : complex
+        ``m`` with ``0.5 <= |m| < 2`` (or 0) and ``value = m * exp(log_scale)``.
+    log_scale : float
+        Natural-log scale belonging to :attr:`mantissa`.
     """
 
-    __slots__ = ("_m", "_s")
+    __slots__ = ("_m", "_s", "mantissa", "log_scale")
 
     def __init__(self, mantissa: complex, log_scale: float = 0.0):
-        m = complex(mantissa)
-        s = float(log_scale)
-        a = abs(m)
-        if a == 0.0:
-            m, s = 0j, 0.0
-        elif not (_STORE_LO <= a < _STORE_HI):
+        m = mantissa if type(mantissa) is complex else complex(mantissa)
+        s = log_scale if type(log_scale) is float else float(log_scale)
+        if s != s:
+            raise DomainError("ScaledComplex needs a log_scale that is not NaN")
+        try:
+            a = abs(m)
+        except OverflowError:  # finite parts whose modulus overflows
+            m, s = 0.5 * m, s + _LN2
+            a = abs(m)
+        if not _STORE_LO <= a < _STORE_HI:  # also NaN or infinite
+            if a == 0.0:
+                m, s = 0j, 0.0
+            else:
+                if not a < math.inf:
+                    raise DomainError(f"ScaledComplex needs a finite mantissa, got {m!r}")
+                d = math.log(a)
+                m /= cmath.exp(complex(d, 0.0))
+                s += d
+            a = abs(m)
+        _set(self, "_m", m)
+        _set(self, "_s", s)
+        # the normalized view of the stored pair
+        if _MANT_LO <= a < _MANT_HI or a == 0.0:
+            _set(self, "mantissa", m)
+            _set(self, "log_scale", s)
+        else:
             d = math.log(a)
-            m /= cmath.exp(complex(d, 0.0))
-            s += d
-        object.__setattr__(self, "_m", m)
-        object.__setattr__(self, "_s", s)
+            _set(self, "mantissa", m / cmath.exp(complex(d, 0.0)))
+            _set(self, "log_scale", s + d)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("ScaledComplex is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ScaledComplex is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return type(self), (self._m, self._s)
 
     # ---- constructors ----
 
@@ -80,30 +122,15 @@ class ScaledComplex:
         """``exp(w)`` for arbitrary complex ``w``, never overflowing.
 
         Exact by construction: the phase goes into the mantissa, the real part
-        into the scale.
+        into the scale.  Raises ``DomainError`` if the imaginary part is not
+        finite or the real part is NaN.
         """
         w = complex(w)
+        if not math.isfinite(w.imag):  # cmath.exp raises a bare ValueError
+            raise DomainError(f"exp_of needs a finite imaginary part, got {w!r}")
         return cls(cmath.exp(complex(0.0, w.imag)), w.real)
 
     # ---- queries ----
-
-    def _normalized(self) -> tuple[complex, float]:
-        m, s = self._m, self._s
-        a = abs(m)
-        if a == 0.0 or _MANT_LO <= a < _MANT_HI:
-            return m, s
-        d = math.log(a)
-        return m / cmath.exp(complex(d, 0.0)), s + d
-
-    @property
-    def mantissa(self) -> complex:
-        """``m`` with ``0.5 <= |m| < 2`` (or 0) and ``value = m * exp(log_scale)``."""
-        return self._normalized()[0]
-
-    @property
-    def log_scale(self) -> float:
-        """Natural-log scale belonging to :attr:`mantissa`."""
-        return self._normalized()[1]
 
     @property
     def is_zero(self) -> bool:
@@ -127,7 +154,7 @@ class ScaledComplex:
         m, s = self._m, self._s
         if -700.0 < s < 665.0:  # |m| < 2**64 = exp(44.4): cannot overflow
             return m * math.exp(s)
-        m, s = self._normalized()
+        m, s = self.mantissa, self.log_scale
         if s > 709.0:
             raise OverflowError(
                 f"scaled value ~exp({self.log_abs():.6g}) exceeds binary64 range"

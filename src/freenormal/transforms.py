@@ -58,6 +58,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+_MINUS_I_SQRT_HALF_PI = complex(0.0, -_SQRT_HALF_PI)
+_I_SQRT_HALF_PI = complex(0.0, _SQRT_HALF_PI)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _HALF_PI = 0.5 * math.pi
 
@@ -98,9 +100,12 @@ def classify_domain(z: complex) -> DomainTag:
 
     The lower boundary is the hyperbola pair ``|Re z * Im z| = pi/2``; points
     whose product lies within 4 ulps of ``pi/2`` are reported as
-    :attr:`DomainTag.XI_BOUNDARY` rather than forced to a side.
+    :attr:`DomainTag.XI_BOUNDARY` rather than forced to a side.  Raises
+    ``DomainError`` if ``z`` is not finite.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"classify_domain needs a finite point, got {z!r}")
     if z.imag > 0.0:
         return DomainTag.UPPER_HALF_PLANE
     if z.imag == 0.0:
@@ -120,6 +125,7 @@ def classify_domain(z: complex) -> DomainTag:
 #: terms of Weideman's series: 32 lose a digit on lower Xi, 48 gain none
 _W_TERMS = 40
 _W_L = math.sqrt(_W_TERMS / _SQRT2)
+_INV_SQRT_PI = 1.0 / _SQRT_PI
 # its coefficients, highest degree first: a_k is the k-th Fourier cosine
 # coefficient of (L^2 + t^2) exp(-t^2) under t = L tan(theta/2), by the
 # trapezoidal rule on 4N points of theta (the function vanishes at pi)
@@ -145,7 +151,7 @@ def _w_upper(zeta: complex) -> complex:
     p = 0j
     for c in _W_COEF:
         p = p * Z + c
-    w = 2.0 * p / den / den + (1.0 / _SQRT_PI) / den  # den^2 overflows at 1e154
+    w = 2.0 * p / den / den + _INV_SQRT_PI / den  # den^2 overflows at 1e154
     if not cmath.isfinite(w):  # Z overflows with both parts of zeta near 1e308
         raise DomainError(f"the Faddeeva kernel overflows at {zeta!r}")
     return w
@@ -266,7 +272,7 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
         raise DomainError(f"g_tilde needs a finite argument, got {z!r}")
     x, y = z.real, z.imag
     if y > 0.0:
-        g = complex(0.0, -_SQRT_HALF_PI) * _w_upper(z / _SQRT2)
+        g = _MINUS_I_SQRT_HALF_PI * _w_upper(z / _SQRT2)
         return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
     if -y <= _NEAR_AXIS and abs(x * y) <= _HALF_PI:
         g = complex(*_g_tilde_near_axis_parts(x, y))
@@ -274,7 +280,7 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
     hi, lo = _half_diff_of_squares(x, y)
     if not hi < math.inf:  # NaN or +inf; a finite hi implies a finite x*y
         raise DomainError(f"-z^2/2 overflows binary64 at z = {z!r}")
-    alg = complex(0.0, _SQRT_HALF_PI) * _w_upper(-z / _SQRT2)
+    alg = _I_SQRT_HALF_PI * _w_upper(-z / _SQRT2)
     if hi == -math.inf:  # exp(-z^2/2) is 0, though x*y may be infinite
         return alg if abs(alg) >= _PLAIN_G_MIN else ScaledComplex(alg)
     coeff = complex(0.0, -_SQRT_TWO_PI * (1.0 + lo))
@@ -284,10 +290,6 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
         if abs(g) >= _PLAIN_G_MIN:
             return g
     return ScaledComplex(alg) + coeff * ScaledComplex.exp_of(e)
-
-
-def _scaled(v: complex | ScaledComplex) -> ScaledComplex:
-    return v if type(v) is ScaledComplex else ScaledComplex(v)
 
 
 #: ``1/g_tilde`` is refused where ``log|g_tilde|`` is below this, the log of
@@ -316,7 +318,8 @@ def g_tilde(z: complex) -> ScaledComplex:
     of ``z`` near 1e308), and where ``Re(-z^2/2)`` overflows to ``+inf``
     below the axis (``|Im z|`` past about 1.3e154).
     """
-    return _scaled(_g_eval(z))
+    g = _g_eval(z)
+    return g if type(g) is ScaledComplex else ScaledComplex(g)
 
 
 def g_tilde_prime(z: complex) -> ScaledComplex:
@@ -326,7 +329,7 @@ def g_tilde_prime(z: complex) -> ScaledComplex:
     gp = 1.0 - z * g
     if type(gp) is complex and not cmath.isfinite(gp):  # |z g| past 1e308
         gp = 1.0 - z * ScaledComplex(g)
-    return _scaled(gp)
+    return gp if type(gp) is ScaledComplex else ScaledComplex(gp)
 
 
 def f_tilde(z: complex) -> ScaledComplex:
@@ -336,14 +339,16 @@ def f_tilde(z: complex) -> ScaledComplex:
     (the pole of ``f_tilde`` nearest to ``z`` would dominate the value), and
     ``DomainError`` where :func:`g_tilde` does.
     """
-    return _scaled(_f_eval(z))
+    F = _f_eval(z)
+    return F if type(F) is ScaledComplex else ScaledComplex(F)
 
 
 def f_tilde_prime(z: complex) -> ScaledComplex:
     """Derivative ``F (z - F)`` of ``F = f_tilde(z)``; raises as :func:`f_tilde`."""
     z = complex(z)
     F = _f_eval(z)
-    return _scaled(F * (z - F))
+    fp = F * (z - F)
+    return fp if type(fp) is ScaledComplex else ScaledComplex(fp)
 
 
 def rho(x: float) -> ScaledComplex:
@@ -354,7 +359,9 @@ def rho(x: float) -> ScaledComplex:
     ``x -> -inf``; the scaled return type keeps the latter representable
     down to ``x`` about ``-1.3e154``, past which ``DomainError`` is raised.
     """
-    g = _scaled(_g_eval(complex(0.0, float(x))))
+    g = _g_eval(complex(0.0, float(x)))
+    if type(g) is not ScaledComplex:
+        g = ScaledComplex(g)
     return ScaledComplex(complex(-g.mantissa.imag, 0.0), g.log_scale)
 
 

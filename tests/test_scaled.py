@@ -1,12 +1,16 @@
 """Scaled complex arithmetic: agreement with plain complex, huge scales."""
 
 import cmath
+import copy
+import inspect
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freenormal.errors import DomainError
 from freenormal.scaled import ScaledComplex
 
 
@@ -121,3 +125,119 @@ class TestExtremeScales:
         assert c.log_abs() == a.log_abs()
         n = -a
         assert math.isclose(abs(cmath.phase(n.mantissa) - cmath.phase(a.mantissa)) % (2 * math.pi), math.pi, abs_tol=1e-12)
+
+
+def _bits(v) -> tuple:
+    """Exact bits of a float or complex, telling -0.0 from 0.0."""
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+def _slots(v: ScaledComplex) -> tuple:
+    return _bits(v._m), v._s.hex(), _bits(v.mantissa), v.log_scale.hex()
+
+
+def _normalized(m: complex, s: float) -> tuple[complex, float]:
+    """The view formula: ``|m|`` in ``[0.5, 2)`` or 0 kept, else divided out."""
+    a = abs(m)
+    if a == 0.0 or 0.5 <= a < 2.0:
+        return m, s
+    d = math.log(a)
+    return m / cmath.exp(complex(d, 0.0)), s + d
+
+
+#: parts at the edges of the store window, of binary64 and of the view
+_EDGES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 2.0**-64,
+          math.nextafter(2.0**-64, 0.0), 0.5, 1.0, math.nextafter(2.0, 0.0), 2.0,
+          2.0**64, math.nextafter(2.0**64, 0.0), 1e300, 1.7e308]
+part = st.one_of(
+    st.sampled_from(_EDGES + [-v for v in _EDGES]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+mantissas = st.builds(complex, part, part)
+scales = st.one_of(st.sampled_from([0.0, -0.0, 700.0, -800.0]),
+                   st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
+
+
+class TestStoredView:
+    def test_view_is_a_slot_not_a_property(self):
+        for name in ("mantissa", "log_scale"):
+            assert name in ScaledComplex.__slots__
+            assert inspect.ismemberdescriptor(ScaledComplex.__dict__[name])
+
+    @given(mantissas, scales, mantissas, scales, st.floats(-10.0, 10.0))
+    @settings(max_examples=400, deadline=None)
+    def test_view_is_the_normalized_formula_bit_for_bit(self, m1, s1, m2, s2, phase):
+        a, b = ScaledComplex(m1, s1), ScaledComplex(m2, s2)
+        values = [a, b, a * b, a + b, a - b, -a, ScaledComplex.exp_of(complex(s1, phase)),
+                  a + ScaledComplex(m2, s1 - 800.0)]  # mostly a flushed summand
+        if not b.is_zero:
+            values += [a / b, b.reciprocal()]
+        for v in values:
+            m, s = _normalized(v._m, v._s)
+            assert (_bits(v.mantissa), v.log_scale.hex()) == (_bits(m), s.hex())
+            assert v.is_zero or 0.5 <= abs(v.mantissa) < 2.0
+
+    def test_finite_parts_with_an_overflowing_modulus(self):
+        v = ScaledComplex(complex(1.5e308, -1.5e308))
+        assert math.isclose(v.log_abs(), math.log(1.5e308) + 0.5 * math.log(2.0),
+                            rel_tol=1e-15)
+        assert math.isclose(cmath.phase(v.mantissa), -0.25 * math.pi, rel_tol=1e-15)
+        with pytest.raises(OverflowError):
+            v.to_complex()
+        # the scale near 710 carries ulp(710) = 1.1e-13 of relative error
+        assert (v * 1e-300).to_complex() == pytest.approx(complex(1.5e8, -1.5e8), rel=1e-12)
+
+
+class TestValueProtocol:
+    @pytest.mark.parametrize("m, s", [
+        (0.03 + 0.01j, 0.0), (1.25 - 0.5j, 0.0), (0.0, 0.0), (-0.0 + 3e-200j, 0.0),
+        (cmath.exp(2.5j), -5000.0), (complex(1.5e308, 1.5e308), 0.0),
+    ])
+    def test_pickle_and_copy_keep_every_slot(self, m, s):
+        v = ScaledComplex(m, s)
+        for w in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert type(w) is ScaledComplex
+            assert _slots(w) == _slots(v)
+
+    @pytest.mark.parametrize("name", ["_m", "_s", "mantissa", "log_scale"])
+    def test_slots_cannot_be_set_or_deleted(self, name):
+        v = ScaledComplex(0.25 + 3j, 7.0)
+        before = _slots(v)
+        with pytest.raises(AttributeError):
+            setattr(v, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+        assert _slots(v) == before
+
+
+class TestNonFiniteParts:
+    @pytest.mark.parametrize("m", [
+        math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 1.0),
+        complex(math.nan, math.inf),
+    ])
+    def test_non_finite_mantissa_is_a_domain_error(self, m):
+        with pytest.raises(DomainError):
+            ScaledComplex(m)
+        with pytest.raises(DomainError):
+            ScaledComplex(m, 3.0)
+
+    @pytest.mark.parametrize("m", [1.0, 0.0, 1e-30 + 1j, 1e300])
+    def test_nan_log_scale_is_a_domain_error(self, m):
+        with pytest.raises(DomainError):
+            ScaledComplex(m, math.nan)
+
+    @pytest.mark.parametrize("w", [
+        complex(1.0, math.nan), complex(1.0, math.inf), complex(1.0, -math.inf),
+        complex(math.nan, 1.0),
+    ])
+    def test_exp_of_a_non_finite_phase_or_nan_scale_is_a_domain_error(self, w):
+        with pytest.raises(DomainError):
+            ScaledComplex.exp_of(w)
+
+    def test_arithmetic_never_raises_on_magnitude_alone(self):
+        big = ScaledComplex.exp_of(complex(1e300, 0.5))
+        tiny = ScaledComplex.exp_of(complex(-1e300, -0.5))
+        for v in (big * big, tiny * tiny, big / tiny, tiny / big, big + tiny,
+                  tiny - big, big.reciprocal()):
+            assert math.isfinite(v.log_scale) and cmath.isfinite(v.mantissa)

@@ -9,8 +9,10 @@ wofz value, and independently by contour quadrature.
 """
 
 import cmath
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from scipy.special import wofz
 
 from freenormal import transforms
+from freenormal.curve import _confined
 from freenormal.errors import (
     DomainError,
     FreeNormalError,
@@ -340,6 +343,22 @@ class TestNonFiniteArguments:
         with pytest.raises(DomainError):
             rho(x)
 
+    @pytest.mark.parametrize("z", [
+        complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, math.inf),
+        complex(-math.inf, -1.0), complex(1.0, -math.inf), complex(math.nan, math.nan),
+    ])
+    def test_classify_domain_raises_a_domain_error(self, z):
+        with pytest.raises(DomainError):
+            classify_domain(z)
+
+    @pytest.mark.parametrize("z", [
+        complex(math.nan, 0.0), complex(math.inf, 0.0), complex(1.0, -math.inf),
+        complex(math.nan, 1.0),
+    ])
+    def test_the_solver_treats_a_non_finite_candidate_as_outside(self, z):
+        assert not _confined(z)
+        assert _confined(complex(1.0, -1.0))
+
 
 #: both parts of the binary64 sweep: every decade where a part of the
 #: evaluation (x*x, the kernel's (L - i zeta)^2, exp(-z^2/2)) overflows
@@ -471,3 +490,43 @@ class TestScaledReturns:
         g = g_tilde(z)
         f = f_tilde(z)
         assert math.isclose(f.log_abs(), -g.log_abs(), rel_tol=1e-12)
+
+
+def _transform_eval_ops(seed: int) -> list[dict]:
+    """The operations of the ``transform_eval`` benchmark workload, from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.transform_eval_inputs(seed)["ops"]
+
+
+class TestWorkPerCall:
+    """Each public transform builds its one return value and nothing else."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        init = ScaledComplex.__init__
+
+        def counted(self, *args):
+            count[0] += 1
+            init(self, *args)
+        monkeypatch.setattr(ScaledComplex, "__init__", counted)
+        return count
+
+    @pytest.mark.parametrize("zone", ["origin", "band", "upper", "far", "lower"])
+    @pytest.mark.parametrize("fn", [g_tilde, g_tilde_prime, f_tilde, f_tilde_prime])
+    def test_one_scaled_value_per_transform_call(self, builds, fn, zone):
+        points = [complex(*op["z"]) for op in _transform_eval_ops(7) if op["zone"] == zone]
+        assert len(points) == 80
+        for z in points:
+            before = builds[0]
+            fn(z)
+            assert builds[0] - before == 1, z
+
+    def test_at_most_two_scaled_values_per_rho_call(self, builds):
+        for x in [-30.0, -0.0, 0.0, 30.0] + [op["r"] for op in _transform_eval_ops(7)]:
+            before = builds[0]
+            rho(x)
+            assert builds[0] - before <= 2, x
