@@ -266,35 +266,24 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
         eval_h_asym_zero,
     )
 
+    zero = args.regime == "zero"
     rows = []
-    if args.regime == "zero":
-        for x in (1e-3, 1e-4, 1e-5, 1e-6):
-            pt = solve_H(x)
-            g0, h0 = eval_g_asym_zero(x), eval_h_asym_zero(x)
-            rows.append(
-                {
-                    "x": x,
-                    "g_solver": pt.g, "g_asym": g0,
-                    "g_rel_err": abs(pt.g - g0) / pt.g,
-                    "h_solver": pt.h, "h_asym": h0,
-                    "h_rel_err": abs(pt.h - h0) / pt.h,
-                    "gh_defect": abs(pt.g * pt.h - math.pi / 2.0),
-                }
-            )
-    else:
-        for x in (6.0, 8.0, 10.0, 12.0):
-            pt = solve_H(x)
-            gi = eval_g_asym_infinity(x, 3)
-            hi = eval_h_asym_infinity(x, 3).to_complex().real
-            rows.append(
-                {
-                    "x": x,
-                    "g_solver": pt.g, "g_asym": gi,
-                    "g_rel_err": abs(pt.g - gi) / pt.g,
-                    "h_solver": pt.h, "h_asym": hi,
-                    "h_rel_err": abs(pt.h - hi) / pt.h,
-                }
-            )
+    for x in (1e-3, 1e-4, 1e-5, 1e-6) if zero else (6.0, 8.0, 10.0, 12.0):
+        pt = solve_H(x)
+        if zero:
+            ga, ha = eval_g_asym_zero(x), eval_h_asym_zero(x)
+        else:
+            ga, ha = eval_g_asym_infinity(x, 3), eval_h_asym_infinity(x, 3).to_complex().real
+        row = {
+            "x": x,
+            "g_solver": pt.g, "g_asym": ga,
+            "g_rel_err": abs(pt.g - ga) / pt.g,
+            "h_solver": pt.h, "h_asym": ha,
+            "h_rel_err": abs(pt.h - ha) / pt.h,
+        }
+        if zero:
+            row["gh_defect"] = abs(pt.g * pt.h - math.pi / 2.0)
+        rows.append(row)
     if args.format == "json":
         text = json_text({"regime": args.regime, "rows": rows})
     elif args.format == "csv":
@@ -309,7 +298,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
                 ],
                 "title": f"solver vs {args.regime} asymptotics",
                 "xlabel": "x", "ylabel": "relative error",
-                "xlog": args.regime == "zero", "ylog": True,
+                "xlog": zero, "ylog": True,
             }
         ]
         text = svg_figure(args.command_line, panels)

@@ -314,8 +314,7 @@ def solve_H(x: float) -> CurvePoint:
         raise DomainError(f"the curve is parametrized by finite x > 0, got {x}")
     if x > X_ASYMPTOTIC:
         g = eval_g_asym_infinity(x, _LARGE_X_ORDER)
-        h_sc = eval_h_asym_infinity(x, _LARGE_X_ORDER)
-        h = float(h_sc.to_complex().real) if h_sc.log_abs() > -740 else 0.0
+        h = eval_h_asym_infinity(x, _LARGE_X_ORDER).to_complex().real
         _require_normal(
             h, f"curve height at x = {x}",
             "; use eval_h_asym_infinity for a scaled value",

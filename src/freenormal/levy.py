@@ -19,9 +19,9 @@ import cmath
 import math
 import sys
 
-from .curve import X_HI, _newton_confined, in_omega, solve_H
+from .curve import X_ASYMPTOTIC, X_HI, _newton_confined, in_omega, solve_H
 from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
-from .series import free_cumulants
+from .series import _horner, free_cumulants
 from .transforms import _require_normal, f_tilde, quad
 
 __all__ = [
@@ -33,8 +33,7 @@ __all__ = [
 
 _PI = math.pi
 
-#: from this |w| on, phi(w) is the series in kappa_2 .. kappa_{2 _PHI_SERIES_ORDER}
-_PHI_SERIES_FROM = 30.0
+#: from |w| = X_ASYMPTOTIC on, phi(w) is the series in kappa_2 .. kappa_{2 _PHI_SERIES_ORDER}
 _PHI_SERIES_ORDER = 8
 #: tau_total_mass integrates up to here; the normal tail past it is 6e-16
 _TAU_CUT = 8.0
@@ -61,8 +60,9 @@ def voiculescu(w: complex) -> complex:
     Real ``w`` uses the boundary parametrization
     ``f_tilde^{-1}(x) = sign(x) g(|x|) - i h(|x|)`` directly.  Elsewhere
     ``z - w`` cancels about ``2 log10 |w|`` digits of ``z``, so from
-    ``|w| = 30`` the free-cumulant series ``sum kappa_{2n} w^{1-2n}`` is
-    summed instead (its first dropped term is below 1e-16 relative there).
+    ``|w| = X_ASYMPTOTIC`` (30, where the curve solver also switches to its
+    series) the free-cumulant series ``sum kappa_{2n} w^{1-2n}`` is summed
+    instead (its first dropped term is below 1e-16 relative there).
     Below, a relative-residual Newton iteration on ``log f_tilde(z) = log w``
     runs from the two-term large-argument seed ``w + 1/w`` (falling back to
     ``w``), confined to the certified region, and the solution is verified
@@ -84,13 +84,9 @@ def voiculescu(w: complex) -> complex:
     if w.imag == 0.0:
         pt = solve_H(abs(w.real))
         return complex(math.copysign(pt.g, w.real) - w.real, -pt.h)
-    if r >= _PHI_SERIES_FROM:
+    if r >= X_ASYMPTOTIC:
         iw = 1.0 / w
-        u = iw * iw
-        acc = 0j
-        for kappa in reversed(free_cumulants(_PHI_SERIES_ORDER)):
-            acc = acc * u + float(kappa)
-        return acc * iw
+        return _horner(free_cumulants(_PHI_SERIES_ORDER), iw * iw) * iw
 
     z = None
     for seed in (w + 1.0 / w, w):

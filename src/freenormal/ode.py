@@ -193,7 +193,8 @@ def integrate(
     tolerance ``tol``; switches the independent variable to ``log x`` when
     the target sits well below the anchor.  Every accepted step must stay
     inside the continuation domain, otherwise the step is retried at half
-    size; ``StepUnderflow`` is raised when halving bottoms out.  Where the
+    size; ``StepUnderflow`` is raised when halving bottoms out, as it is for
+    a ``tol`` so small that an error scale underflows to 0.  Where the
     transported height is no longer a normal binary64 number (from about
     ``x = 37.8``) ``DomainError`` is raised, as ``solve_H`` does at its wall.
     The point returned carries the residual ``|f_tilde(H) - x_target|``.
@@ -260,7 +261,11 @@ def integrate(
         # an absolute floor would silently release it from control once it
         # drops below the floor
         sc_im = tol * max(abs(H.imag), abs(H5.imag))
-        e_norm = max(abs(err.real) / sc_re, abs(err.imag) / sc_im)
+        # a scale underflowed to 0 by a tiny tol rejects the step
+        e_norm = (
+            max(abs(err.real) / sc_re, abs(err.imag) / sc_im)
+            if sc_re and sc_im else math.inf
+        )
         if e_norm <= 1.0 and _inside(H5):
             _require_normal(-H5.imag, f"the curve height at x = {t + dt}")
             t += dt

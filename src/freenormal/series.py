@@ -12,10 +12,12 @@ recurrence over ``fractions.Fraction``:
     a-coefficients    h(x) ~ (1/e) sqrt(pi/2) x^2 e^{-x^2/2} (1 + sum a_{2n} x^{-2n})
     c-coefficients    (1 - sum b u^n)^2 / (1 + sum (2n-1) b u^n) = u/B(u) - u
 
-plus floating evaluators for the closed-form asymptotics of the boundary
-curve ``H(x) = g(x) - i h(x)`` in both limits: series above for ``x -> inf``
-and, for ``x -> 0+`` with ``L = log(1/(sqrt(2 pi) x))`` and
-``S = sqrt(L^2 + pi^2/4)``,
+The a- and c-tables take one recurrence each: ``a`` squares ``D = 1 + phi'``
+by convolution and exponentiates through ``A' = A (log A)'``; ``c`` inverts
+``B/u``.  Floating evaluators give the curve ``H(x) = g(x) - i h(x)`` in both
+limits: one Horner rule sums every large-argument series (``levy.voiculescu``
+sums its free-cumulant series with it too), and for ``x -> 0+``, with
+``L = log(1/(sqrt(2 pi) x))`` and ``S = sqrt(L^2 + pi^2/4)``,
 
     g(x) -> sqrt(S - L),   h(x) -> sqrt(S + L),   f(x) -> -pi/(2x),
 
@@ -47,48 +49,6 @@ __all__ = [
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _HALF_PI = 0.5 * math.pi
-
-
-# --------------------------------------------------------------------------
-# power-series kernels (dense Fraction lists in u, constant term first)
-# --------------------------------------------------------------------------
-
-def _mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a[:n]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: n - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _recip(a: list[Fraction], n: int) -> list[Fraction]:
-    """Reciprocal of a series with a[0] != 0."""
-    out = [Fraction(0)] * n
-    out[0] = 1 / a[0]
-    for k in range(1, n):
-        s = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            s += a[j] * out[k - j]
-        out[k] = -s / a[0]
-    return out
-
-
-def _exp(a: list[Fraction], n: int) -> list[Fraction]:
-    """``exp`` of a series whose constant term is zero, by the ODE recurrence.
-
-    With ``e = exp(a)``, ``e' = a' e`` gives
-    ``n e_n = sum_{k=1..n} k a_k e_{n-k}``, exact over rationals.
-    """
-    out = [Fraction(0)] * n
-    out[0] = Fraction(1)
-    for k in range(1, n):
-        s = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            s += j * a[j] * out[k - j]
-        out[k] = s / k
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -136,24 +96,30 @@ def _a_list(n: int) -> tuple[Fraction, ...]:
     ``x phi (1 + phi') = 1`` is ``-x D(u)^2`` with ``u = x^{-2}`` and
     ``D = 1 + phi' = 1 - sum (2n-1) k_n u^n``.  ``D^2 = 1 - 2u + ...``
     supplies the prefactor ``x^2 e^{-x^2/2}``; the rest integrates to
-    ``1 + sum a_n u^n = exp(sum_{m>=1} e_{m+1} u^m / (2m))``, ``e_j = [u^j] D^2``.
+    ``A = 1 + sum a_n u^n = exp(sum_{m>=1} e_{m+1} u^m / (2m))``, ``e_j = [u^j] D^2``,
+    and ``A' = A (log A)'`` gives ``k a_k = 1/2 sum_{m=1..k} e_{m+1} a_{k-m}``.
     """
-    kap = _free_list(n + 1)
-    d = [Fraction(1)] + [-(2 * j + 1) * c for j, c in enumerate(kap)]
-    e = _mul(d, d, n + 2)
-    log_a = [Fraction(0)] + [e[m + 1] / (2 * m) for m in range(1, n + 1)]
-    return tuple(_exp(log_a, n + 1)[1:])
+    d = [Fraction(1)] + [-(2 * j + 1) * c for j, c in enumerate(_free_list(n + 1))]
+    e = [sum(d[i] * d[m - i] for i in range(m + 1)) for m in range(n + 2)]
+    a = [Fraction(1)]
+    for k in range(1, n + 1):
+        a.append(sum(e[m + 1] * a[k - m] for m in range(1, k + 1)) / (2 * k))
+    return tuple(a[1:])
 
 
 @lru_cache(maxsize=None)
 def _c_list(n: int) -> tuple[Fraction, ...]:
     """Coefficients of ``(1 - B)^2 / F' = u/B(u) - u`` with ``B = sum b_n u^n``.
 
-    ``F' = F (z - F) = B (1 - B) / u`` turns the quotient into one reciprocal.
+    ``F' = F (z - F) = B (1 - B) / u`` turns the quotient into one reciprocal,
+    ``u/B = sum r_k u^k`` with ``r_0 = 1`` and ``r_k = -sum_{j=1..k} b_{j+1} r_{k-j}``.
     """
-    full = _recip(list(_boolean_list(n + 1)), n + 1)
-    full[1] -= 1
-    return tuple(full[1:])
+    b = _boolean_list(n + 1)
+    r = [Fraction(1)]
+    for k in range(1, n + 1):
+        r.append(-sum(b[j] * r[k - j] for j in range(1, k + 1)))
+    r[1] -= 1
+    return tuple(r[1:])
 
 
 # --------------------------------------------------------------------------
@@ -203,21 +169,35 @@ def f_infinity_coefficients(N: int) -> tuple[Fraction, ...]:
 # floating evaluators
 # --------------------------------------------------------------------------
 
-def _check_large_argument(x: float) -> None:
-    if x == 0.0 or not math.isfinite(x):
-        raise DomainError(f"large-x series need a finite nonzero x, got {x}")
+def _check_large_argument(x: float) -> float:
+    """``u = 1/x^2``, the variable of the large-x series.
+
+    ``DomainError`` unless it is finite: ``x`` not finite, or ``x * x``
+    underflowing past the reciprocal's range (``|x|`` below about 7.5e-155).
+    """
+    if not (math.isfinite(x) and x * x > 0.0 and 1.0 / (x * x) < math.inf):
+        raise DomainError(f"large-x series need a finite x with finite 1/x^2, got {x}")
+    return 1.0 / (x * x)
+
+
+def _horner(coeffs, u):
+    """``sum coeffs[k] u^k`` by Horner's rule, for a float or complex ``u``."""
+    acc = float(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * u + float(c)
+    return acc
 
 
 def eval_g_asym_infinity(x: float, N: int) -> float:
-    """``x + k_2/x + k_4/x^3 + ...`` truncated after ``k_{2N}``."""
+    """``x + k_2/x + k_4/x^3 + ...`` truncated after ``k_{2N}``.
+
+    ``DomainError`` where ``1/x^2`` or the sum overflows (at tiny ``|x|``).
+    """
     _require_order(N)
-    _check_large_argument(x)
-    kap = _free_list(N)
-    u = 1.0 / (x * x)
-    acc = 0.0
-    for k in reversed(range(N)):
-        acc = acc * u + float(kap[k])
-    return x + acc / x
+    g = x + _horner(_free_list(N), _check_large_argument(x)) / x
+    if math.isinf(g):
+        raise DomainError(f"the large-x series of g overflows binary64 at x = {x}")
+    return g
 
 
 def eval_h_asym_infinity(x: float, N: int) -> ScaledComplex:
@@ -229,19 +209,11 @@ def eval_h_asym_infinity(x: float, N: int) -> ScaledComplex:
     1.2e154).
     """
     _require_order(N)
-    _check_large_argument(x)
-    u = 1.0 / (x * x)
-    acc = 1.0
-    if N > 1:
-        a = _a_list(N - 1)
-        acc = 0.0
-        for k in reversed(range(N - 1)):
-            acc = acc * u + float(a[k])
-        acc = 1.0 + acc * u
-    scale = _SQRT_HALF_PI * x * x * acc
+    u = _check_large_argument(x)
+    scale = _SQRT_HALF_PI * x * x * _horner((1,) + _a_list(N - 1), u)
     if math.isinf(scale):
         raise DomainError(f"the prefactor sqrt(pi/2) x^2 overflows binary64 at x = {x}")
-    return ScaledComplex.exp_of(complex(-0.5 * x * x - 1.0, 0.0)) * scale
+    return ScaledComplex(complex(scale, 0.0), -0.5 * x * x - 1.0)
 
 
 def _check_zero_range(x: float) -> float:

@@ -25,6 +25,7 @@ from .levy import (
 from .ode import integrate, make_anchor, monotonicity_certificate
 from .scaled import ScaledComplex
 from .series import (
+    eval_h_asym_infinity,
     eval_h_asym_zero,
     free_cumulants,
     h_infinity_coefficients,
@@ -183,21 +184,19 @@ def monotonicity(profile: str) -> dict:
 def h_infinity_convergence(profile: str) -> dict:
     """Criterion 7: the large-x expansion of h with its remainder bound."""
     a2, a4, a6 = (float(c) for c in h_infinity_coefficients(3))
+    # solved h over its bare prefactor e^-1 sqrt(pi/2) x^2 e^{-x^2/2}
+    ratios = {
+        x: solve_H(x).h / eval_h_asym_infinity(x, 1).to_complex().real
+        for x in (6.0, 8.0, 10.0)
+    }
     checks = []
     ok = True
-    for x in (6.0, 8.0, 10.0):
-        pref = (
-            math.sqrt(_HALF_PI) * x * x * math.exp(-0.5 * x * x - 1.0)
-        )
-        ratio = solve_H(x).h / pref
+    for x, ratio in ratios.items():
         err = abs(ratio - (1.0 + a2 / x**2 + a4 / x**4))
         bound = 5.0 * abs(a6) / x**6
         ok = ok and err <= bound
         checks.append({"x": x, "error": err, "bound": bound})
-    x = 8.0
-    ratio = solve_H(x).h / (
-        math.sqrt(_HALF_PI) * x * x * math.exp(-0.5 * x * x - 1.0)
-    )
+    x, ratio = 8.0, ratios[8.0]
     trunc = [
         abs(ratio - 1.0),
         abs(ratio - (1.0 + a2 / x**2)),

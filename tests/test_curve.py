@@ -36,6 +36,7 @@ from freenormal.curve import (
 from freenormal.errors import DomainError, FreeNormalError, NoConvergence
 from freenormal.series import eval_h_asym_infinity
 from freenormal.transforms import f_tilde, g_tilde
+from mpmath_oracle import mp_g_tilde, mp_inverse
 
 HALF_PI = math.pi / 2.0
 
@@ -43,26 +44,17 @@ HALF_PI = math.pi / 2.0
 def mpmath_curve_point(x: float, seed: complex) -> complex:
     """Root of ``g_tilde(z) = 1/x`` near ``seed``, at ``40 + x^2/(2 ln 10)`` digits.
 
-    ``g_tilde(z) = -i sqrt(pi/2) exp(-z^2/2) erfc(-i z/sqrt 2)``; the extra
-    digits cover the ``exp(-x^2/2)`` scale of the height.
+    The extra digits cover the ``exp(-x^2/2)`` scale of the height.
     """
-    with mpmath.workdps(40 + int(x * x / (2.0 * math.log(10.0)))):
-        def g(z):
-            return (-1j * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-z * z / 2)
-                    * mpmath.erfc(-1j * z / mpmath.sqrt(2)))
-        z = mpmath.findroot(lambda z: g(z) - 1 / mpmath.mpf(x), mpmath.mpc(seed))
-        return complex(z)
+    return complex(mp_inverse(x, seed, 40 + int(x * x / (2.0 * math.log(10.0)))))
 
 
 def mpmath_graph(a: float, seed: float) -> float:
     """Root in ``y`` of ``arg g_tilde(a + i y)`` near ``seed``, with the digits
     of :func:`mpmath_curve_point`."""
     with mpmath.workdps(40 + int(a * a / (2.0 * math.log(10.0)))):
-        def arg_g(y):
-            z = mpmath.mpc(a, y)
-            return mpmath.arg(-1j * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-z * z / 2)
-                              * mpmath.erfc(-1j * z / mpmath.sqrt(2)))
-        return float(mpmath.findroot(arg_g, mpmath.mpf(seed)))
+        return float(mpmath.findroot(lambda y: mpmath.arg(mp_g_tilde(mpmath.mpc(a, y))),
+                                     mpmath.mpf(seed)))
 
 
 def bisection_oracle(x_target: float) -> complex:

@@ -23,21 +23,13 @@ from freenormal.levy import (
 )
 from freenormal.series import eval_h_asym_infinity
 from freenormal.transforms import f_tilde
+from mpmath_oracle import mp_inverse
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 # tau(R) = -Im phi(i) = 1 - Im z for the root z of g_tilde(z) = -i, from
 # mpmath.findroot at 40 digits
 TAU_MASS = 0.69736915928842724
-
-
-def mpmath_inverse(w: complex, seed: complex, dps: int = 50) -> mpmath.mpc:
-    """Root of ``g_tilde(z) = 1/w`` near ``seed`` at ``dps`` digits."""
-    with mpmath.workdps(dps):
-        def g(z):
-            return (-1j * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-z * z / 2)
-                    * mpmath.erfc(-1j * z / mpmath.sqrt(2)))
-        return mpmath.findroot(lambda z: g(z) - 1 / mpmath.mpc(w), mpmath.mpc(seed))
 
 
 class TestDensity:
@@ -74,7 +66,7 @@ class TestDensity:
     @pytest.mark.parametrize("x", [30.01, 31.5, 33.0, 34.5, 36.0, 37.5])
     def test_matches_mpmath_above_the_series_threshold(self, x):
         dps = 40 + int(x * x / (2.0 * math.log(10.0)))
-        h = -mpmath_inverse(x, solve_H(x).z, dps).imag
+        h = -mp_inverse(x, solve_H(x).z, dps).imag
         with mpmath.workdps(dps):
             want = float(h / (mpmath.pi * mpmath.mpf(x) ** 2))
         assert abs(levy_density(x) - want) <= 1e-12 * want
@@ -169,7 +161,7 @@ class TestVoiculescu:
     def test_twelve_digits_at_both_ends_of_the_modulus(self, w):
         phi = voiculescu(w)
         with mpmath.workdps(50):
-            want = complex(mpmath_inverse(w, w + phi) - mpmath.mpc(w))
+            want = complex(mp_inverse(w, w + phi) - mpmath.mpc(w))
         assert abs(phi - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize(

@@ -157,6 +157,12 @@ class TestIntegrate:
         with pytest.raises(StepUnderflow):
             integrate(a, 5.0, tol=1e-8)
 
+    @pytest.mark.parametrize("tol", [1e-320, 5e-324])
+    def test_tolerance_below_binary64_resolution_underflows_the_step(self, tol):
+        # at 5e-324 the error scales themselves underflow to 0
+        with pytest.raises(StepUnderflow):
+            integrate(make_anchor(2.0), 1.0, tol=tol)
+
     def test_rejects_bad_targets(self):
         a = make_anchor(2.0)
         with pytest.raises(DomainError):

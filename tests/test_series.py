@@ -11,6 +11,7 @@ coefficient tables are pinned to eight terms, and the large-x expansion of
 import cmath
 import math
 import pickle
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -18,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freenormal.curve import solve_H
 from freenormal.errors import DomainError
+from freenormal.scaled import ScaledComplex
 from freenormal.series import (
     boolean_cumulants,
     eval_f_asym_zero,
@@ -31,6 +34,7 @@ from freenormal.series import (
     h_infinity_coefficients,
     moments,
 )
+from freenormal.transforms import f_tilde, f_tilde_prime
 
 
 def gaussian_moments(n_max: int) -> list[Fraction]:
@@ -175,6 +179,46 @@ class TestAsymptoticCoefficients:
         assert abs(F - x) <= 1e-12 * x
 
 
+class TestTablesAgainstTheTransform:
+    """The two composed tables against the numbers they expand."""
+
+    @pytest.mark.parametrize("z", [20.0, 30.0])
+    def test_c_coefficients_expand_the_transform(self, z):
+        # (F/z)^2 / F'(z) = 1 + sum c_{2n} z^{-2n} with F = f_tilde
+        F = f_tilde(z).to_complex()
+        lhs = (F / z) ** 2 / f_tilde_prime(z).to_complex()
+        u = 1.0 / (z * z)
+        rhs = 1.0 + sum(float(c) * u ** n
+                        for n, c in enumerate(f_infinity_coefficients(10), start=1))
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+    def test_a_coefficients_converge_to_the_solved_height(self):
+        x = 25.0
+        h = solve_H(x).h
+        errs = [abs(eval_h_asym_infinity(x, N).to_complex().real - h) / h for N in (3, 6, 9)]
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < 1e-13
+
+
+class TestWorkPerCall:
+    def test_one_scaled_value_per_h_call(self, monkeypatch):
+        count = [0]
+        init = ScaledComplex.__init__
+
+        def counted(self, *args):
+            count[0] += 1
+            init(self, *args)
+        monkeypatch.setattr(ScaledComplex, "__init__", counted)
+        rng = random.Random(11)
+        xs = [rng.uniform(3.5, 40.0) for _ in range(100)]
+        xs += [-(10.0 ** rng.uniform(0.6, 150.0)) for _ in range(100)]
+        for x in xs:
+            for N in (1, 3, 6):
+                before = count[0]
+                eval_h_asym_infinity(x, N)
+                assert count[0] - before == 1, (x, N)
+
+
 class TestZeroRegimeClosedForms:
     def test_product_is_exactly_half_pi(self):
         for x in (1e-3, 1e-5, 1e-7, 1e-12):
@@ -221,12 +265,21 @@ class TestRegimes:
         assert math.isfinite(v.log_abs())
         assert v.log_abs() < -1700.0
 
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0])
+    # x * x underflows to 0 below |x| = 1.5e-162, and 1/x^2 overflows below 7.5e-155
+    @pytest.mark.parametrize(
+        "x", [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-300, 1e-200, -1e-170, 1e-160]
+    )
     def test_non_finite_or_zero_argument_is_a_domain_error(self, x):
+        for N in (1, 2, 3):
+            with pytest.raises(DomainError):
+                eval_g_asym_infinity(x, N)
+            with pytest.raises(DomainError):
+                eval_h_asym_infinity(x, N)
+
+    def test_overflowing_g_series_is_a_domain_error(self):
+        assert eval_g_asym_infinity(-1e-154, 1) == -1e-154 + 1.0 / -1e-154
         with pytest.raises(DomainError):
-            eval_g_asym_infinity(x, 3)
-        with pytest.raises(DomainError):
-            eval_h_asym_infinity(x, 3)
+            eval_g_asym_infinity(-1e-154, 2)
 
     @pytest.mark.parametrize(
         "x", [1e150, 1e154, 1.3e154, 1e160, 1e300, 1.7e308, -1e160]

@@ -43,6 +43,7 @@ from freenormal.transforms import (
     quad,
     rho,
 )
+from mpmath_oracle import mp_g_tilde
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -70,9 +71,7 @@ def rho_oracle(x: float) -> float:
 def mpmath_g_tilde(z: complex):
     """``g_tilde(z) = -i sqrt(pi/2) exp(-z^2/2) erfc(-i z/sqrt 2)`` at 40 digits."""
     with mpmath.workdps(40):
-        z = mpmath.mpc(z)
-        return (-1j * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-z * z / 2)
-                * mpmath.erfc(-1j * z / mpmath.sqrt(2)))
+        return mp_g_tilde(mpmath.mpc(z))
 
 
 def rel_err_mp(got: ScaledComplex, want) -> float:
