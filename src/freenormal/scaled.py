@@ -23,9 +23,13 @@ the summand cannot influence any mantissa bit.  A consequence worth knowing:
 one value carries one scale, so a component (real or imaginary part) smaller
 than the other by more than the flush window is represented as zero.
 
-Instances are immutable and cheap; arithmetic never raises on magnitude alone.
-A mantissa that is not finite, or a NaN log-scale, is refused with
-``DomainError``.
+Instances are immutable and cheap.  The constructor stores its four slots
+through the slots' own descriptors (bound once at import), which skips the
+``__setattr__`` that refuses every later store.  Arithmetic never raises on
+magnitude alone, with one exception: a sum of scales past about ±1.8e308.
+A mantissa that is not finite, a log-scale that is NaN or infinite, a value
+past binary64 range asked for as a plain ``complex``, and division by zero
+are refused with ``DomainError``.
 """
 
 from __future__ import annotations
@@ -50,8 +54,6 @@ _STORE_LO = 2.0**-64
 _STORE_HI = 2.0**64
 _LN2 = math.log(2.0)
 
-_set = object.__setattr__
-
 
 class ScaledComplex:
     """Complex value ``mantissa * exp(log_scale)``.
@@ -62,8 +64,7 @@ class ScaledComplex:
     log_scale : float
         Natural-log scale factor.  The constructor renormalizes when needed, so
         any ``(mantissa, log_scale)`` pair with finite entries is accepted; a
-        mantissa that is not finite, or a NaN ``log_scale``, raises
-        ``DomainError``.
+        mantissa or ``log_scale`` that is not finite raises ``DomainError``.
 
     Attributes
     ----------
@@ -78,8 +79,8 @@ class ScaledComplex:
     def __init__(self, mantissa: complex, log_scale: float = 0.0):
         m = mantissa if type(mantissa) is complex else complex(mantissa)
         s = log_scale if type(log_scale) is float else float(log_scale)
-        if s != s:
-            raise DomainError("ScaledComplex needs a log_scale that is not NaN")
+        if not -math.inf < s < math.inf:
+            raise DomainError(f"ScaledComplex needs a finite log_scale, got {s!r}")
         try:
             a = abs(m)
         except OverflowError:  # finite parts whose modulus overflows
@@ -95,16 +96,16 @@ class ScaledComplex:
                 m /= cmath.exp(complex(d, 0.0))
                 s += d
             a = abs(m)
-        _set(self, "_m", m)
-        _set(self, "_s", s)
+        _set_m(self, m)
+        _set_s(self, s)
         # the normalized view of the stored pair
         if _MANT_LO <= a < _MANT_HI or a == 0.0:
-            _set(self, "mantissa", m)
-            _set(self, "log_scale", s)
+            _set_mantissa(self, m)
+            _set_log_scale(self, s)
         else:
             d = math.log(a)
-            _set(self, "mantissa", m / cmath.exp(complex(d, 0.0)))
-            _set(self, "log_scale", s + d)
+            _set_mantissa(self, m / cmath.exp(complex(d, 0.0)))
+            _set_log_scale(self, s + d)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("ScaledComplex is immutable")
@@ -122,8 +123,7 @@ class ScaledComplex:
         """``exp(w)`` for arbitrary complex ``w``, never overflowing.
 
         Exact by construction: the phase goes into the mantissa, the real part
-        into the scale.  Raises ``DomainError`` if the imaginary part is not
-        finite or the real part is NaN.
+        into the scale.  Raises ``DomainError`` if either part is not finite.
         """
         w = complex(w)
         if not math.isfinite(w.imag):  # cmath.exp raises a bare ValueError
@@ -147,7 +147,7 @@ class ScaledComplex:
 
         Raises
         ------
-        OverflowError
+        DomainError
             If the magnitude exceeds binary64 range.  Underflow is silent
             (returns 0, like float arithmetic).
         """
@@ -156,7 +156,7 @@ class ScaledComplex:
             return m * math.exp(s)
         m, s = self.mantissa, self.log_scale
         if s > 709.0:
-            raise OverflowError(
+            raise DomainError(
                 f"scaled value ~exp({self.log_abs():.6g}) exceeds binary64 range"
             )
         if s < -745.0:
@@ -190,14 +190,14 @@ class ScaledComplex:
         if o is NotImplemented:
             return o
         if o.is_zero:
-            raise ZeroDivisionError("ScaledComplex division by zero")
+            raise DomainError("ScaledComplex division by zero")
         if self.is_zero:
             return _ZERO
         return ScaledComplex(self._m / o._m, self._s - o._s)
 
     def reciprocal(self) -> "ScaledComplex":
         if self.is_zero:
-            raise ZeroDivisionError("reciprocal of zero ScaledComplex")
+            raise DomainError("reciprocal of zero ScaledComplex")
         return ScaledComplex(1.0 / self._m, -self._s)
 
     def __add__(self, other):
@@ -238,5 +238,11 @@ class ScaledComplex:
     def __repr__(self) -> str:
         return f"ScaledComplex({self._m!r}, log_scale={self._s!r})"
 
+
+# the slots' descriptors, which store without going through __setattr__
+_set_m = ScaledComplex._m.__set__
+_set_s = ScaledComplex._s.__set__
+_set_mantissa = ScaledComplex.mantissa.__set__
+_set_log_scale = ScaledComplex.log_scale.__set__
 
 _ZERO = ScaledComplex(0j, 0.0)

@@ -21,16 +21,39 @@ whose lower boundary consists of the two hyperbola branches
     g_tilde'(z) = 1 - z * g_tilde(z),
     f_tilde'(z) = f_tilde(z) * (z - f_tilde(z)).
 
-One kernel serves every evaluation: the Faddeeva function ``w`` on
-``Im zeta >= 0`` by Weideman's rational series, with
-``g_tilde(z) = -i sqrt(pi/2) w(z/sqrt 2)`` above the axis and
-``i sqrt(pi/2) w(-z/sqrt 2) - i sqrt(2 pi) exp(-z^2/2)`` below it; within
-0.5 below the axis (and on it) a split of the real and imaginary parts built
-on the same kernel keeps a tiny ``Im g_tilde`` exact.  The work is in plain
-``complex``; :class:`~freenormal.scaled.ScaledComplex` appears only in the
-return values and past ``exp(-z^2/2) = e^700``.  The relative error is
-certified below 1e-12 on ``Xi intersect {|z| <= 30}`` (tests pin it against
-``scipy.special.wofz`` and an independent contour-integral oracle).
+Below the axis ``g_tilde`` is an algebraic part ``G(z)`` plus the exponential
+term ``-i sqrt(2 pi) exp(-z^2/2)``.  Each point goes to the first of these
+regions that holds it, and each region's form is exact to roundoff there:
+
+* **On the axis, and within 0.5 below it in Xi:** the near-axis split.  The
+  real and imaginary parts are built from real quantities on the kernel
+  below, so a tiny ``Im g_tilde`` stays exact.
+* **Below the axis with Re(-z^2/2) > 42:** the exponential term alone.
+  ``|w| <= 1`` on the closed upper half plane, so the algebraic part is at
+  most ``sqrt(pi/2)``, below 2**-60 of ``sqrt(2 pi) e^42``.
+* **9.5 <= |z|, with |z|^2 <= 1e300:** the moment series
+  ``G(z) = sum_k (2k-1)!! z^(-2k-1)``, which is ``g_tilde`` above the axis
+  and the algebraic part below it.  Its term count, 34 at ``|z| = 9.5`` and
+  6 from 59 on, puts the first dropped term below 2**-57.  The remainder
+  after ``K`` terms is ``z^-K integral t^K phi(t)/(z - t) dt``, and near
+  the axis the one further piece, the Stokes term, is at most
+  ``sqrt(pi/2) exp(-x^2/2)`` (3.6e-20 at ``|x| = 9.5``).  That term is
+  all of ``Im g_tilde`` on the axis, so within 0.5 above it the series is
+  taken as the Dawson part of the closed form and
+  ``-i sqrt(pi/2) exp(-z^2/2)`` is added, as the split does below the
+  axis.  ``Im g_tilde`` then keeps its own roundoff above the axis, where
+  the kernel carries it only to the roundoff of ``|g_tilde|``.
+* **Elsewhere:** the Faddeeva function ``w`` on ``Im zeta >= 0`` by
+  Weideman's 40-term rational series, ``g_tilde(z) = -i sqrt(pi/2)
+  w(z/sqrt 2)`` above the axis and ``G(z) = i sqrt(pi/2) w(-z/sqrt 2)``
+  below it.  Past ``|z|^2 = 1e300`` it keeps the binary64 walls.
+
+``rho`` takes the same regions on the imaginary axis in real arithmetic.
+The work is in plain ``complex``; :class:`~freenormal.scaled.ScaledComplex`
+appears only in the return values and past ``exp(-z^2/2) = e^700``.  The
+relative error is certified below 1e-12 on ``Xi intersect {|z| <= 30}``
+(tests pin it against ``scipy.special.wofz``, 40-digit mpmath and an
+independent contour-integral oracle).
 """
 
 from __future__ import annotations
@@ -147,14 +170,77 @@ def _w_upper(zeta: complex) -> complex:
     ``Re w`` on the real line only to the roundoff of ``|w|``.
     """
     den = complex(_W_L + zeta.imag, -zeta.real)  # L - i zeta
-    Z = complex(_W_L - zeta.imag, zeta.real) / den
-    p = 0j
-    for c in _W_COEF:
-        p = p * Z + c
-    w = 2.0 * p / den / den + _INV_SQRT_PI / den  # den^2 overflows at 1e154
+    w = _weideman(complex(_W_L - zeta.imag, zeta.real) / den, den)
     if not cmath.isfinite(w):  # Z overflows with both parts of zeta near 1e308
         raise DomainError(f"the Faddeeva kernel overflows at {zeta!r}")
     return w
+
+
+def _w_imaginary_axis(t: float) -> float:
+    """``w(i t) = exp(t^2) erfc(t)`` for ``t >= 0``: :func:`_w_upper` in floats.
+
+    On the imaginary axis ``L - i zeta = L + t`` and ``Z`` are real, and
+    every imaginary part the complex kernel carries is a signed zero, so
+    this returns the real part of ``_w_upper(i t)`` bit for bit.
+    """
+    den = _W_L + t
+    return _weideman((_W_L - t) / den, den)
+
+
+def _weideman(Z, den):
+    """``2 p(Z)/den^2 + 1/(sqrt(pi) den)``, in the type of ``Z`` and ``den``."""
+    p = 0.0
+    for c in _W_COEF:
+        p = p * Z + c
+    return 2.0 * p / den / den + _INV_SQRT_PI / den  # den^2 overflows at 1e154
+
+
+# --------------------------------------------------------------------------
+# the moment series of the far field
+# --------------------------------------------------------------------------
+
+#: ``|z|^2`` from which the moment series replaces the kernel, and up to
+#: which: past 1e300 the kernel keeps its own binary64 walls
+_FAR_R2_MIN = 9.5**2
+_FAR_R2_MAX = 1e300
+
+
+def _far_coefficients(r: int) -> tuple[float, ...]:
+    """``(2k-1)!!`` for ``k = K-1, ..., 2, 1``, highest degree first.
+
+    ``K`` is the first ``k`` whose term ``(2k-1)!!/r^(2k)`` is below 2**-57,
+    counted in exact integers.
+    """
+    coeffs, k, r2k = [1], 1, r * r
+    while coeffs[-1] * (2 * k - 1) << 57 >= r2k:
+        coeffs.append(coeffs[-1] * (2 * k - 1))
+        k += 1
+        r2k *= r * r
+    return tuple(float(c) for c in reversed(coeffs[1:]))
+
+
+#: the moment series' coefficients by ``floor(|z|)`` from 9 to 59: 34 terms
+#: at 9, 16 at 12, 8 at 30, and the 6 at 59 serve every larger ``|z|``
+_FAR_COEFFS = tuple(_far_coefficients(r) for r in range(9, 60))
+
+
+def _moment_series(w, u, r: float):
+    """``G(z) = E[1/(z - X)] = sum_k (2k-1)!! z^(-2k-1)`` from ``w = 1/z``.
+
+    ``u`` is ``1/z^2`` and ``r = |z|`` lies in ``[9.5, 1e150]``.  The sum is
+    ``w + w u t``, with ``t`` summed by Horner's rule in ``u``, so the
+    rounding of the terms past the first is scaled down by ``|u|``.  The
+    remainder after ``K`` terms is ``z^-K integral t^K phi(t)/(z - t) dt``;
+    with ``K`` from :data:`_FAR_COEFFS` the first dropped term is below
+    2**-57, and the only other piece, the Stokes term near the real axis, is
+    at most ``sqrt(pi/2) exp(-x^2/2)``, 3.6e-20 at ``|x| = 9.5``.  On the
+    imaginary axis ``z = i y`` the same sum in floats, with ``w = 1/y`` and
+    ``u = -1/y^2``, is ``i G(i y)``.
+    """
+    t = 0.0
+    for c in _FAR_COEFFS[min(int(r), 59) - 9]:
+        t = t * u + c
+    return w + w * u * t
 
 
 def _dawson(xi: float) -> tuple[float, float]:
@@ -257,22 +343,42 @@ def _g_tilde_near_axis_parts(x: float, y: float) -> tuple[float, float]:
 _SCALED_FROM = 700.0
 #: below this ``|g_tilde|`` too, so ``1/g_tilde`` and ``F (z - F)`` stay finite
 _PLAIN_G_MIN = 1e-150
+#: past this ``Re(-z^2/2)`` the exponential term alone is ``g_tilde``: the
+#: algebraic part, at most ``sqrt(pi/2)``, is below 2**-60 of
+#: ``sqrt(2 pi) e^42``
+_EXP_ALONE = 42.0
 
 
 def _g_eval(z: complex) -> complex | ScaledComplex:
     """``g_tilde(z)``: plain ``complex`` where that is safe, scaled elsewhere.
 
-    The kernel above the axis; the split evaluation on it and within
-    ``_NEAR_AXIS`` below it in ``Xi``; elsewhere the kernel plus the
-    exponential term, summed with ``ScaledComplex.exp_of(-z^2/2)`` when
-    ``Re(-z^2/2) >= 700`` or the plain sum is below ``1e-150``.
+    The regions are tried in this order (see the module docstring):
+
+    * on the axis and within ``_NEAR_AXIS`` below it in ``Xi``, the split
+      evaluation;
+    * below the axis with ``Re(-z^2/2) > 42``, the exponential term alone;
+    * for ``9.5 <= |z|`` and ``|z|^2 <= 1e300``, the moment series, which is
+      ``g_tilde`` above the axis (plus ``-i sqrt(pi/2) exp(-z^2/2)`` within
+      ``_NEAR_AXIS`` of it) and its algebraic part below;
+    * elsewhere the kernel, which is the algebraic part below the axis.
+
+    Below the axis the exponential term ``-i sqrt(2 pi) exp(-z^2/2)`` is
+    added, in scaled form where ``Re(-z^2/2) >= 700`` or the plain sum is
+    below ``1e-150``.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"g_tilde needs a finite argument, got {z!r}")
     x, y = z.real, z.imag
     if y > 0.0:
-        g = _MINUS_I_SQRT_HALF_PI * _w_upper(z / _SQRT2)
+        r2 = x * x + y * y
+        if _FAR_R2_MIN <= r2 <= _FAR_R2_MAX:
+            w = 1.0 / z
+            g = _moment_series(w, w * w, math.sqrt(r2))
+            if y <= _NEAR_AXIS:  # the closed form's own exponential term
+                g += _MINUS_I_SQRT_HALF_PI * cmath.exp(-0.5 * z * z)
+        else:
+            g = _MINUS_I_SQRT_HALF_PI * _w_upper(z / _SQRT2)
         return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
     if -y <= _NEAR_AXIS and abs(x * y) <= _HALF_PI:
         g = complex(*_g_tilde_near_axis_parts(x, y))
@@ -280,11 +386,20 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
     hi, lo = _half_diff_of_squares(x, y)
     if not hi < math.inf:  # NaN or +inf; a finite hi implies a finite x*y
         raise DomainError(f"-z^2/2 overflows binary64 at z = {z!r}")
-    alg = _I_SQRT_HALF_PI * _w_upper(-z / _SQRT2)
-    if hi == -math.inf:  # exp(-z^2/2) is 0, though x*y may be infinite
-        return alg if abs(alg) >= _PLAIN_G_MIN else ScaledComplex(alg)
     coeff = complex(0.0, -_SQRT_TWO_PI * (1.0 + lo))
     e = complex(hi, -x * y)
+    if hi > _EXP_ALONE:
+        if hi < _SCALED_FROM:
+            return coeff * cmath.exp(e)
+        return ScaledComplex(coeff * cmath.exp(complex(0.0, e.imag)), hi)
+    r2 = x * x + y * y
+    if _FAR_R2_MIN <= r2 <= _FAR_R2_MAX:
+        w = 1.0 / z
+        alg = _moment_series(w, w * w, math.sqrt(r2))
+    else:
+        alg = _I_SQRT_HALF_PI * _w_upper(-z / _SQRT2)
+    if hi == -math.inf:  # exp(-z^2/2) is 0, though x*y may be infinite
+        return alg if abs(alg) >= _PLAIN_G_MIN else ScaledComplex(alg)
     if hi < _SCALED_FROM:
         g = alg + coeff * cmath.exp(e)
         if abs(g) >= _PLAIN_G_MIN:
@@ -358,11 +473,46 @@ def rho(x: float) -> ScaledComplex:
     ``1/x`` as ``x -> +inf`` and explodes like ``2 sqrt(pi/2) e^{x^2/2}`` as
     ``x -> -inf``; the scaled return type keeps the latter representable
     down to ``x`` about ``-1.3e154``, past which ``DomainError`` is raised.
+
+    The regions of :func:`g_tilde` in real arithmetic: on the imaginary axis
+    the kernel is real (:func:`_w_imaginary_axis`), the moment series runs
+    in ``u = -1/x^2``, and the exponential term is
+    ``sqrt(2 pi) e^{x^2/2}``, scaled past ``x`` about -37.4.  The stored
+    pair and its view are those of ``i * g_tilde(i x)`` bit for bit outside
+    the moment series.  One ``ScaledComplex`` is built per call.
     """
-    g = _g_eval(complex(0.0, float(x)))
-    if type(g) is not ScaledComplex:
-        g = ScaledComplex(g)
-    return ScaledComplex(complex(-g.mantissa.imag, 0.0), g.log_scale)
+    y = float(x)
+    if not math.isfinite(y):
+        raise DomainError(f"rho needs a finite argument, got {x!r}")
+    if y > 0.0:
+        if _FAR_R2_MIN <= y * y <= _FAR_R2_MAX:
+            w = 1.0 / y
+            return _normalized_real(_moment_series(w, -w * w, y))
+        return _normalized_real(_SQRT_HALF_PI * _w_imaginary_axis(y / _SQRT2))
+    if y >= -_NEAR_AXIS:
+        return _normalized_real(-_g_tilde_near_axis_parts(0.0, y)[1])
+    hi, lo = _half_diff_of_squares(0.0, y)
+    if not hi < math.inf:
+        raise DomainError(f"-z^2/2 overflows binary64 at z = {complex(0.0, y)!r}")
+    amp = _SQRT_TWO_PI * (1.0 + lo)
+    if hi >= _SCALED_FROM:
+        return _normalized_real(amp, hi)
+    r = amp * math.exp(hi)
+    if hi <= _EXP_ALONE:
+        r -= _SQRT_HALF_PI * _w_imaginary_axis(-y / _SQRT2)
+    return _normalized_real(r)
+
+
+def _normalized_real(r: float, s: float = 0.0) -> ScaledComplex:
+    """``r e^s`` (``r > 0``) stored as its normalized view, as ``rho`` stores it.
+
+    The view is the constructor's own formula, so ``to_complex`` and the
+    digits the command line prints are those ``i g_tilde(i x)`` gives.
+    """
+    if 0.5 <= r < 2.0:
+        return ScaledComplex(r, s)
+    d = math.log(r)
+    return ScaledComplex(complex(r, 0.0) / cmath.exp(complex(d, 0.0)), s + d)
 
 
 # --------------------------------------------------------------------------

@@ -164,6 +164,20 @@ class TestVoiculescu:
             want = complex(mp_inverse(w, w + phi) - mpmath.mpc(w))
         assert abs(phi - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("x", [9.5, 10.0, 20.0, 29.0])
+    def test_imaginary_part_just_above_the_far_axis(self, x):
+        # Im phi is about -1e-14 here, 1e-14 of |phi|: the moment series and
+        # its exponential term keep Im g_tilde to its own roundoff above the
+        # axis, where the kernel kept it only to the roundoff of |g_tilde|
+        # (the sign came out wrong at 29)
+        w = complex(x, 1e-12)
+        phi = voiculescu(w)
+        with mpmath.workdps(50):
+            want = complex(mp_inverse(w, w + phi) - mpmath.mpc(w))
+        assert phi.imag < 0.0
+        assert abs(phi - want) <= 1e-12 * abs(want)
+        assert abs(phi.imag - want.imag) <= 1e-12 * abs(want.imag)
+
     @pytest.mark.parametrize(
         "w", [complex(math.nan, 1.0), complex(math.inf, 1.0), complex(0.0, math.inf)]
     )

@@ -97,7 +97,7 @@ class TestExtremeScales:
         assert (s.mantissa, s.log_scale) == (big.mantissa, big.log_scale)
 
     def test_to_complex_overflow_raises(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError):
             ScaledComplex.exp_of(complex(1000.0, 0.0)).to_complex()
 
     def test_to_complex_underflows_silently(self):
@@ -111,8 +111,10 @@ class TestExtremeScales:
         one = ScaledComplex(1.0)
         assert (z * one).is_zero
         assert (one + z).to_complex() == 1.0
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(DomainError):
             one / z
+        with pytest.raises(DomainError):
+            z.reciprocal()
 
     def test_cancellation_to_zero(self):
         a = ScaledComplex(3.5 + 1j)
@@ -183,7 +185,7 @@ class TestStoredView:
         assert math.isclose(v.log_abs(), math.log(1.5e308) + 0.5 * math.log(2.0),
                             rel_tol=1e-15)
         assert math.isclose(cmath.phase(v.mantissa), -0.25 * math.pi, rel_tol=1e-15)
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError):
             v.to_complex()
         # the scale near 710 carries ulp(710) = 1.1e-13 of relative error
         assert (v * 1e-300).to_complex() == pytest.approx(complex(1.5e8, -1.5e8), rel=1e-12)
@@ -227,6 +229,12 @@ class TestNonFiniteParts:
         with pytest.raises(DomainError):
             ScaledComplex(m, math.nan)
 
+    @pytest.mark.parametrize("s", [math.inf, -math.inf])
+    @pytest.mark.parametrize("m", [1.0, 1e-30 + 1j, 1e300])
+    def test_infinite_log_scale_is_a_domain_error(self, m, s):
+        with pytest.raises(DomainError):
+            ScaledComplex(m, s)
+
     @pytest.mark.parametrize("w", [
         complex(1.0, math.nan), complex(1.0, math.inf), complex(1.0, -math.inf),
         complex(math.nan, 1.0),
@@ -234,6 +242,18 @@ class TestNonFiniteParts:
     def test_exp_of_a_non_finite_phase_or_nan_scale_is_a_domain_error(self, w):
         with pytest.raises(DomainError):
             ScaledComplex.exp_of(w)
+
+    @pytest.mark.parametrize("w", [complex(math.inf, 0.0), complex(-math.inf, 0.0)])
+    def test_exp_of_an_infinite_scale_is_a_domain_error(self, w):
+        with pytest.raises(DomainError):
+            ScaledComplex.exp_of(w)
+
+    def test_a_scale_sum_past_binary64_is_a_domain_error(self):
+        big = ScaledComplex.exp_of(complex(1e308, 0.5))
+        with pytest.raises(DomainError):
+            big * big
+        with pytest.raises(DomainError):
+            big.reciprocal() / big
 
     def test_arithmetic_never_raises_on_magnitude_alone(self):
         big = ScaledComplex.exp_of(complex(1e300, 0.5))

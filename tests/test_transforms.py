@@ -33,6 +33,8 @@ from freenormal.scaled import ScaledComplex
 from freenormal.transforms import (
     DomainTag,
     _g_tilde_near_axis_parts,
+    _w_imaginary_axis,
+    _w_upper,
     classify_domain,
     contour_moment,
     f_tilde,
@@ -59,13 +61,16 @@ def continuation_oracle(z: complex) -> complex:
     return upper - 1j * math.sqrt(2.0 * math.pi) * cmath.exp(-0.5 * z * z)
 
 
+def rho_mp(x: float):
+    """Density along the real axis at 40 digits, as an mpmath number."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(x * x / 2) * mpmath.erfc(x / mpmath.sqrt(2))
+
+
 def rho_oracle(x: float) -> float:
     """Density along the real axis at 40 digits."""
-    with mpmath.workdps(40):
-        v = mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(x * x / 2) * mpmath.erfc(
-            x / mpmath.sqrt(2)
-        )
-        return float(v)
+    return float(rho_mp(x))
 
 
 def mpmath_g_tilde(z: complex):
@@ -230,6 +235,110 @@ class TestFaddeevaKernel:
         # where (L - i zeta)^2 or sqrt(pi) (L - i zeta) would overflow
         for z in (1e200 + 1e200j, complex(1.7e308, 0.5), complex(-1.7e308, -1e-20)):
             assert math.isfinite(g_tilde(z).log_abs())
+
+
+def _hi(z: complex) -> float:
+    """``Re(-z^2/2)``, as the evaluator splits it."""
+    return transforms._half_diff_of_squares(z.real, z.imag)[0]
+
+
+def _far_lower_points(rng, n, r_lo, r_hi):
+    """Below the axis with ``|x y| <= 2``, half near each axis.
+
+    The phase ``x y`` of ``exp(-z^2/2)`` is rounded once, which costs about
+    ``|x y|`` ulps of ``g_tilde`` wherever that term matters, whatever the
+    algebraic part; ``|x y| <= 2`` keeps that below 3e-16.
+    """
+    pts = []
+    for k in range(n):
+        r = rng.uniform(r_lo, r_hi)
+        t = rng.uniform(-2.0, 2.0) / r
+        if k % 2:
+            pts.append(complex(t, -math.sqrt(r * r - t * t)))
+        else:
+            pts.append(complex(math.copysign(math.sqrt(r * r - t * t), t), -abs(t)))
+    return pts
+
+
+def _shorter_form_bound(v: ScaledComplex) -> float:
+    """1e-15, plus half an ulp of the scale once the value is summed scaled:
+    a scale of 700 or more carries 1.1e-13 of relative error of its own."""
+    return 1e-15 + (0.5 * math.ulp(v.log_scale) if v.log_scale > 600.0 else 0.0)
+
+
+class TestShorterFormsThanTheKernel:
+    """The moment series past ``|z| = 9.5`` and the exponential term alone
+    past ``Re(-z^2/2) = 42``, against 40-digit mpmath."""
+
+    def test_moment_series_above_the_axis(self):
+        rng = random.Random(51)
+        worst = 0.0
+        for _ in range(400):
+            z = cmath.rect(rng.uniform(9.5, 40.0), rng.uniform(0.0, math.pi))
+            worst = max(worst, rel_err_mp(g_tilde(z), mpmath_g_tilde(z)))
+        assert worst <= 1e-15
+
+    def test_imaginary_part_just_above_the_far_axis(self):
+        # on the axis Im g_tilde is the exponential term alone, which the
+        # series misses; it is added within 0.5 above the axis
+        rng = random.Random(55)
+        for _ in range(300):
+            z = complex(rng.choice((-1.0, 1.0)) * rng.uniform(9.5, 30.0),
+                        10.0 ** rng.uniform(-14.0, math.log10(0.5)))
+            v, want = g_tilde(z), mpmath_g_tilde(z)
+            with mpmath.workdps(40):
+                im = mpmath.mpf(v.mantissa.imag) * mpmath.exp(v.log_scale)
+                assert abs(im - want.imag) <= 1e-15 * abs(want.imag), z
+
+    def test_below_the_axis(self):
+        rng = random.Random(52)
+        for z in _far_lower_points(rng, 400, 9.5, 40.0):
+            v = g_tilde(z)
+            assert rel_err_mp(v, mpmath_g_tilde(z)) <= _shorter_form_bound(v), z
+
+    def test_both_sides_of_the_far_field_edge(self):
+        rng = random.Random(53)
+        ring = [cmath.rect(9.5, 0.1 + 2.0 * math.pi * k / 16) for k in range(8)]
+        ring += _far_lower_points(rng, 8, 9.5, 9.5)
+        for z in ring:
+            for f in (1.0 - 1e-12, 1.0 + 1e-12):
+                assert rel_err_mp(g_tilde(f * z), mpmath_g_tilde(f * z)) <= 1e-15, f * z
+
+    def test_both_sides_of_the_exponential_edge(self):
+        for x in (0.0, 0.01, -0.1, 0.15):
+            for f in (1.0 - 1e-12, 1.0 + 1e-12):
+                z = complex(x, -math.sqrt(84.0 * f + x * x))
+                assert abs(_hi(z) - 42.0) <= 1e-10
+                assert rel_err_mp(g_tilde(z), mpmath_g_tilde(z)) <= 1e-15, z
+
+    @pytest.mark.parametrize("x", [
+        9.5, -9.5, 30.0, -30.0,
+        math.sqrt(84.0) * (1.0 - 1e-12), math.sqrt(84.0) * (1.0 + 1e-12),
+        -math.sqrt(84.0) * (1.0 - 1e-12), -math.sqrt(84.0) * (1.0 + 1e-12),
+        9.5 * (1.0 - 1e-12), 9.5 * (1.0 + 1e-12),
+        -math.sqrt(1400.0) * (1.0 - 1e-12), -math.sqrt(1400.0) * (1.0 + 1e-12),
+    ])
+    def test_rho_at_the_edges(self, x):
+        v = rho(x)
+        assert rel_err_mp(v, rho_mp(x)) <= _shorter_form_bound(v)
+
+    def test_rho_against_mpmath_on_a_grid(self):
+        for x in [0.37 * k - 37.0 for k in range(200)]:
+            assert rel_err_mp(rho(x), rho_mp(x)) <= 1e-15, x
+
+    def test_real_kernel_is_the_complex_kernel_bit_for_bit(self):
+        rng = random.Random(54)
+        ts = [0.0, 1e-300, 1e-8, 1.0, transforms._W_L, 6.7, 1e150, 1e300]
+        for t in ts + [rng.uniform(0.0, 30.0) for _ in range(200)]:
+            assert _w_imaginary_axis(t).hex() == _w_upper(complex(0.0, t)).real.hex(), t
+
+    def test_kernel_modulus_is_at_most_one_on_the_closed_upper_half_plane(self):
+        # the bound behind dropping the algebraic part past Re(-z^2/2) = 42
+        worst = max(abs(_w_upper(complex(a, b)))
+                    for a in [0.25 * k - 40.0 for k in range(321)]
+                    for b in [0.0, 1e-300, 1e-8, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 40.0])
+        assert worst <= 1.0
+        assert _w_upper(0j) == 1.0
 
 
 class TestNearAxisSplit:
@@ -524,8 +633,46 @@ class TestWorkPerCall:
             fn(z)
             assert builds[0] - before == 1, z
 
-    def test_at_most_two_scaled_values_per_rho_call(self, builds):
+    def test_one_scaled_value_per_rho_call(self, builds):
         for x in [-30.0, -0.0, 0.0, 30.0] + [op["r"] for op in _transform_eval_ops(7)]:
             before = builds[0]
             rho(x)
-            assert builds[0] - before <= 2, x
+            assert builds[0] - before == 1, x
+
+
+class TestKernelSkipped:
+    """The far field and deep lower ``Xi`` never run the 40-term kernel."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        count = [0]
+        for name in ("_w_upper", "_w_imaginary_axis"):
+            def counted(*args, kernel=getattr(transforms, name)):
+                count[0] += 1
+                return kernel(*args)
+            monkeypatch.setattr(transforms, name, counted)
+        return count
+
+    @pytest.mark.parametrize("fn", [g_tilde, g_tilde_prime, f_tilde, f_tilde_prime])
+    def test_far_zone_and_deep_lower_points(self, kernel_calls, fn):
+        ops = _transform_eval_ops(7)
+        far = [complex(*op["z"]) for op in ops if op["zone"] == "far"]
+        deep = [complex(*op["z"]) for op in ops if op["zone"] == "lower"
+                and _hi(complex(*op["z"])) > 42.0]
+        assert len(far) == 80 and len(deep) >= 30
+        for z in far + deep:
+            fn(z)
+        assert kernel_calls[0] == 0
+        fn(complex(0.5, -5.0))  # hi = 12.4: the kernel, and the count sees it
+        assert kernel_calls[0] == 1
+
+    def test_rho_past_the_edges(self, kernel_calls):
+        xs = [x for x in (op["r"] for op in _transform_eval_ops(7))
+              if x >= 9.5 or x < 0.0 and x * x / 2.0 > 42.0]
+        assert len(xs) >= 100
+        for x in xs + [9.5, -9.5, 1e149, -37.5, -40.0]:
+            rho(x)
+        assert kernel_calls[0] == 0
+        rho(5.0)
+        rho(-5.0)
+        assert kernel_calls[0] == 2
