@@ -18,7 +18,7 @@ cubic Hermite interpolant in ``log x`` of a cached set of curve points, with
 the exact slopes ``dH/dlog x = 1/(H - x)`` of the curve ODE.  Above
 ``X_HI`` the height falls like ``exp(-x^2/2)`` (``h(3.5) ~ 9e-3``,
 ``h(6) ~ 2e-7`` against ``g ~ 6``).  The transform carries that scale to
-full relative accuracy (its near-axis split evaluation), and the Newton
+full relative accuracy (its near-axis Dawson split), and the Newton
 there runs on the relative residual ``log f_tilde(z) - log x``, then takes
 one pass on the absolute residual, which settles the last digits of ``h``.
 """

@@ -21,7 +21,7 @@ import sys
 
 from .curve import X_ASYMPTOTIC, X_HI, _newton_confined, in_omega, solve_H
 from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
-from .series import _horner, free_cumulants
+from .series import _free_floats, _horner
 from .transforms import _require_normal, f_tilde, quad
 
 __all__ = [
@@ -86,7 +86,7 @@ def voiculescu(w: complex) -> complex:
         return complex(math.copysign(pt.g, w.real) - w.real, -pt.h)
     if r >= X_ASYMPTOTIC:
         iw = 1.0 / w
-        return _horner(free_cumulants(_PHI_SERIES_ORDER), iw * iw) * iw
+        return _horner(_free_floats(_PHI_SERIES_ORDER), iw * iw) * iw
 
     z = None
     for seed in (w + 1.0 / w, w):

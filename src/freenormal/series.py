@@ -180,11 +180,25 @@ def _check_large_argument(x: float) -> float:
     return 1.0 / (x * x)
 
 
-def _horner(coeffs, u):
-    """``sum coeffs[k] u^k`` by Horner's rule, for a float or complex ``u``."""
-    acc = float(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * u + float(c)
+@lru_cache(maxsize=None)
+def _free_floats(n: int) -> tuple[float, ...]:
+    """``_free_list(n)`` in floats, highest degree first, for :func:`_horner`."""
+    return tuple(float(c) for c in reversed(_free_list(n)))
+
+
+@lru_cache(maxsize=None)
+def _a_floats(n: int) -> tuple[float, ...]:
+    """``1, a_2, ..., a_{2n}`` in floats, highest degree first."""
+    return tuple(float(c) for c in reversed((1,) + _a_list(n)))
+
+
+def _horner(coeffs: tuple[float, ...], u):
+    """``sum c_k u^k`` by Horner's rule, ``coeffs`` highest degree first,
+    for a float or complex ``u``."""
+    it = iter(coeffs)
+    acc = next(it)
+    for c in it:
+        acc = acc * u + c
     return acc
 
 
@@ -194,7 +208,7 @@ def eval_g_asym_infinity(x: float, N: int) -> float:
     ``DomainError`` where ``1/x^2`` or the sum overflows (at tiny ``|x|``).
     """
     _require_order(N)
-    g = x + _horner(_free_list(N), _check_large_argument(x)) / x
+    g = x + _horner(_free_floats(N), _check_large_argument(x)) / x
     if math.isinf(g):
         raise DomainError(f"the large-x series of g overflows binary64 at x = {x}")
     return g
@@ -210,7 +224,7 @@ def eval_h_asym_infinity(x: float, N: int) -> ScaledComplex:
     """
     _require_order(N)
     u = _check_large_argument(x)
-    scale = _SQRT_HALF_PI * x * x * _horner((1,) + _a_list(N - 1), u)
+    scale = _SQRT_HALF_PI * x * x * _horner(_a_floats(N - 1), u)
     if math.isinf(scale):
         raise DomainError(f"the prefactor sqrt(pi/2) x^2 overflows binary64 at x = {x}")
     return ScaledComplex(complex(scale, 0.0), -0.5 * x * x - 1.0)

@@ -25,9 +25,15 @@ Below the axis ``g_tilde`` is an algebraic part ``G(z)`` plus the exponential
 term ``-i sqrt(2 pi) exp(-z^2/2)``.  Each point goes to the first of these
 regions that holds it, and each region's form is exact to roundoff there:
 
-* **On the axis, and within 0.5 below it in Xi:** the near-axis split.  The
-  real and imaginary parts are built from real quantities on the kernel
-  below, so a tiny ``Im g_tilde`` stays exact.
+* **Within 0.5 of the axis in Xi, on both sides, up to |z|^2 = 1e300:**
+  the closed form's Dawson split ``g_tilde = sqrt(2) D(z/sqrt 2) - i
+  sqrt(pi/2) exp(-z^2/2)``, with Dawson's ``D(w) = exp(-w^2) S(w)`` and
+  the exponent formed exactly.  Below ``|z| = 9.5``, ``D`` is a Taylor
+  expansion at the nearest of the nodes ``j/4``, whose values and slopes
+  are stored from 40-digit mpmath; from 9.5 on the Dawson term is the
+  moment series below.  Each part of ``g_tilde``
+  keeps its own roundoff there, where the kernel carries ``Im g_tilde``
+  only to the roundoff of ``|g_tilde|``.
 * **Below the axis with Re(-z^2/2) > 42:** the exponential term alone.
   ``|w| <= 1`` on the closed upper half plane, so the algebraic part is at
   most ``sqrt(pi/2)``, below 2**-60 of ``sqrt(2 pi) e^42``.
@@ -37,18 +43,18 @@ regions that holds it, and each region's form is exact to roundoff there:
   6 from 59 on, puts the first dropped term below 2**-57.  The remainder
   after ``K`` terms is ``z^-K integral t^K phi(t)/(z - t) dt``, and near
   the axis the one further piece, the Stokes term, is at most
-  ``sqrt(pi/2) exp(-x^2/2)`` (3.6e-20 at ``|x| = 9.5``).  That term is
-  all of ``Im g_tilde`` on the axis, so within 0.5 above it the series is
-  taken as the Dawson part of the closed form and
-  ``-i sqrt(pi/2) exp(-z^2/2)`` is added, as the split does below the
-  axis.  ``Im g_tilde`` then keeps its own roundoff above the axis, where
-  the kernel carries it only to the roundoff of ``|g_tilde|``.
+  ``sqrt(pi/2) exp(-x^2/2)`` (3.6e-20 at ``|x| = 9.5``).  In the band
+  the series stands for ``sqrt(2) D``, which that term separates from
+  ``G``.
 * **Elsewhere:** the Faddeeva function ``w`` on ``Im zeta >= 0`` by
   Weideman's 40-term rational series, ``g_tilde(z) = -i sqrt(pi/2)
   w(z/sqrt 2)`` above the axis and ``G(z) = i sqrt(pi/2) w(-z/sqrt 2)``
-  below it.  Past ``|z|^2 = 1e300`` it keeps the binary64 walls.
+  below it.  That is, within ``|z| < 9.5``, more than 0.5 from the axis
+  or below it outside ``Xi``, and past ``|z|^2 = 1e300``, where it keeps
+  the binary64 walls.
 
-``rho`` takes the same regions on the imaginary axis in real arithmetic.
+``rho`` takes the same regions on the imaginary axis, in real arithmetic
+outside the band.
 The work is in plain ``complex``; :class:`~freenormal.scaled.ScaledComplex`
 appears only in the return values and past ``exp(-z^2/2) = e^700``.  The
 relative error is certified below 1e-12 on ``Xi intersect {|z| <= 30}``
@@ -149,15 +155,31 @@ def classify_domain(z: complex) -> DomainTag:
 _W_TERMS = 40
 _W_L = math.sqrt(_W_TERMS / _SQRT2)
 _INV_SQRT_PI = 1.0 / _SQRT_PI
-# its coefficients, highest degree first: a_k is the k-th Fourier cosine
-# coefficient of (L^2 + t^2) exp(-t^2) under t = L tan(theta/2), by the
-# trapezoidal rule on 4N points of theta (the function vanishes at pi)
-_W_F = [math.exp(-t * t) * (_W_L**2 + t * t) for t in
-        (_W_L * math.tan(0.25 * math.pi * j / _W_TERMS) for j in range(2 * _W_TERMS))]
-_W_COEF = tuple(
-    math.fsum([_W_F[0]] + [2.0 * f * math.cos(0.5 * math.pi * k * j / _W_TERMS)
-                           for j, f in enumerate(_W_F[1:], 1)]) / (4 * _W_TERMS)
-    for k in range(_W_TERMS, 0, -1)
+#: its coefficients, highest degree first: a_k is the k-th Fourier cosine
+#: coefficient of (L^2 + t^2) exp(-t^2) under t = L tan(theta/2), by the
+#: trapezoidal rule on 4N points of theta (the function vanishes at pi),
+#: each summed with math.fsum; a test rebuilds them so, bit for bit
+_W_COEF = (
+    -1.5642909365809225e-15, 9.338985647728391e-16,
+    1.0947461436686504e-14, -4.824191032490638e-15,
+    -7.054677306740657e-14, 1.3844963704444706e-14,
+    4.5328024004113736e-13, 1.2010420921207874e-13,
+    -2.9075505317922914e-12, -2.727515553245929e-12,
+    1.7714735097411645e-11, 3.472751111495436e-11,
+    -9.055095593892207e-11, -3.5632346883032806e-10,
+    2.108600692317678e-10, 3.0177803926989445e-09,
+    3.2497464910418544e-09, -1.831561667470875e-08,
+    -6.351773482533728e-08, 1.4198642597766085e-08,
+    5.912136950873321e-07, 1.483566113249206e-06,
+    -1.066013898353506e-06, -1.800744714466497e-05,
+    -5.5913092642359196e-05, -3.939363145491374e-05,
+    0.00043980701598706363, 0.0027054056330738335,
+    0.010048186242783494, 0.029202916471242003,
+    0.07182361779074338, 0.15504263802479495,
+    0.29989437996150065, 0.5266528988277086,
+    0.8472174576593817, 1.256381567576513,
+    1.7253830848179779, 2.201513794878312,
+    2.61605415276186, 2.8996245093897053,
 )
 
 
@@ -243,38 +265,14 @@ def _moment_series(w, u, r: float):
     return w + w * u * t
 
 
-def _dawson(xi: float) -> tuple[float, float]:
-    """Dawson's ``D(xi) = exp(-xi^2) integral_0^xi exp(t^2) dt`` and ``D'(xi)``.
-
-    ``(sqrt(pi)/2) Im w(xi)`` and ``1 - 2 xi D`` below ``|xi| = 6.25``;
-    beyond, the series ``sum (2k-1)!! / (2^{k+1} xi^{2k+1})``, whose tail
-    past the first term is ``-D'/(2 xi)``: both to 2e-15, where ``1 - 2 xi D``
-    on the kernel's ``D`` loses up to 1e-13.
-    """
-    a = abs(xi)
-    if a < 6.25:
-        d = 0.5 * _SQRT_PI * _w_upper(complex(xi, 0.0)).imag
-        return d, 1.0 - 2.0 * xi * d
-    ix2 = 1.0 / (a * a)
-    term, tail = 0.5 / a, 0.0
-    for k in range(1, 400):
-        nxt = term * (k - 0.5) * ix2
-        if nxt >= term:
-            break
-        term = nxt
-        tail += term
-        if term < 1e-20 * tail:
-            break
-    d = 0.5 / a + tail
-    return (d if xi >= 0 else -d), -2.0 * (a * tail)
-
-
 def _half_diff_of_squares(x: float, y: float) -> tuple[float, float]:
     """``Re(-z^2/2) = (y^2 - x^2)/2`` as an unevaluated sum ``hi + lo``.
 
     Rounding ``x*x`` alone would cost ``exp(-z^2/2)`` 5e-14 at ``|z| = 30``;
     with Dekker's exact squares and Knuth's two-sum ``exp(hi) (1 + lo)`` is
-    good to a few ulps.  ``lo`` is 0 from ``|x|`` or ``|y| = 1e150`` on.
+    good to a few ulps.  ``lo`` is 0 from ``|x|`` or ``|y| = 1e150`` on,
+    and from ``|hi| = 2^53`` on, where it could pass 1 and turn ``1 + lo``
+    negative; the scale ``hi`` is uncertain by ``e^(ulp/2)`` there anyway.
     """
     px, py = x * x, y * y
     if not (abs(x) < 1e150 and abs(y) < 1e150):
@@ -291,48 +289,107 @@ def _half_diff_of_squares(x: float, y: float) -> tuple[float, float]:
     b = s - py
     t = ((py - (s - b)) - (px + b)) + (ey - ex)  # s + t = y^2 - x^2
     hi = s + t
+    if not abs(hi) < 2.0**54:
+        return 0.5 * hi, 0.0
     b = hi - s
     return 0.5 * hi, 0.5 * ((s - (hi - b)) + (t - b))
 
 
-#: depth below the axis within which the split evaluation serves ``Xi``
+# --------------------------------------------------------------------------
+# the near-axis band
+# --------------------------------------------------------------------------
+
+#: half width of the band about the axis, on both sides in ``Xi``, that the
+#: closed form's Dawson split serves
 _NEAR_AXIS = 0.5
 
+#: Dawson's ``D(xi) = exp(-xi^2) integral_0^xi exp(t^2) dt`` and ``D'(xi)``
+#: at the nodes ``xi_j = j/4``, ``j = 0..27``, each rounded to nearest from
+#: 40-digit mpmath (a test recomputes them).  ``D'`` is stored, not formed
+#: as ``1 - 2 xi D``, which would multiply the rounding of ``D`` by
+#: ``2 xi^2`` (about 90 at the last node).
+_DAWSON_NODES = (
+    (0.0, 1.0),
+    (0.23983916356289822, 0.8800804182185509),
+    (0.4244363835020223, 0.5755636164979777),
+    (0.5230127677445182, 0.21548084838322262),
+    (0.5380795069127684, -0.07615901382553684),
+    (0.4958270739643261, -0.2395676849108153),
+    (0.4282490710853986, -0.2847472132561959),
+    (0.3594364206717429, -0.25802747235110024),
+    (0.30134038892379195, -0.20536155569516787),
+    (0.25655426284484917, -0.1544941828018212),
+    (0.2230837221674355, -0.1154186108371774),
+    (0.19785094717415452, -0.08818020945784988),
+    (0.1782710306105583, -0.06962618366334973),
+    (0.162570914560687, -0.05671094464446548),
+    (0.14962159308075648, -0.047351151565295395),
+    (0.1387052395935912, -0.040289296951933985),
+    (0.12934800123600512, -0.03478400988804092),
+    (0.12122159429432365, -0.030383551501751083),
+    (0.11408861022682498, -0.02679749204142482),
+    (0.1077715111802445, -0.023829356212322707),
+    (0.10213407442427684, -0.021340744242768356),
+    (0.09706962847320189, -0.01923109896861986),
+    (0.09249323231075476, -0.01742555541830236),
+    (0.08833628281447531, -0.015867252366466085),
+    (0.08454268897454385, -0.014512267694526227),
+    (0.08106609406101173, -0.013326175762646528),
+    (0.07786781898606987, -0.012281646818908329),
+    (0.07491531382621561, -0.011356736653910788),
+)
+#: Taylor terms per node: with ``|delta| <= 0.375`` the first dropped one is
+#: below 1e-20 of ``|D|``
+_DAWSON_TERMS = 27
 
-def _g_tilde_near_axis_parts(x: float, y: float) -> tuple[float, float]:
-    """``(Re, Im)`` of ``g_tilde(x + i y)`` for ``-0.5 <= y <= 0`` in ``Xi``.
 
-    The kernel carries ``Im g_tilde`` only to the roundoff of ``|g_tilde|``,
-    useless where it sits at ``exp(-x^2/2)`` scale.  Here both parts come
-    from real quantities: the Taylor series in ``i y/sqrt 2`` of the Dawson
-    term (``c_k = D^{(k)}/k!`` from ``D' = 1 - 2 xi D``; at most 22 terms,
-    stopping at two in a row below 1e-17 of their part) plus the exactly
-    split exponential term.  Against 40-digit mpmath ``Re`` is good to
-    2e-15, ``Im`` to 3e-13 of ``max(|Im|, sqrt(pi/2) |exp(-z^2/2)|)``.
+def _dawson_taylor(d: float, dp: float, xi: float) -> tuple[float, ...]:
+    """``D^(k)(xi)/k!`` for ``k < _DAWSON_TERMS``, highest degree first.
+
+    ``D' = 1 - 2 xi D`` differentiated gives ``c_k = -2 (c_{k-2} + xi
+    c_{k-1}) / k`` from ``c_0 = D``, ``c_1 = D'``.
     """
-    xi = x / _SQRT2
-    v = y / _SQRT2
-    a, b = _dawson(xi)
-    re_d, im_d = a, b * v
-    vk = v
-    settled = 0  # terms in a row below 1e-17 of their part
-    for k in range(2, 22):
-        a, b = b, -2.0 * (a + xi * b) / k
-        vk *= v
-        t = b * vk if k & 2 == 0 else -b * vk  # i^k is 1, i, -1, -i
-        if k & 1:
-            im_d += t
-            small = abs(t) <= 1e-17 * abs(im_d)
-        else:
-            re_d += t
-            small = abs(t) <= 1e-17 * abs(re_d)
-        settled = settled + 1 if small else 0
-        if settled == 2:
-            break
+    c = [d, dp]
+    for k in range(2, _DAWSON_TERMS):
+        c.append(-2.0 * (c[k - 2] + xi * c[k - 1]) / k)
+    return tuple(reversed(c))
+
+
+_DAWSON_TAYLOR = tuple(_dawson_taylor(d, dp, 0.25 * j)
+                       for j, (d, dp) in enumerate(_DAWSON_NODES))
+
+
+def _near_axis(x: float, y: float, r2: float) -> complex:
+    """``g_tilde(x + i y)`` for ``|y| <= 0.5`` in ``Xi``, ``r2 = x^2 + y^2 <= 1e300``.
+
+    The closed form ``g_tilde(z) = sqrt(2) D(zeta) - i sqrt(pi/2)
+    exp(-z^2/2)``, ``zeta = z/sqrt 2``, with its exponential term formed
+    from the exactly split ``Re(-z^2/2)``.  The kernel carries ``Im
+    g_tilde`` only to the roundoff of ``|g_tilde|``, useless where it sits
+    at ``exp(-x^2/2)`` scale; here ``Im`` keeps its own roundoff.  Below
+    ``|z| = 9.5`` the Dawson term is the Taylor expansion at the nearest
+    node ``xi_j`` of :data:`_DAWSON_NODES`, summed by Horner's rule in
+    ``delta = zeta - xi_j`` (``|delta| <= 0.375``, with ``D(-zeta) =
+    -D(zeta)`` for ``Re z < 0``); from 9.5 on it is the moment series, whose
+    one further piece near the axis, the Stokes term, is at most
+    ``sqrt(pi/2) exp(-x^2/2)``.  Against 40-digit mpmath ``Re`` is good to
+    5e-16, ``Im`` to 1e-15 of ``max(|Im|, sqrt(pi/2) |exp(-z^2/2)|)``.
+    """
+    if r2 < _FAR_R2_MIN:
+        a = abs(x) / _SQRT2
+        j = int(4.0 * a + 0.5)
+        v = y / _SQRT2
+        delta = complex(a - 0.25 * j, v if x >= 0.0 else -v)
+        p = 0j
+        for c in _DAWSON_TAYLOR[j]:
+            p = p * delta + c
+        d = _SQRT2 * p if x >= 0.0 else -_SQRT2 * p
+    else:
+        w = 1.0 / complex(x, y)
+        d = _moment_series(w, w * w, math.sqrt(r2))
     hi, lo = _half_diff_of_squares(x, y)
     amp = _SQRT_HALF_PI * math.exp(hi) * (1.0 + lo)
-    return (_SQRT2 * re_d - amp * math.sin(x * y),
-            _SQRT2 * im_d - amp * math.cos(x * y))
+    return complex(d.real - amp * math.sin(x * y), d.imag - amp * math.cos(x * y))
 
 
 # --------------------------------------------------------------------------
@@ -354,12 +411,11 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
 
     The regions are tried in this order (see the module docstring):
 
-    * on the axis and within ``_NEAR_AXIS`` below it in ``Xi``, the split
-      evaluation;
+    * within ``_NEAR_AXIS`` of the axis in ``Xi``, on both sides, up to
+      ``|z|^2 = 1e300``, the Dawson split of :func:`_near_axis`;
     * below the axis with ``Re(-z^2/2) > 42``, the exponential term alone;
     * for ``9.5 <= |z|`` and ``|z|^2 <= 1e300``, the moment series, which is
-      ``g_tilde`` above the axis (plus ``-i sqrt(pi/2) exp(-z^2/2)`` within
-      ``_NEAR_AXIS`` of it) and its algebraic part below;
+      ``g_tilde`` above the axis and its algebraic part below;
     * elsewhere the kernel, which is the algebraic part below the axis.
 
     Below the axis the exponential term ``-i sqrt(2 pi) exp(-z^2/2)`` is
@@ -370,18 +426,17 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
     if not cmath.isfinite(z):
         raise DomainError(f"g_tilde needs a finite argument, got {z!r}")
     x, y = z.real, z.imag
+    r2 = x * x + y * y
+    if (-_NEAR_AXIS <= y <= _NEAR_AXIS and r2 <= _FAR_R2_MAX
+            and (y >= 0.0 or abs(x * y) <= _HALF_PI)):
+        g = _near_axis(x, y, r2)
+        return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
     if y > 0.0:
-        r2 = x * x + y * y
         if _FAR_R2_MIN <= r2 <= _FAR_R2_MAX:
             w = 1.0 / z
             g = _moment_series(w, w * w, math.sqrt(r2))
-            if y <= _NEAR_AXIS:  # the closed form's own exponential term
-                g += _MINUS_I_SQRT_HALF_PI * cmath.exp(-0.5 * z * z)
         else:
             g = _MINUS_I_SQRT_HALF_PI * _w_upper(z / _SQRT2)
-        return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
-    if -y <= _NEAR_AXIS and abs(x * y) <= _HALF_PI:
-        g = complex(*_g_tilde_near_axis_parts(x, y))
         return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
     hi, lo = _half_diff_of_squares(x, y)
     if not hi < math.inf:  # NaN or +inf; a finite hi implies a finite x*y
@@ -392,7 +447,6 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
         if hi < _SCALED_FROM:
             return coeff * cmath.exp(e)
         return ScaledComplex(coeff * cmath.exp(complex(0.0, e.imag)), hi)
-    r2 = x * x + y * y
     if _FAR_R2_MIN <= r2 <= _FAR_R2_MAX:
         w = 1.0 / z
         alg = _moment_series(w, w * w, math.sqrt(r2))
@@ -474,23 +528,25 @@ def rho(x: float) -> ScaledComplex:
     ``x -> -inf``; the scaled return type keeps the latter representable
     down to ``x`` about ``-1.3e154``, past which ``DomainError`` is raised.
 
-    The regions of :func:`g_tilde` in real arithmetic: on the imaginary axis
-    the kernel is real (:func:`_w_imaginary_axis`), the moment series runs
-    in ``u = -1/x^2``, and the exponential term is
-    ``sqrt(2 pi) e^{x^2/2}``, scaled past ``x`` about -37.4.  The stored
-    pair and its view are those of ``i * g_tilde(i x)`` bit for bit outside
-    the moment series.  One ``ScaledComplex`` is built per call.
+    The regions of :func:`g_tilde` on the imaginary axis: for ``|x| <=
+    0.5`` the imaginary part of the Dawson split (:func:`_near_axis`),
+    elsewhere real arithmetic, where the kernel is real
+    (:func:`_w_imaginary_axis`), the moment series runs in ``u = -1/x^2``,
+    and the exponential term is ``sqrt(2 pi) e^{x^2/2}``, scaled past ``x``
+    about -37.4.  The stored pair and its view are those of ``i *
+    g_tilde(i x)`` bit for bit outside the moment series.  One
+    ``ScaledComplex`` is built per call.
     """
     y = float(x)
     if not math.isfinite(y):
         raise DomainError(f"rho needs a finite argument, got {x!r}")
+    if -_NEAR_AXIS <= y <= _NEAR_AXIS:
+        return _normalized_real(-_near_axis(0.0, y, y * y).imag)
     if y > 0.0:
         if _FAR_R2_MIN <= y * y <= _FAR_R2_MAX:
             w = 1.0 / y
             return _normalized_real(_moment_series(w, -w * w, y))
         return _normalized_real(_SQRT_HALF_PI * _w_imaginary_axis(y / _SQRT2))
-    if y >= -_NEAR_AXIS:
-        return _normalized_real(-_g_tilde_near_axis_parts(0.0, y)[1])
     hi, lo = _half_diff_of_squares(0.0, y)
     if not hi < math.inf:
         raise DomainError(f"-z^2/2 overflows binary64 at z = {complex(0.0, y)!r}")

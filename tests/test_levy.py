@@ -178,6 +178,18 @@ class TestVoiculescu:
         assert abs(phi - want) <= 1e-12 * abs(want)
         assert abs(phi.imag - want.imag) <= 1e-12 * abs(want.imag)
 
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 9.4])
+    def test_imaginary_part_just_above_the_near_axis(self, x):
+        # the Dawson table keeps Im g_tilde to its own roundoff within 0.5 of
+        # the axis; the kernel it replaced missed Im phi by 16 % at 9
+        w = complex(x, 1e-12)
+        phi = voiculescu(w)
+        with mpmath.workdps(50):
+            want = complex(mp_inverse(w, w + phi) - mpmath.mpc(w))
+        assert phi.imag < 0.0
+        assert abs(phi - want) <= 1e-13 * abs(want)
+        assert abs(phi.imag - want.imag) <= 1e-13 * abs(want.imag)
+
     @pytest.mark.parametrize(
         "w", [complex(math.nan, 1.0), complex(math.inf, 1.0), complex(0.0, math.inf)]
     )

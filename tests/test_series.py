@@ -218,6 +218,27 @@ class TestWorkPerCall:
                 eval_h_asym_infinity(x, N)
                 assert count[0] - before == 1, (x, N)
 
+    def test_float_tables_are_the_exact_tables_rounded(self):
+        # the evaluators sum cached float tuples; the reference converts each
+        # Fraction on every call and must give the same bits
+        def horner_of_fractions(coeffs, u):
+            acc = float(coeffs[-1])
+            for c in reversed(coeffs[:-1]):
+                acc = acc * u + float(c)
+            return acc
+
+        rng = random.Random(12)
+        for _ in range(200):
+            x = rng.uniform(3.5, 40.0)
+            u = 1.0 / (x * x)
+            for N in (1, 3, 6, 8):
+                g = x + horner_of_fractions(free_cumulants(N), u) / x
+                assert eval_g_asym_infinity(x, N) == g, (x, N)
+                scale = (math.sqrt(0.5 * math.pi) * x * x
+                         * horner_of_fractions((1,) + h_infinity_coefficients(N)[:N - 1], u))
+                assert eval_h_asym_infinity(x, N).to_complex().real == ScaledComplex(
+                    complex(scale, 0.0), -0.5 * x * x - 1.0).to_complex().real, (x, N)
+
 
 class TestZeroRegimeClosedForms:
     def test_product_is_exactly_half_pi(self):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.special import wofz
 
 from freenormal import transforms
-from freenormal.curve import _confined
+from freenormal.curve import X_ASYMPTOTIC, X_HI, _confined, solve_H
 from freenormal.errors import (
     DomainError,
     FreeNormalError,
@@ -31,8 +31,9 @@ from freenormal.errors import (
 )
 from freenormal.scaled import ScaledComplex
 from freenormal.transforms import (
+    _DAWSON_NODES,
     DomainTag,
-    _g_tilde_near_axis_parts,
+    _near_axis,
     _w_imaginary_axis,
     _w_upper,
     classify_domain,
@@ -341,6 +342,120 @@ class TestShorterFormsThanTheKernel:
         assert _w_upper(0j) == 1.0
 
 
+def _band_reference(z: complex):
+    """``g_tilde(z)`` from mpmath, at enough digits for its imaginary part.
+
+    At a fixed 50 digits ``erfc`` loses ``x^2/(2 ln 10)`` digits to the
+    cancellation that leaves ``exp(-x^2/2)``, so ``Im`` is wrong past
+    ``|x|`` about 15; ``bench/oracles.py`` takes the same precision.
+    """
+    dps = int(40 + z.real * z.real / (2.0 * math.log(10.0)) + 20)
+    with mpmath.workdps(dps):
+        return mp_g_tilde(mpmath.mpc(z))
+
+
+def _part_errors(got: complex, z: complex) -> tuple[float, float]:
+    """Errors of ``Re`` and ``Im`` of ``got`` against :func:`_band_reference`.
+
+    ``Re`` relative to itself (absolute where it is 0), ``Im`` relative to
+    ``max(|Im|, sqrt(pi/2) |exp(-z^2/2)|)``: the exponential term is
+    rounded once as a whole, whatever the sign of its parts.
+    """
+    want = _band_reference(z)
+    with mpmath.workdps(30):
+        scale = mpmath.sqrt(mpmath.pi / 2) * abs(mpmath.exp(-mpmath.mpc(z) ** 2 / 2))
+        re = abs(got.real - want.real) / (abs(want.real) or 1)
+        im = abs(got.imag - want.imag) / max(abs(want.imag), scale)
+        return float(re), float(im)
+
+
+def _band_points(seed: int, n: int) -> list[complex]:
+    """Within 0.5 of the axis in ``Xi``, on both sides, with ``|Re z| <= 30``."""
+    rng = random.Random(seed)
+    special = [0.0, 1e-300, -1e-300, 1e-12, -1e-12]
+    pts = []
+    while len(pts) < n:
+        x = rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 30.0)
+        k = len(pts) % 4
+        y = (rng.choice(special) if k == 0 else
+             rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, math.log10(0.5)) if k == 1 else
+             rng.uniform(-0.5, 0.5))
+        if y < 0.0 and abs(x * y) > math.pi / 2:
+            continue
+        pts.append(complex(x, y))
+    return pts
+
+
+class TestNearAxisBand:
+    """Within 0.5 of the axis on both sides each part of ``g_tilde`` keeps
+    its own roundoff: the Dawson table below ``|z| = 9.5``, the moment
+    series from there on."""
+
+    def test_parts_against_mpmath(self):
+        worst_re = worst_im = 0.0
+        for z in _band_points(61, 600):
+            re, im = _part_errors(complex(g_tilde(z)), z)
+            worst_re, worst_im = max(worst_re, re), max(worst_im, im)
+        assert worst_re <= 1e-15
+        assert worst_im <= 2e-15
+
+    @pytest.mark.parametrize("y", [0.0, 1e-300, -1e-300, 1e-12, -1e-12, 0.5, -0.16])
+    def test_parts_on_both_sides_of_the_far_field_edge(self, y):
+        for s in (1.0, -1.0):
+            for f in (1.0 - 1e-12, 1.0 + 1e-12):
+                z = complex(s * 9.5 * f, y)
+                re, im = _part_errors(complex(g_tilde(z)), z)
+                assert re <= 1e-15 and im <= 2e-15, z
+
+    def test_dawson_nodes_are_mpmath_rounded_to_nearest(self):
+        assert len(_DAWSON_NODES) == 28
+        with mpmath.workdps(40):
+            for j, (d, dp) in enumerate(_DAWSON_NODES):
+                xi = mpmath.mpf(j) / 4
+                want = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-xi * xi) * mpmath.erfi(xi)
+                assert d == float(want), j
+                assert dp == float(1 - 2 * xi * want), j
+
+    def test_weideman_coefficients_are_the_cosine_sums(self):
+        n, L = transforms._W_TERMS, transforms._W_L
+        f = [math.exp(-t * t) * (L**2 + t * t) for t in
+             (L * math.tan(0.25 * math.pi * j / n) for j in range(2 * n))]
+        want = tuple(
+            math.fsum([f[0]] + [2.0 * v * math.cos(0.5 * math.pi * k * j / n)
+                                for j, v in enumerate(f[1:], 1)]) / (4 * n)
+            for k in range(n, 0, -1)
+        )
+        assert [c.hex() for c in transforms._W_COEF] == [c.hex() for c in want]
+
+    def test_rho_is_i_g_tilde_of_i_x(self):
+        for x in (-0.5, -0.3, -1e-300, -0.0, 0.0, 1e-300, 1e-12, 0.25, 0.5):
+            v, g = rho(x), g_tilde(complex(0.0, x))
+            assert v.log_scale == g.log_scale, x
+            assert v.mantissa == 1j * g.mantissa, x
+
+
+_BAND_RE = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 9.5, -9.5, 1e150, -1e150,
+                     1e154, -1e154, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_BAND_IM = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, -0.5]),
+    st.floats(-0.5, 0.5),
+)
+
+
+class TestBandRobustness:
+    @given(_BAND_RE, _BAND_IM)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_values_or_refusals(self, x, y):
+        z = complex(x, y)
+        for fn in (g_tilde, g_tilde_prime, f_tilde, f_tilde_prime):
+            assert _finite_or_refused(lambda: fn(z)), (fn.__name__, z)
+        for t in (x, y):
+            assert _finite_or_refused(lambda: rho(t)), t
+
+
 class TestNearAxisSplit:
     def test_matches_the_continuation_down_to_half_depth(self):
         rng = random.Random(31)
@@ -348,9 +463,13 @@ class TestNearAxisSplit:
         for _ in range(300):
             x = rng.uniform(-8.0, 8.0)
             y = -rng.uniform(0.0, min(0.5, 0.99 * (math.pi / 2) / abs(x)))
-            re, im = _g_tilde_near_axis_parts(x, y)
+            got = _near_axis(x, y, x * x + y * y)
             want = continuation_oracle(complex(x, y))
-            worst = max(worst, abs(complex(re, im) - want) / abs(want))
+            worst = max(worst, abs(got - want) / abs(want))
+            # each part on its own, against mpmath (wofz's imaginary part
+            # is only as good as the modulus below the axis)
+            re, im = _part_errors(got, complex(x, y))
+            assert re <= 1e-15 and im <= 2e-15, complex(x, y)
         assert worst <= 1e-14
 
 
@@ -502,6 +621,15 @@ class TestWholeBinary64Plane:
         with pytest.raises(DomainError):
             rho(z.imag)
 
+    @pytest.mark.parametrize("t", [15346282355.0, 1e12 + 0.5, 3.3e15 + 1.0])
+    def test_sign_past_a_scale_of_two_to_the_53(self, t):
+        # there the low part of -z^2/2 can pass 1, and exp(hi) (1 + lo) once
+        # flipped the sign of the exponential term (rho raised ValueError)
+        v = rho(-t)
+        assert v.mantissa.real > 0.0 and v.log_scale > 1e20
+        g = g_tilde(complex(0.0, -t))
+        assert g.mantissa.imag < 0.0 and g.log_scale == v.log_scale
+
     def test_overflowing_kernel_is_a_domain_error(self):
         with pytest.raises(DomainError):
             g_tilde(complex(1.7e308, 1.7e308))
@@ -641,7 +769,8 @@ class TestWorkPerCall:
 
 
 class TestKernelSkipped:
-    """The far field and deep lower ``Xi`` never run the 40-term kernel."""
+    """The far field, deep lower ``Xi`` and the near-axis band never run the
+    40-term kernel."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -676,3 +805,24 @@ class TestKernelSkipped:
         rho(5.0)
         rho(-5.0)
         assert kernel_calls[0] == 2
+
+    @pytest.mark.parametrize("fn", [g_tilde, g_tilde_prime, f_tilde, f_tilde_prime])
+    def test_band_zone_points_near_the_axis(self, kernel_calls, fn):
+        band = [complex(*op["z"]) for op in _transform_eval_ops(7)
+                if op["zone"] == "band" and abs(op["z"][1]) <= 0.5]
+        assert len(band) >= 30
+        for z in band + [0j, complex(9.5, 0.5), complex(-3.0, -0.5)]:
+            fn(z)
+        assert kernel_calls[0] == 0
+        fn(complex(3.0, 0.51))  # above the band: the kernel
+        assert kernel_calls[0] == 1
+
+    def test_rho_near_zero(self, kernel_calls):
+        for x in (-0.5, -0.1, -0.0, 0.0, 1e-300, 0.3, 0.5):
+            rho(x)
+        assert kernel_calls[0] == 0
+
+    def test_curve_solves_past_x_hi(self, kernel_calls):
+        for k in range(41):
+            solve_H(X_HI + (X_ASYMPTOTIC - X_HI) * k / 40)
+        assert kernel_calls[0] == 0
