@@ -11,16 +11,16 @@ with its mirror image ``p0-`` it bounds the domain
 on which ``f_tilde`` is an analytic bijection onto the upper half plane.
 
 The solver is a damped Newton iteration on ``f_tilde(z) - x`` confined to
-``Xi`` (the certified pole-free region), with regime-dependent seeding:
-closed-form small-x asymptotics below ``X_LO``, large-x series above
-``X_HI``, and between them skeleton-seeded Newton with a polish step: a
-cubic Hermite interpolant in ``log x`` of a cached set of curve points, with
-the exact slopes ``dH/dlog x = 1/(H - x)`` of the curve ODE.  Above
-``X_HI`` the height falls like ``exp(-x^2/2)`` (``h(3.5) ~ 9e-3``,
-``h(6) ~ 2e-7`` against ``g ~ 6``).  The transform carries that scale to
-full relative accuracy (its near-axis Dawson split), and the Newton
-there runs on the relative residual ``log f_tilde(z) - log x``, then takes
-one pass on the absolute residual, which settles the last digits of ``h``.
+``Xi`` (the certified pole-free region).  Up to ``X_JET`` it starts from
+the nearest node of a table of jets, the 16-term Taylor series of ``g`` and
+``log h`` in ``log x`` read off the curve ODE ``dH/dlog x = 1/(H - x)``;
+each serves within 0.085 of its radius of convergence, so the seed is exact
+to about an ulp.  Above ``X_JET`` the large-x series seeds it.  Above
+``X_HI`` the height falls like ``exp(-x^2/2)`` (``h(6) ~ 2e-7`` against
+``g ~ 6``).  The transform carries that scale to full relative accuracy
+(its near-axis Dawson split), and the Newton there runs on the relative
+residual ``log f_tilde(z) - log x``, then takes one pass on the absolute
+residual, which settles the last digits of ``h``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect
 from collections import namedtuple
 from functools import cache
+from operator import mul
 
 from .errors import DomainError, FreeNormalError, NoConvergence, SeedNotFound
 from .series import (
@@ -60,20 +62,22 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-#: the solver's crossovers: at or below ``X_LO`` the zero-regime closed
-#: forms seed it (and it solves the logarithmic residual); at or above
-#: ``X_HI`` the order-3 large-x series seeds it (the logarithmic residual,
-#: then one absolute pass), and beyond ``X_ASYMPTOTIC`` the large-x series is
-#: the answer
+#: the solver's crossovers: at or below ``X_LO`` it solves the logarithmic
+#: residual, at or above ``X_HI`` the logarithmic one and then one absolute
+#: pass; up to ``X_JET`` the jet table seeds it, past it the large-x series,
+#: and beyond ``X_ASYMPTOTIC`` that series is the answer
 X_LO = 0.05
 X_HI = 3.5
+X_JET = 8.0
 X_ASYMPTOTIC = 30.0
 
-#: order of the large-x series returned above ``X_ASYMPTOTIC``
+#: order of the large-x series above ``X_JET``
 _LARGE_X_ORDER = 6
-
-#: nodes of the bulk skeleton that seeds every solve in ``(X_LO, X_HI)``
-_SKELETON_NODES = 24
+#: Taylor terms of each jet
+_JET_TERMS = 16
+#: a jet serves out to where its two last terms fall to this, and the next
+#: node lies twice as far; the first dropped term stays below 6e-17
+_JET_TAIL = 5e-17
 
 #: residual contract of a curve solve, relative to ``max(1, |w|)``
 _NEWTON_TOL = 1e-10
@@ -128,6 +132,11 @@ def _confined(z: complex) -> bool:
         return False
 
 
+def _below(dz: complex, z: complex, frac: float) -> bool:
+    """Each component of ``dz`` is at most ``frac`` of that of ``z``."""
+    return abs(dz.real) <= frac * abs(z.real) and abs(dz.imag) <= frac * abs(z.imag)
+
+
 def _newton_confined(
     z: complex, w: complex, log: bool = False, F: complex | None = None
 ) -> tuple[complex, complex]:
@@ -150,7 +159,10 @@ def _newton_confined(
     residual meets its goal, one more step is taken and kept if it stays in
     ``Xi`` without growing the residual.  It carries the digits the goal
     cannot see: those of a height that falls like ``exp(-x^2/2)``, and
-    those ``phi(w) = z - w`` cancels, about ``2 log10 |w|``.
+    those ``phi(w) = z - w`` cancels, about ``2 log10 |w|``.  It is skipped
+    after a step below 1e-8 of each component of ``z`` (quadratic
+    convergence leaves it nothing), and taken unchecked when below 2**-52 of
+    each (the ``f_tilde`` returned is then that of ``z`` an ulp before).
     """
     scale = 1.0 if log else max(1.0, abs(w))
     goal = (1e-13 if log else 1e-14) * scale
@@ -168,10 +180,13 @@ def _newton_confined(
 
     r, F = residual(z, F)
     iters = 0
+    settled = False  # the last accepted step was below 1e-8 of z, componentwise
     while True:
         dz = -r / (z - F) if log else -r / (F * (z - F))
         if abs(r) <= goal:
-            if z + dz != z and _confined(z + dz):
+            if _below(dz, z, 2.0**-52):
+                return z + dz, F
+            if not settled and _confined(z + dz):
                 rc, Fc = residual(z + dz)
                 if abs(rc) <= abs(r):
                     z, F = z + dz, Fc
@@ -192,6 +207,7 @@ def _newton_confined(
                 continue
             rc, Fc = residual(cand)
             if abs(rc) <= abs(r):
+                settled = _below(cand - z, z, 1e-8)
                 z, r, F = cand, rc, Fc
                 accepted = True
                 break
@@ -246,88 +262,110 @@ def _vertical_root(a: float, y: float) -> float:
 # seeding and the public solver
 # --------------------------------------------------------------------------
 
-def _seed_zero(x: float) -> complex:
-    return complex(eval_g_asym_zero(x), -eval_h_asym_zero(x))
+def _jet(x: float, z: complex) -> tuple:
+    """The node ``(x, h, g coefficients, log(h/h(x)) coefficients)`` at ``z = H(x)``.
+
+    Taylor coefficients in ``s = log(x'/x)``, highest first, of the curve ODE
+    in real form: ``g' = A = v R``, ``(log h)' = -R``, ``P' = -2 P R`` with
+    ``v = g - x``, ``P = h^2``, and ``R_n`` from ``v A + P R = 1``.  ``h`` is
+    never summed, so an ``exp(-x^2/2)``-small one keeps its relative accuracy.
+    """
+    g, h = z.real, -z.imag
+    v0, P0 = g - x, h * h
+    R0 = 1.0 / (v0 * v0 + P0)
+    A0 = v0 * R0
+    v, vP = [A0 - x], [complex(A0 - x, -2.0 * P0 * R0)]  # v_j, v_j + i P_j for j >= 1
+    Rr, Ar = [R0], [A0]  # R_n, A_n, highest order first
+    gs, Ls, xn = [g, A0], [0.0, -R0], x  # xn: x/n!, the coefficients of x exp(s)
+    for n in range(2, _JET_TERMS):
+        c = sum(map(mul, vP, Rr))  # the parts of A_(n-1) and (P R)_(n-1) without R_(n-1)
+        R = -R0 * (v0 * c.real + sum(map(mul, v, Ar)) + c.imag)
+        A = v0 * R + c.real
+        gs.append(A / n)
+        Ls.append(-R / n)
+        xn /= n
+        v.append(A / n - xn)
+        vP.append(complex(v[-1], -2.0 * (P0 * R + c.imag) / n))
+        Rr.insert(0, R)
+        Ar.insert(0, A)
+    return x, h, tuple(reversed(gs)), tuple(reversed(Ls))
 
 
 @cache
-def _bulk_skeleton() -> tuple[tuple[float, complex, complex], ...]:
-    """Nodes ``(log x, H, dH/dlog x)`` on a log-uniform grid of ``[X_LO, X_HI]``.
+def _jet_table(end: float) -> tuple[list[float], list[tuple]]:
+    """The nodes from ``X_LO`` to ``end`` in increasing ``x``, and their ``log x`` midpoints.
 
-    One continuation from the small-x closed form at ``X_LO``, each node
-    seeded by an Euler step along the curve ODE ``dH/dlog x = 1/(H - x)``
-    (from ``F' = F (z - F)`` and ``F(H(x)) = x``), which also gives the exact
-    node slopes.  Built once, on the first bulk solve.
+    Built on the first solve on that side of ``X_LO`` (``end`` is ``X_JET``
+    or ``sys.float_info.min``), out from the Newton solution at ``X_LO``,
+    so each half is the same whichever solve builds it.  The next node lies
+    twice as far as the last one's two last terms reach ``_JET_TAIL`` (0.165
+    of the radius of convergence at most), and is its jet there (error below
+    4e-13) after one Newton step on ``log f_tilde``.
     """
-    t_lo, t_hi = math.log(X_LO), math.log(X_HI)
-    dt = (t_hi - t_lo) / (_SKELETON_NODES - 1)
-    nodes = []
-    seed = _seed_zero(X_LO)
-    for k in range(_SKELETON_NODES):
-        x = X_HI if k == _SKELETON_NODES - 1 else math.exp(t_lo + k * dt)
-        z, _ = _newton_confined(seed, x)
-        slope = 1.0 / (z - x)
-        nodes.append((math.log(x), z, slope))
-        seed = z + dt * slope
-    return tuple(nodes)
+    z = complex(eval_g_asym_zero(X_LO), -eval_h_asym_zero(X_LO))
+    nodes = [_jet(X_LO, _newton_confined(z, X_LO, log=True)[0])]
+    while nodes[-1][0] != end:
+        xk, _, gs, Ls = nodes[-1]
+        reach = min((_JET_TAIL * scale / abs(c)) ** (1.0 / k) if c else math.inf
+                    for scale, cs in ((abs(gs[-1]), gs), (1.0, Ls))
+                    for k, c in ((_JET_TERMS - 1, cs[0]), (_JET_TERMS - 2, cs[1])))
+        x = xk * math.exp(2.0 * reach if end > X_LO else -2.0 * reach)
+        x = min(x, end) if end > X_LO else max(x, end)
+        z = _jet_seed(nodes[-1], x)
+        F = complex(_f_eval(z))
+        nodes.append(_jet(x, z - cmath.log(F / x) / (z - F)))
+    nodes.sort()
+    ts = [math.log(node[0]) for node in nodes]
+    return [0.5 * (a + b) for a, b in zip(ts, ts[1:])], nodes
 
 
-def _skeleton_seed(x: float) -> complex:
-    """Cubic Hermite interpolant of the skeleton in ``t = log x``."""
-    nodes = _bulk_skeleton()
-    t = math.log(x)
-    k = (t - nodes[0][0]) / (nodes[-1][0] - nodes[0][0]) * (len(nodes) - 1)
-    k = min(int(k), len(nodes) - 2)
-    (t0, z0, s0), (t1, z1, s1) = nodes[k], nodes[k + 1]
-    d = t1 - t0
-    u = (t - t0) / d
-    v = 1.0 - u
-    return (
-        (1.0 + 2.0 * u) * v * v * z0
-        + u * v * v * d * s0
-        + u * u * (3.0 - 2.0 * u) * z1
-        - u * u * v * d * s1
-    )
+def _jet_seed(node: tuple, x: float) -> complex:
+    """``H(x)`` from the jet of ``node``: two real Horner sums and one ``exp``."""
+    xk, hk, gs, Ls = node
+    s = math.log1p((x - xk) / xk) if x > 0.5 * xk else math.log(x / xk)  # x - xk exact
+    g = L = 0.0
+    for cg, cL in zip(gs, Ls):
+        g, L = g * s + cg, L * s + cL
+    return complex(g, -hk * math.exp(L))
 
 
 def solve_H(x: float) -> CurvePoint:
     """Solve ``f_tilde(g - i h) = x`` inside ``Xi``.
 
     Residual contract: ``|f_tilde(z) - x| <= 1e-10 * max(1, x)``.  Below
-    ``X_ASYMPTOTIC`` the one confined Newton solves it; the regime picks the
-    seed.  In the bulk it is the cubic Hermite interpolant of a cached set
-    of curve points (``_bulk_skeleton``), so the result depends on ``x``
-    alone.  At or below ``X_LO`` it is the small-x closed form, and the
-    residual is relative.  On ``[X_HI, X_ASYMPTOTIC]`` it is the order-3
-    large-x series; the relative residual converges, and one pass on the
-    absolute one wins back digits of ``h`` the logarithm rounds away.  Above
-    ``X_ASYMPTOTIC`` the large-x series of order ``_LARGE_X_ORDER`` is
-    returned directly (residuals there sit below binary64 noise).  The
-    curve height falls below the smallest normal binary64 number near
-    ``x = 37.81`` (and underflows entirely near ``x = 38.5``); beyond that
-    the height is only representable in scaled form (see
-    ``eval_h_asym_infinity``) and this solver raises ``DomainError`` rather
-    than return a subnormal with a few significant bits.
+    ``X_ASYMPTOTIC`` the one confined Newton solves it.  Up to ``X_JET`` it
+    starts from the jet of the nearest node of a cached table
+    (``_jet_table``), exact to about an ulp, so one evaluation usually ends
+    it; above, from the large-x series of order ``_LARGE_X_ORDER``, which
+    past ``X_ASYMPTOTIC`` is returned directly (residuals there sit below
+    binary64 noise).  At or below ``X_LO`` the residual is relative; from
+    ``X_HI`` on it is relative until it converges, then one pass on the
+    absolute one wins back digits of ``h`` the logarithm rounds away.  The
+    height falls below the smallest normal binary64 number near ``x =
+    37.81`` (and underflows entirely near ``x = 38.5``); beyond that it is
+    only representable in scaled form (see ``eval_h_asym_infinity``), and
+    this solver raises ``DomainError`` rather than return a subnormal.
     """
     x = float(x)
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"the curve is parametrized by finite x > 0, got {x}")
-    if x > X_ASYMPTOTIC:
+    if x <= X_JET:
+        mids, nodes = _jet_table(X_JET if x > X_LO else sys.float_info.min)
+        z = _jet_seed(nodes[bisect(mids, math.log(x))], x)
+    else:
         g = eval_g_asym_infinity(x, _LARGE_X_ORDER)
         h = eval_h_asym_infinity(x, _LARGE_X_ORDER).to_complex().real
-        _require_normal(
-            h, f"curve height at x = {x}",
-            "; use eval_h_asym_infinity for a scaled value",
-        )
-        residual = abs(_f_eval(complex(g, -h)) - x)
-        return CurvePoint(x=x, g=g, h=h, residual=residual)
+        if x > X_ASYMPTOTIC:
+            _require_normal(h, f"curve height at x = {x}",
+                            "; use eval_h_asym_infinity for a scaled value")
+            return CurvePoint(x=x, g=g, h=h, residual=abs(_f_eval(complex(g, -h)) - x))
+        z = complex(g, -h)
     if x <= X_LO:
-        z, F = _newton_confined(_seed_zero(x), x, log=True)
+        z, F = _newton_confined(z, x, log=True)
     elif x < X_HI:
-        z, F = _newton_confined(_skeleton_seed(x), x)
+        z, F = _newton_confined(z, x)
     else:
-        h = eval_h_asym_infinity(x, 3).to_complex().real
-        z, F = _newton_confined(complex(eval_g_asym_infinity(x, 3), -h), x, log=True)
+        z, F = _newton_confined(z, x, log=True)
         z, F = _newton_confined(z, x, F=F)
     return CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
 
@@ -396,7 +434,8 @@ def f_of(x: float) -> float:
         raise DomainError("f is defined on nonzero x only")
     if a < _F_CLOSED_FORM_BELOW:
         return eval_f_asym_zero(a)
-    y = _vertical_root(a, -_HALF_PI / a if a < 2.0 else 0.0)
+    # past 40 the height, below exp(-x^2/2), is 0; past 1e8 the slope -1/x rounds away
+    y = 0.0 if a >= 40.0 else _vertical_root(a, -_HALF_PI / a if a < 2.0 else 0.0)
     _require_normal(-y, f"f({x})", ": the boundary height is exp(-x^2/2)-small")
     return y
 

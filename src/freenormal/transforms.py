@@ -25,8 +25,9 @@ Below the axis ``g_tilde`` is an algebraic part ``G(z)`` plus the exponential
 term ``-i sqrt(2 pi) exp(-z^2/2)``.  Each point goes to the first of these
 regions that holds it, and each region's form is exact to roundoff there:
 
-* **Within 0.5 of the axis in Xi, on both sides, up to |z|^2 = 1e300:**
-  the closed form's Dawson split ``g_tilde = sqrt(2) D(z/sqrt 2) - i
+* **Within 0.5 of the axis in Xi, on both sides:** past ``|z|^2 = 1e300``
+  ``1/z``, the moment series' first term, scaled; up to it the closed
+  form's Dawson split ``g_tilde = sqrt(2) D(z/sqrt 2) - i
   sqrt(pi/2) exp(-z^2/2)``, with Dawson's ``D(w) = exp(-w^2) S(w)`` and
   the exponent formed exactly.  Below ``|z| = 9.5``, ``D`` is a Taylor
   expansion at the nearest of the nodes ``j/4``, whose values and slopes
@@ -50,11 +51,10 @@ regions that holds it, and each region's form is exact to roundoff there:
   Weideman's 40-term rational series, ``g_tilde(z) = -i sqrt(pi/2)
   w(z/sqrt 2)`` above the axis and ``G(z) = i sqrt(pi/2) w(-z/sqrt 2)``
   below it.  That is, within ``|z| < 9.5``, more than 0.5 from the axis
-  or below it outside ``Xi``, and past ``|z|^2 = 1e300``, where it keeps
-  the binary64 walls.
+  or below it outside ``Xi``, and past ``|z|^2 = 1e300`` off the band,
+  where it keeps the binary64 walls.
 
-``rho`` takes the same regions on the imaginary axis, in real arithmetic
-outside the band.
+``rho`` takes the same regions on the imaginary axis, in real arithmetic.
 The work is in plain ``complex``; :class:`~freenormal.scaled.ScaledComplex`
 appears only in the return values and past ``exp(-z^2/2) = e^700``.  The
 relative error is certified below 1e-12 on ``Xi intersect {|z| <= 30}``
@@ -411,8 +411,9 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
 
     The regions are tried in this order (see the module docstring):
 
-    * within ``_NEAR_AXIS`` of the axis in ``Xi``, on both sides, up to
-      ``|z|^2 = 1e300``, the Dawson split of :func:`_near_axis`;
+    * within ``_NEAR_AXIS`` of the axis in ``Xi``, on both sides, the
+      Dawson split of :func:`_near_axis` up to ``|z|^2 = 1e300`` and ``1/z``
+      past it (the kernel's ``Im g_tilde`` there could take either sign);
     * below the axis with ``Re(-z^2/2) > 42``, the exponential term alone;
     * for ``9.5 <= |z|`` and ``|z|^2 <= 1e300``, the moment series, which is
       ``g_tilde`` above the axis and its algebraic part below;
@@ -427,8 +428,10 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
         raise DomainError(f"g_tilde needs a finite argument, got {z!r}")
     x, y = z.real, z.imag
     r2 = x * x + y * y
-    if (-_NEAR_AXIS <= y <= _NEAR_AXIS and r2 <= _FAR_R2_MAX
-            and (y >= 0.0 or abs(x * y) <= _HALF_PI)):
+    if -_NEAR_AXIS <= y <= _NEAR_AXIS and (y >= 0.0 or abs(x * y) <= _HALF_PI):
+        if r2 > _FAR_R2_MAX:  # 1/z, the moment series' first term, in scaled form
+            v = ScaledComplex(z)
+            return ScaledComplex(1.0 / v.mantissa, -v.log_scale)
         g = _near_axis(x, y, r2)
         return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
     if y > 0.0:
@@ -491,10 +494,19 @@ def g_tilde(z: complex) -> ScaledComplex:
     return g if type(g) is ScaledComplex else ScaledComplex(g)
 
 
+def _far_band(z: complex) -> bool:
+    """In the band past ``|z|^2 = 1e300``: ``g = 1/z``, ``g' = -1/z^2``, ``f' = 1``."""
+    x, y = z.real, z.imag
+    return (-_NEAR_AXIS <= y <= _NEAR_AXIS and (y >= 0.0 or abs(x * y) <= _HALF_PI)
+            and x * x + y * y > _FAR_R2_MAX)
+
+
 def g_tilde_prime(z: complex) -> ScaledComplex:
     """Derivative of :func:`g_tilde` via the closed form ``1 - z*g_tilde(z)``."""
     z = complex(z)
     g = _g_eval(z)
+    if type(g) is ScaledComplex and _far_band(z):
+        return -(g * g)
     gp = 1.0 - z * g
     if type(gp) is complex and not cmath.isfinite(gp):  # |z g| past 1e308
         gp = 1.0 - z * ScaledComplex(g)
@@ -516,6 +528,8 @@ def f_tilde_prime(z: complex) -> ScaledComplex:
     """Derivative ``F (z - F)`` of ``F = f_tilde(z)``; raises as :func:`f_tilde`."""
     z = complex(z)
     F = _f_eval(z)
+    if type(F) is ScaledComplex and _far_band(z):
+        return ScaledComplex(1.0)
     fp = F * (z - F)
     return fp if type(fp) is ScaledComplex else ScaledComplex(fp)
 
@@ -528,20 +542,25 @@ def rho(x: float) -> ScaledComplex:
     ``x -> -inf``; the scaled return type keeps the latter representable
     down to ``x`` about ``-1.3e154``, past which ``DomainError`` is raised.
 
-    The regions of :func:`g_tilde` on the imaginary axis: for ``|x| <=
-    0.5`` the imaginary part of the Dawson split (:func:`_near_axis`),
-    elsewhere real arithmetic, where the kernel is real
-    (:func:`_w_imaginary_axis`), the moment series runs in ``u = -1/x^2``,
-    and the exponential term is ``sqrt(2 pi) e^{x^2/2}``, scaled past ``x``
-    about -37.4.  The stored pair and its view are those of ``i *
-    g_tilde(i x)`` bit for bit outside the moment series.  One
+    The regions of :func:`g_tilde` on the imaginary axis, in real
+    arithmetic: for ``|x| <= 0.5`` the imaginary part of the Dawson split
+    (:func:`_near_axis`), whose Horner sum in ``i v`` is carried as a pair
+    of reals; elsewhere the kernel (:func:`_w_imaginary_axis`), the moment
+    series in ``u = -1/x^2``, and the exponential term ``sqrt(2 pi)
+    e^{x^2/2}``, scaled past ``x`` about -37.4.  The stored pair and its
+    view are those of ``i * g_tilde(i x)`` bit for bit outside the moment
+    series.  One
     ``ScaledComplex`` is built per call.
     """
     y = float(x)
     if not math.isfinite(y):
         raise DomainError(f"rho needs a finite argument, got {x!r}")
     if -_NEAR_AXIS <= y <= _NEAR_AXIS:
-        return _normalized_real(-_near_axis(0.0, y, y * y).imag)
+        v, a, b = y / _SQRT2, 0.0, 0.0  # -Im _near_axis(0, y): the sum in i v, as reals
+        for c in _DAWSON_TAYLOR[0]:
+            a, b = c - b * v, a * v
+        hi, lo = _half_diff_of_squares(0.0, y)
+        return _normalized_real(-(_SQRT2 * b - _SQRT_HALF_PI * math.exp(hi) * (1.0 + lo)))
     if y > 0.0:
         if _FAR_R2_MIN <= y * y <= _FAR_R2_MAX:
             w = 1.0 / y

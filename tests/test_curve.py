@@ -25,6 +25,7 @@ from freenormal import curve
 from freenormal.curve import (
     X_ASYMPTOTIC,
     X_HI,
+    X_JET,
     X_LO,
     CurvePoint,
     f_of,
@@ -34,6 +35,7 @@ from freenormal.curve import (
     trace_p0,
 )
 from freenormal.errors import DomainError, FreeNormalError, NoConvergence
+from freenormal.levy import levy_density
 from freenormal.series import eval_h_asym_infinity
 from freenormal.transforms import f_tilde, g_tilde
 from mpmath_oracle import mp_g_tilde, mp_inverse
@@ -218,10 +220,11 @@ class TestSkeletonSeededBulk:
         return worst
 
     def test_cold_bulk_solve_makes_few_transform_calls(self, monkeypatch):
-        solve_H(1.0)  # builds the cached skeleton outside the count
+        solve_H(1.0)  # builds the cached jet table outside the count
         assert self._worst_evaluations(monkeypatch, self.XS) <= 10
 
     def test_large_x_solve_makes_few_transform_calls(self, monkeypatch):
+        solve_H(1.0)  # builds the cached jet table outside the count
         assert self._worst_evaluations(monkeypatch, self.XS_LARGE) <= 6
 
     def test_upper_bulk_matches_mpmath(self):
@@ -250,15 +253,189 @@ class TestSkeletonSeededBulk:
             for x in {probes!r}:
                 print(repr(solve_H(x).z))
         """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:-1] == here
+        assert _run_fresh(script) == here
+
+
+def _run_fresh(script: str) -> list[str]:
+    """The lines ``script`` prints in a fresh interpreter on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("\n")[:-1]
+
+
+def _evaluations_per_solve(monkeypatch, xs) -> float:
+    """Mean ``_f_eval`` calls of one ``solve_H`` over ``xs``, table built."""
+    solve_H(1.0)
+    calls = [0]
+    f_eval = curve._f_eval
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return f_eval(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "_f_eval", counted)
+    for x in xs:
+        solve_H(x)
+    return calls[0] / len(xs)
+
+
+def _log_grid(a: float, b: float, n: int) -> list[float]:
+    return [a * (b / a) ** ((k + 0.5) / n) for k in range(n)]
+
+
+#: the two halves of the jet table, below and above ``X_LO``
+_HALVES = (sys.float_info.min, X_JET)
+
+
+class TestJetTable:
+    """Every solve up to ``X_JET`` is seeded from the jet of its nearest node."""
+
+    @pytest.mark.parametrize("a, b, bound", [
+        (1e-6, X_LO, 1.2),
+        (X_LO, X_HI, 1.6),
+        (X_HI, X_JET, 3.0),
+    ])
+    def test_mean_evaluations_per_solve(self, monkeypatch, a, b, bound):
+        assert _evaluations_per_solve(monkeypatch, _log_grid(a, b, 200)) <= bound
+
+    def test_nodes_span_the_normal_range_up_to_x_jet(self):
+        for end in _HALVES:
+            mids, nodes = curve._jet_table(end)
+            xs = [node[0] for node in nodes]
+            assert sorted((xs[0], xs[-1])) == sorted((X_LO, end))
+            assert xs == sorted(set(xs))
+            assert len(mids) == len(nodes) - 1
+            for t, a, b in zip(mids, xs, xs[1:]):
+                assert math.log(a) < t < math.log(b)
+        # the X_LO node is the same in both halves
+        assert curve._jet_table(_HALVES[0])[1][-1] == curve._jet_table(_HALVES[1])[1][0]
+
+    def test_dropped_terms_are_below_rounding_at_each_midpoint(self, monkeypatch):
+        # each node serves out to half the gap on either side; there the
+        # terms past the sixteenth, read off a 32-term jet at the same node,
+        # add below 1e-16 to g (relative) and to log h (absolute)
+        tables = [curve._jet_table(end) for end in _HALVES]
+        monkeypatch.setattr(curve, "_JET_TERMS", 32)
+
+        def horner(cs, s):
+            acc = 0.0
+            for c in cs:
+                acc = acc * s + c
+            return acc
+
+        for mids, nodes in tables:
+            bounds = [-math.inf] + mids + [math.inf]
+            for k, (xk, hk, gs, Ls) in enumerate(nodes):
+                _, _, gl, Ll = curve._jet(xk, complex(gs[-1], -hk))
+                assert gl[16:] == gs and Ll[16:] == Ls  # the same first terms
+                for t in bounds[k:k + 2]:
+                    if math.isinf(t):
+                        continue
+                    s = t - math.log(xk)
+                    assert abs(horner(gl[:16], s) * s ** 16) <= 1e-16 * gs[-1], xk
+                    assert abs(horner(Ll[:16], s) * s ** 16) <= 1e-16, xk
+
+    def test_built_on_the_first_solve_not_at_import(self):
+        lines = _run_fresh(textwrap.dedent("""
+            from freenormal import curve, levy
+            print(curve._jet_table.cache_info().currsize)
+            curve.solve_H(9.0)
+            print(curve._jet_table.cache_info().currsize)
+            curve.solve_H(1e-300)
+            print(curve._jet_table.cache_info().currsize)
+            curve.solve_H(1.0)
+            print(curve._jet_table.cache_info().currsize)
+        """))
+        assert lines == ["0", "0", "1", "2"]
+
+    def test_one_evaluation_per_node_past_the_first(self, monkeypatch):
+        calls = [0]
+        f_eval = curve._f_eval
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return f_eval(*args, **kwargs)
+
+        monkeypatch.setattr(curve, "_f_eval", counted)
+        build = curve._jet_table.__wrapped__
+        for end in _HALVES:
+            first = calls[0]
+            _, nodes = build(end)
+            assert calls[0] - first <= len(nodes) - 1 + 8
+            assert build(end) == curve._jet_table(end)
+
+    def test_same_bits_whatever_the_first_call(self):
+        xs = []
+        for t in curve._jet_table(_HALVES[0])[0] + curve._jet_table(_HALVES[1])[0]:
+            x = math.exp(t)
+            xs += [x * (1.0 - 1e-12), x * (1.0 + 1e-12)]
+        for edge in (X_LO, X_HI, X_JET, X_ASYMPTOTIC, sys.float_info.min):
+            xs += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        xs += [5e-324, 1e-310, 1e-200, 1e-6, 0.3, 2.0, 5.5, 12.0]
+        here = [
+            " ".join(v.hex() for v in (p.g, p.h, p.residual)) for p in map(solve_H, xs)
+        ]
+        for first in (1e-200, 1.0, 7.9):
+            script = textwrap.dedent(f"""
+                from freenormal.curve import solve_H
+                solve_H({first!r})
+                for x in {xs!r}:
+                    p = solve_H(x)
+                    print(p.g.hex(), p.h.hex(), p.residual.hex())
+            """)
+            assert _run_fresh(script) == here, first
+
+
+#: every node abscissa of the jet table and its neighbours one ulp away, the
+#: regime edges, and the ends of the normal and subnormal range
+_SWEEP_POINTS = sorted({
+    y
+    for x in [node[0] for end in _HALVES for node in curve._jet_table(end)[1]]
+    + [X_LO, X_HI, X_JET, X_ASYMPTOTIC, 5e-324, 40.0]
+    for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+    if 5e-324 <= y <= 40.0
+})
+
+
+class TestSolveSweep:
+    """``solve_H``, ``levy_density`` and ``f_of`` over ``[5e-324, 40]``: a
+    point of the curve inside ``Xi`` that meets the residual contract, a
+    finite positive value, or a ``FreeNormalError``."""
+
+    @given(st.one_of(st.sampled_from(_SWEEP_POINTS), st.floats(5e-324, 40.0)))
+    @settings(max_examples=400, deadline=None)
+    def test_values_meet_their_invariants_or_refuse(self, x):
+        try:
+            pt = solve_H(x)
+        except FreeNormalError:
+            pt = None
+        if pt is not None:
+            assert pt.x == x and 0.0 < pt.g < math.inf and 0.0 < pt.h < math.inf
+            # g h < pi/2, up to the rounding of the product where the curve
+            # meets the hyperbola to the last bit (Xi's boundary band)
+            assert 0.0 < pt.g * pt.h <= HALF_PI + 4 * math.ulp(HALF_PI)
+            contract = 1e-10 * max(1.0, x)
+            assert pt.residual <= contract
+            assert abs(complex(f_tilde(pt.z)) - x) <= contract
+        try:
+            density = levy_density(x)
+        except FreeNormalError:
+            # refused only where the height or the density is not normal
+            assert pt is None or not sys.float_info.min <= pt.h / math.pi / x / x < math.inf
+        else:
+            assert sys.float_info.min <= density < math.inf
+            assert density == pt.h / math.pi / x / x
+        try:
+            f = f_of(x)
+        except FreeNormalError:
+            pass
+        else:
+            assert sys.float_info.min <= -f < math.inf
+            assert 0.0 < -x * f <= HALF_PI * (1.0 + 1e-12)
 
 
 class TestTrace:
@@ -346,8 +523,10 @@ class TestGraphFunction:
             assert v >= HALF_PI * (1.0 - 1e-3)
 
     def test_beyond_representable_height(self):
-        with pytest.raises(DomainError):
-            f_of(50.0)
+        # from about 1e8 the Newton slope Re(F - z) = -1/x rounds to 0 too
+        for x in (50.0, 1e10, -1e100, 1e154, 1.7e308):
+            with pytest.raises(DomainError):
+                f_of(x)
 
     @pytest.mark.parametrize("x", [37.85, -37.9, 38.4])
     def test_wall_names_the_callers_argument(self, x):

@@ -12,6 +12,7 @@ import cmath
 import importlib.util
 import math
 import random
+import sys
 from pathlib import Path
 
 import mpmath
@@ -432,6 +433,46 @@ class TestNearAxisBand:
             v, g = rho(x), g_tilde(complex(0.0, x))
             assert v.log_scale == g.log_scale, x
             assert v.mantissa == 1j * g.mantissa, x
+
+    def test_rho_is_i_g_tilde_of_i_x_bit_for_bit(self):
+        # rho carries the band's Horner sum in i v as a real pair, which
+        # takes the complex sum's operations on the same bits
+        rng = random.Random(25)
+        xs = [rng.uniform(-0.5, 0.5) for _ in range(2000)]
+        for x in xs + [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5]:
+            v, g = rho(x), g_tilde(complex(0.0, x))
+            want = 1j * g.mantissa
+            assert v.log_scale.hex() == g.log_scale.hex(), x
+            assert v.mantissa.real.hex() == want.real.hex(), x
+            assert v.mantissa.imag == 0.0, x
+
+    @pytest.mark.parametrize("re", [1e151, -1e151, 1e200, -1e200, 1.7e308, -1.7e308])
+    def test_sign_of_the_imaginary_part_past_the_band_edge(self, re):
+        # past |z|^2 = 1e300 the band is 1/z, whose Im has the sign of
+        # -Im z; the kernel's Im was roundoff of |g_tilde| there, of either sign
+        for im in (0.4, 1e-160):
+            z = complex(re, im)
+            if abs(im / re) < sys.float_info.min * sys.float_info.epsilon:
+                continue  # Im(1/z)/|1/z| underflows
+            g = g_tilde(z)
+            assert g.mantissa.imag < 0.0, z
+            assert abs(g.log_abs() + math.log(abs(re))) <= 1e-15 * math.log(abs(re)), z
+        if abs(re) < 1e154:  # inside Xi, |Re z Im z| = 1
+            z = complex(re, -1.0 / abs(re))
+            g = g_tilde(z)
+            assert g.mantissa.imag > 0.0, z
+            assert abs(g.log_abs() + math.log(abs(re))) <= 1e-15 * math.log(abs(re)), z
+
+    @pytest.mark.parametrize("z", [1e151 + 0.4j, -1e200 + 1e-160j, complex(1e160, -1e-200),
+                                   complex(-3e299, 0.0)])
+    def test_derivatives_past_the_band_edge(self, z):
+        # 1 - z g and F (z - F) cancel to nothing there; each is its moment
+        # series' first term, -1/z^2 and 1
+        gp = g_tilde_prime(z)
+        want = -(ScaledComplex(z) * ScaledComplex(z)).reciprocal()
+        assert abs(gp.log_abs() - want.log_abs()) <= 1e-15 * abs(want.log_abs())
+        assert abs(gp.mantissa / want.mantissa - 1.0) <= 1e-15
+        assert f_tilde_prime(z).to_complex() == 1.0
 
 
 _BAND_RE = st.one_of(
