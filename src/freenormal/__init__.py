@@ -22,8 +22,7 @@ _HOME = {
         ("curve", "CurvePoint LevelSetTrace f_of in_omega solve_H trace_level_set "
                   "trace_p0"),
         ("errors", "DomainError FreeNormalError InvalidContour NoConvergence "
-                   "NoSignChange PoleProximity QuadratureFailure SeedNotFound "
-                   "StepUnderflow"),
+                   "NoSignChange PoleProximity QuadratureFailure SeedNotFound"),
         ("levy", "levy_density semicircular_component_check tau_total_mass "
                  "voiculescu"),
         ("ode", "integrate make_anchor monotonicity_certificate"),

@@ -31,10 +31,11 @@ import sys
 from bisect import bisect
 from collections import namedtuple
 from functools import cache
-from operator import mul
 
 from .errors import DomainError, FreeNormalError, NoConvergence, SeedNotFound
 from .series import (
+    _jet_seed,
+    _jet_walk,
     eval_f_asym_zero,
     eval_g_asym_infinity,
     eval_g_asym_zero,
@@ -73,12 +74,6 @@ X_ASYMPTOTIC = 30.0
 
 #: order of the large-x series above ``X_JET``
 _LARGE_X_ORDER = 6
-#: Taylor terms of each jet
-_JET_TERMS = 16
-#: a jet serves out to where its two last terms fall to this, and the next
-#: node lies twice as far; the first dropped term stays below 6e-17
-_JET_TAIL = 5e-17
-
 #: residual contract of a curve solve, relative to ``max(1, |w|)``
 _NEWTON_TOL = 1e-10
 #: Newton iterations before ``NoConvergence``
@@ -262,71 +257,25 @@ def _vertical_root(a: float, y: float) -> float:
 # seeding and the public solver
 # --------------------------------------------------------------------------
 
-def _jet(x: float, z: complex) -> tuple:
-    """The node ``(x, h, g coefficients, log(h/h(x)) coefficients)`` at ``z = H(x)``.
-
-    Taylor coefficients in ``s = log(x'/x)``, highest first, of the curve ODE
-    in real form: ``g' = A = v R``, ``(log h)' = -R``, ``P' = -2 P R`` with
-    ``v = g - x``, ``P = h^2``, and ``R_n`` from ``v A + P R = 1``.  ``h`` is
-    never summed, so an ``exp(-x^2/2)``-small one keeps its relative accuracy.
-    """
-    g, h = z.real, -z.imag
-    v0, P0 = g - x, h * h
-    R0 = 1.0 / (v0 * v0 + P0)
-    A0 = v0 * R0
-    v, vP = [A0 - x], [complex(A0 - x, -2.0 * P0 * R0)]  # v_j, v_j + i P_j for j >= 1
-    Rr, Ar = [R0], [A0]  # R_n, A_n, highest order first
-    gs, Ls, xn = [g, A0], [0.0, -R0], x  # xn: x/n!, the coefficients of x exp(s)
-    for n in range(2, _JET_TERMS):
-        c = sum(map(mul, vP, Rr))  # the parts of A_(n-1) and (P R)_(n-1) without R_(n-1)
-        R = -R0 * (v0 * c.real + sum(map(mul, v, Ar)) + c.imag)
-        A = v0 * R + c.real
-        gs.append(A / n)
-        Ls.append(-R / n)
-        xn /= n
-        v.append(A / n - xn)
-        vP.append(complex(v[-1], -2.0 * (P0 * R + c.imag) / n))
-        Rr.insert(0, R)
-        Ar.insert(0, A)
-    return x, h, tuple(reversed(gs)), tuple(reversed(Ls))
-
-
 @cache
 def _jet_table(end: float) -> tuple[list[float], list[tuple]]:
     """The nodes from ``X_LO`` to ``end`` in increasing ``x``, and their ``log x`` midpoints.
 
     Built on the first solve on that side of ``X_LO`` (``end`` is ``X_JET``
-    or ``sys.float_info.min``), out from the Newton solution at ``X_LO``,
-    so each half is the same whichever solve builds it.  The next node lies
-    twice as far as the last one's two last terms reach ``_JET_TAIL`` (0.165
-    of the radius of convergence at most), and is its jet there (error below
-    4e-13) after one Newton step on ``log f_tilde``.
+    or ``sys.float_info.min``) by the jet walk of :mod:`freenormal.series`,
+    out from the Newton solution at ``X_LO``, so each half is the same
+    whichever solve builds it.  Each node past the first is corrected by
+    one Newton step on ``log f_tilde``.
     """
-    z = complex(eval_g_asym_zero(X_LO), -eval_h_asym_zero(X_LO))
-    nodes = [_jet(X_LO, _newton_confined(z, X_LO, log=True)[0])]
-    while nodes[-1][0] != end:
-        xk, _, gs, Ls = nodes[-1]
-        reach = min((_JET_TAIL * scale / abs(c)) ** (1.0 / k) if c else math.inf
-                    for scale, cs in ((abs(gs[-1]), gs), (1.0, Ls))
-                    for k, c in ((_JET_TERMS - 1, cs[0]), (_JET_TERMS - 2, cs[1])))
-        x = xk * math.exp(2.0 * reach if end > X_LO else -2.0 * reach)
-        x = min(x, end) if end > X_LO else max(x, end)
-        z = _jet_seed(nodes[-1], x)
+    def newton_step(x: float, z: complex) -> complex:
         F = complex(_f_eval(z))
-        nodes.append(_jet(x, z - cmath.log(F / x) / (z - F)))
-    nodes.sort()
+        return z - cmath.log(F / x) / (z - F)
+
+    z = complex(eval_g_asym_zero(X_LO), -eval_h_asym_zero(X_LO))
+    z = _newton_confined(z, X_LO, log=True)[0]
+    nodes = sorted(_jet_walk(X_LO, z, end, newton_step))
     ts = [math.log(node[0]) for node in nodes]
     return [0.5 * (a + b) for a, b in zip(ts, ts[1:])], nodes
-
-
-def _jet_seed(node: tuple, x: float) -> complex:
-    """``H(x)`` from the jet of ``node``: two real Horner sums and one ``exp``."""
-    xk, hk, gs, Ls = node
-    s = math.log1p((x - xk) / xk) if x > 0.5 * xk else math.log(x / xk)  # x - xk exact
-    g = L = 0.0
-    for cg, cL in zip(gs, Ls):
-        g, L = g * s + cg, L * s + cL
-    return complex(g, -hk * math.exp(L))
 
 
 def solve_H(x: float) -> CurvePoint:

@@ -52,10 +52,6 @@ class NoSignChange(FreeNormalError, RuntimeError):
     """An anchor scan found no sign change in the bracketing interval."""
 
 
-class StepUnderflow(FreeNormalError, ArithmeticError):
-    """Adaptive integration drove the step size below the resolvable floor."""
-
-
 class InvalidContour(FreeNormalError, ValueError):
     """Contour parameters violate the validity conditions of the oracle."""
 

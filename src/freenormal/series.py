@@ -22,6 +22,10 @@ sums its free-cumulant series with it too), and for ``x -> 0+``, with
     g(x) -> sqrt(S - L),   h(x) -> sqrt(S + L),   f(x) -> -pi/(2x),
 
 whose product ``g h = pi/2`` holds exactly at the level of the closed forms.
+
+The curve ODE in ``log x`` gives each point's Taylor jet by one more
+recurrence, and one walk steps from jet to jet: with a Newton step per node
+it lays out the curve solver's seed table, alone it is the ODE oracle.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .errors import DomainError
+from .errors import DomainError, NoConvergence
 from .scaled import ScaledComplex
 
 __all__ = [
@@ -269,3 +274,89 @@ def eval_f_asym_zero(x: float) -> float:
     if math.isinf(f):
         raise DomainError(f"f({x}) = -pi/(2x) overflows binary64")
     return f
+
+
+# --------------------------------------------------------------------------
+# Taylor jets of the curve ODE
+# --------------------------------------------------------------------------
+
+#: Taylor terms of each jet
+_JET_TERMS = 16
+#: a jet serves out to where its two last terms fall to this, and the next
+#: node lies twice as far; the first dropped term stays below 6e-17
+_JET_TAIL = 5e-17
+#: nodes of one walk before ``NoConvergence``; 5e-324 to 37.8 takes 148
+_WALK_MAX_NODES = 1000
+
+
+def _jet(x: float, z: complex) -> tuple:
+    """The node ``(x, h, g coefficients, log(h/h(x)) coefficients)`` at ``z = H(x)``.
+
+    Taylor coefficients in ``s = log(x'/x)``, highest first, of the curve ODE
+    in real form: ``g' = A = v R``, ``(log h)' = -R``, ``P' = -2 P R`` with
+    ``v = g - x``, ``P = h^2``, and ``R_n`` from ``v A + P R = 1``.  ``h`` is
+    never summed, so an ``exp(-x^2/2)``-small one keeps its relative accuracy.
+    """
+    g, h = z.real, -z.imag
+    v0, P0 = g - x, h * h
+    if v0 * v0 + P0 == 0.0:
+        raise DomainError(f"the curve ODE is singular at H = x = {x}")
+    R0 = 1.0 / (v0 * v0 + P0)
+    A0 = v0 * R0
+    v, vP = [A0 - x], [complex(A0 - x, -2.0 * P0 * R0)]  # v_j, v_j + i P_j for j >= 1
+    Rr, Ar = [R0], [A0]  # R_n, A_n, highest order first
+    gs, Ls, xn = [g, A0], [0.0, -R0], x  # xn: x/n!, the coefficients of x exp(s)
+    for n in range(2, _JET_TERMS):
+        c = sum(map(mul, vP, Rr))  # the parts of A_(n-1) and (P R)_(n-1) without R_(n-1)
+        R = -R0 * (v0 * c.real + sum(map(mul, v, Ar)) + c.imag)
+        A = v0 * R + c.real
+        gs.append(A / n)
+        Ls.append(-R / n)
+        xn /= n
+        v.append(A / n - xn)
+        vP.append(complex(v[-1], -2.0 * (P0 * R + c.imag) / n))
+        Rr.insert(0, R)
+        Ar.insert(0, A)
+    return x, h, tuple(reversed(gs)), tuple(reversed(Ls))
+
+
+def _jet_seed(node: tuple, x: float) -> complex:
+    """``H(x)`` from the jet of ``node``: two real Horner sums and one ``exp``."""
+    xk, hk, gs, Ls = node
+    s = math.log1p((x - xk) / xk) if x > 0.5 * xk else math.log(x / xk)  # x - xk exact
+    g = L = 0.0
+    for cg, cL in zip(gs, Ls):
+        g, L = g * s + cg, L * s + cL
+    return complex(g, -hk * math.exp(L))
+
+
+def _jet_walk(x0: float, z0: complex, end: float, correct=None):
+    """The jets of the curve from ``H(x0) = z0`` to ``end``, yielded one by one.
+
+    A Taylor integrator in ``log x`` (Corliss & Chang, ACM TOMS 8 (1982);
+    Jorba & Zou, Exp. Math. 14 (2005)).  The next node lies twice as far as
+    the last one's two last terms reach ``_JET_TAIL`` (0.165 of the radius
+    of convergence at most), at the last jet's sum there (error below
+    4e-13), through ``correct(x, z)`` when given.  ``NoConvergence`` if the
+    nodes stall short of ``end``, as at the singular line ``H = x``, which a
+    start off the curve runs into (down from large ``x`` neighbouring
+    solutions part like ``exp(x^2/2)``).
+    """
+    node = _jet(x0, z0)
+    yield node
+    for _ in range(_WALK_MAX_NODES):
+        if node[0] == end:
+            return
+        xk, _, gs, Ls = node
+        reach = min((_JET_TAIL * scale / abs(c)) ** (1.0 / k) if c else math.inf
+                    for scale, cs in ((abs(gs[-1]), gs), (1.0, Ls))
+                    for k, c in ((_JET_TERMS - 1, cs[0]), (_JET_TERMS - 2, cs[1])))
+        x = xk * math.exp(2.0 * reach if end > xk else -2.0 * reach)
+        x = min(x, end) if end > xk else max(x, end)
+        z = _jet_seed(node, x)
+        node = _jet(x, z if correct is None else correct(x, z))
+        yield node
+    raise NoConvergence(
+        f"the jet walk from x = {x0} stalled short of {end} at x = {node[0]}",
+        last_iterate=complex(node[2][-1], -node[1]),
+    )

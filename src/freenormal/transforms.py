@@ -247,11 +247,13 @@ _FAR_COEFFS = tuple(_far_coefficients(r) for r in range(9, 60))
 
 
 def _moment_series(w, u, r: float):
-    """``G(z) = E[1/(z - X)] = sum_k (2k-1)!! z^(-2k-1)`` from ``w = 1/z``.
+    """The tail ``G(z) - w`` of ``G(z) = E[1/(z - X)] = sum_k (2k-1)!! z^(-2k-1)``.
 
-    ``u`` is ``1/z^2`` and ``r = |z|`` lies in ``[9.5, 1e150]``.  The sum is
-    ``w + w u t``, with ``t`` summed by Horner's rule in ``u``, so the
-    rounding of the terms past the first is scaled down by ``|u|``.  The
+    ``w`` is ``1/z``, ``u`` is ``1/z^2`` and ``r = |z|`` lies in ``[9.5,
+    1e150]``.  The tail is ``w u t``, with ``t`` summed by Horner's rule in
+    ``u``, so the rounding of the terms past the first is scaled down by
+    ``|u|``; ``G`` is ``w`` plus the tail, and ``1 - z G`` is ``-z`` times
+    it, which does not cancel.  The
     remainder after ``K`` terms is ``z^-K integral t^K phi(t)/(z - t) dt``;
     with ``K`` from :data:`_FAR_COEFFS` the first dropped term is below
     2**-57, and the only other piece, the Stokes term near the real axis, is
@@ -262,7 +264,7 @@ def _moment_series(w, u, r: float):
     t = 0.0
     for c in _FAR_COEFFS[min(int(r), 59) - 9]:
         t = t * u + c
-    return w + w * u * t
+    return w * u * t
 
 
 def _half_diff_of_squares(x: float, y: float) -> tuple[float, float]:
@@ -386,7 +388,7 @@ def _near_axis(x: float, y: float, r2: float) -> complex:
         d = _SQRT2 * p if x >= 0.0 else -_SQRT2 * p
     else:
         w = 1.0 / complex(x, y)
-        d = _moment_series(w, w * w, math.sqrt(r2))
+        d = w + _moment_series(w, w * w, math.sqrt(r2))
     hi, lo = _half_diff_of_squares(x, y)
     amp = _SQRT_HALF_PI * math.exp(hi) * (1.0 + lo)
     return complex(d.real - amp * math.sin(x * y), d.imag - amp * math.cos(x * y))
@@ -437,7 +439,7 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
     if y > 0.0:
         if _FAR_R2_MIN <= r2 <= _FAR_R2_MAX:
             w = 1.0 / z
-            g = _moment_series(w, w * w, math.sqrt(r2))
+            g = w + _moment_series(w, w * w, math.sqrt(r2))
         else:
             g = _MINUS_I_SQRT_HALF_PI * _w_upper(z / _SQRT2)
         return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
@@ -452,7 +454,7 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
         return ScaledComplex(coeff * cmath.exp(complex(0.0, e.imag)), hi)
     if _FAR_R2_MIN <= r2 <= _FAR_R2_MAX:
         w = 1.0 / z
-        alg = _moment_series(w, w * w, math.sqrt(r2))
+        alg = w + _moment_series(w, w * w, math.sqrt(r2))
     else:
         alg = _I_SQRT_HALF_PI * _w_upper(-z / _SQRT2)
     if hi == -math.inf:  # exp(-z^2/2) is 0, though x*y may be infinite
@@ -501,9 +503,35 @@ def _far_band(z: complex) -> bool:
             and x * x + y * y > _FAR_R2_MAX)
 
 
+def _series_slope(z: complex) -> tuple[complex, complex] | None:
+    """``(g_tilde, g_tilde')`` where the moment series serves, else ``None``.
+
+    There ``1 - z g_tilde`` cancels, completely from ``|z|`` about 1e8; with
+    ``g_tilde = w + tail + e``, ``e`` the exponential term (none above the
+    band), it is ``-z (tail + e)``.
+    """
+    x, y = z.real, z.imag
+    px, py = x * x, y * y
+    if not _FAR_R2_MIN <= px + py <= _FAR_R2_MAX or y < 0.0 and py - px > 2.0 * _EXP_ALONE:
+        return None  # no series, or the exponential term alone: nothing cancels
+    e = 0j
+    if y <= _NEAR_AXIS:  # -i sqrt(pi/2) exp(-z^2/2) in the band, twice that below it
+        hi, lo = _half_diff_of_squares(x, y)
+        band = y >= -_NEAR_AXIS and (y >= 0.0 or abs(x * y) <= _HALF_PI)
+        c = _SQRT_HALF_PI if band else _SQRT_TWO_PI
+        e = complex(0.0, -c * (1.0 + lo)) * cmath.exp(complex(hi, -x * y))
+    w = 1.0 / z
+    tail = _moment_series(w, w * w, math.sqrt(px + py))
+    g = w + tail + e
+    return (g, -z * (tail + e)) if abs(g) >= _PLAIN_G_MIN else None
+
+
 def g_tilde_prime(z: complex) -> ScaledComplex:
     """Derivative of :func:`g_tilde` via the closed form ``1 - z*g_tilde(z)``."""
     z = complex(z)
+    pair = _series_slope(z)
+    if pair is not None:
+        return ScaledComplex(pair[1])
     g = _g_eval(z)
     if type(g) is ScaledComplex and _far_band(z):
         return -(g * g)
@@ -527,6 +555,9 @@ def f_tilde(z: complex) -> ScaledComplex:
 def f_tilde_prime(z: complex) -> ScaledComplex:
     """Derivative ``F (z - F)`` of ``F = f_tilde(z)``; raises as :func:`f_tilde`."""
     z = complex(z)
+    pair = _series_slope(z)
+    if pair is not None:  # -g' / g^2
+        return ScaledComplex(-pair[1] / pair[0] / pair[0])
     F = _f_eval(z)
     if type(F) is ScaledComplex and _far_band(z):
         return ScaledComplex(1.0)
@@ -564,7 +595,7 @@ def rho(x: float) -> ScaledComplex:
     if y > 0.0:
         if _FAR_R2_MIN <= y * y <= _FAR_R2_MAX:
             w = 1.0 / y
-            return _normalized_real(_moment_series(w, -w * w, y))
+            return _normalized_real(w + _moment_series(w, -w * w, y))
         return _normalized_real(_SQRT_HALF_PI * _w_imaginary_axis(y / _SQRT2))
     hi, lo = _half_diff_of_squares(0.0, y)
     if not hi < math.inf:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freenormal import curve
+from freenormal import curve, series
 from freenormal.curve import (
     X_ASYMPTOTIC,
     X_HI,
@@ -319,7 +319,7 @@ class TestJetTable:
         # terms past the sixteenth, read off a 32-term jet at the same node,
         # add below 1e-16 to g (relative) and to log h (absolute)
         tables = [curve._jet_table(end) for end in _HALVES]
-        monkeypatch.setattr(curve, "_JET_TERMS", 32)
+        monkeypatch.setattr(series, "_JET_TERMS", 32)
 
         def horner(cs, s):
             acc = 0.0
@@ -330,7 +330,7 @@ class TestJetTable:
         for mids, nodes in tables:
             bounds = [-math.inf] + mids + [math.inf]
             for k, (xk, hk, gs, Ls) in enumerate(nodes):
-                _, _, gl, Ll = curve._jet(xk, complex(gs[-1], -hk))
+                _, _, gl, Ll = series._jet(xk, complex(gs[-1], -hk))
                 assert gl[16:] == gs and Ll[16:] == Ls  # the same first terms
                 for t in bounds[k:k + 2]:
                     if math.isinf(t):

@@ -514,7 +514,45 @@ class TestNearAxisSplit:
         assert worst <= 1e-14
 
 
+def _slopes_mp(z: complex) -> tuple[complex, complex]:
+    """``g_tilde'`` and ``f_tilde'`` at 40 digits, with no cancellation.
+
+    ``1 - z G(z) = -2 z^-2 integral_0^inf t^2 phi(t) / (1 - t^2/z^2) dt``
+    for the Gaussian Cauchy transform ``G``, plus ``i z sqrt(2 pi)
+    exp(-z^2/2)`` below the axis; then ``g_tilde = (1 - g_tilde')/z`` and
+    ``f_tilde' = -g_tilde'/g_tilde^2``.  (mpmath's ``erfc`` loses the
+    digits of ``1 - z g_tilde`` near ``|z| = 1e100``.)
+    """
+    with mpmath.workdps(40):
+        zz = mpmath.mpc(z)
+        u = 1 / (zz * zz)
+        gp = -2 * u * mpmath.quad(lambda t: t * t * mpmath.npdf(t) / (1 - t * t * u),
+                                  [0, 4, 8, 12, 20, mpmath.inf])
+        if z.imag < 0.0:
+            gp += 1j * zz * mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(-zz * zz / 2)
+        g = (1 - gp) / zz
+        return complex(gp), complex(-gp / (g * g))
+
+
 class TestSymmetryAndDerivatives:
+    @pytest.mark.parametrize("r", [12.0, 1e4, 1e8, 1e10, 1e100])
+    def test_derivatives_in_the_moment_series_region(self, r):
+        # 1 - z g and F (z - F) cancel there, completely from |z| ~ 1e8;
+        # the points lie above the band, in it on both sides, and below it
+        for z in (complex(r, 2.0), complex(-r, 0.3), complex(r, -0.3),
+                  complex(r, -1.0 / r), complex(r, -1.0)):
+            gp, fp = _slopes_mp(z)
+            assert abs(g_tilde_prime(z).to_complex() - gp) <= 2e-15 * abs(gp), z
+            assert abs(f_tilde_prime(z).to_complex() - fp) <= 2e-15 * abs(fp), z
+
+    def test_derivatives_below_the_band_with_the_exponential_term(self):
+        # 5 - 9.6i: the moment series plus the exponential term, which is
+        # 3e14 times larger; 0.05 - 12i: the exponential term alone
+        for z in (complex(5.0, -9.6), complex(0.05, -12.0)):
+            gp, fp = _slopes_mp(z)
+            assert abs(g_tilde_prime(z).to_complex() - gp) <= 1e-14 * abs(gp), z
+            assert abs(f_tilde_prime(z).to_complex() - fp) <= 1e-14 * abs(fp), z
+
     @given(
         st.floats(-8, 8, allow_nan=False),
         st.floats(0.001, 8, allow_nan=False),
@@ -864,6 +902,8 @@ class TestKernelSkipped:
         assert kernel_calls[0] == 0
 
     def test_curve_solves_past_x_hi(self, kernel_calls):
+        solve_H(X_HI)  # the jet table, built once from X_LO, may run the kernel
+        kernel_calls[0] = 0
         for k in range(41):
             solve_H(X_HI + (X_ASYMPTOTIC - X_HI) * k / 40)
         assert kernel_calls[0] == 0
