@@ -247,13 +247,12 @@ _FAR_COEFFS = tuple(_far_coefficients(r) for r in range(9, 60))
 
 
 def _moment_series(w, u, r: float):
-    """The tail ``G(z) - w`` of ``G(z) = E[1/(z - X)] = sum_k (2k-1)!! z^(-2k-1)``.
+    """``G(z) = E[1/(z - X)] = sum_k (2k-1)!! z^(-2k-1)`` and ``1 - z G``, from ``w = 1/z``.
 
-    ``w`` is ``1/z``, ``u`` is ``1/z^2`` and ``r = |z|`` lies in ``[9.5,
-    1e150]``.  The tail is ``w u t``, with ``t`` summed by Horner's rule in
-    ``u``, so the rounding of the terms past the first is scaled down by
-    ``|u|``; ``G`` is ``w`` plus the tail, and ``1 - z G`` is ``-z`` times
-    it, which does not cancel.  The
+    ``u`` is ``1/z^2`` and ``r = |z|`` lies in ``[9.5, 1e150]``.  ``G`` is
+    ``w + w u t``, with ``t`` summed by Horner's rule in ``u``, so the
+    rounding of the terms past the first is scaled down by ``|u|``; ``1 - z
+    G`` is ``-u t``, which does not cancel.  The
     remainder after ``K`` terms is ``z^-K integral t^K phi(t)/(z - t) dt``;
     with ``K`` from :data:`_FAR_COEFFS` the first dropped term is below
     2**-57, and the only other piece, the Stokes term near the real axis, is
@@ -264,7 +263,7 @@ def _moment_series(w, u, r: float):
     t = 0.0
     for c in _FAR_COEFFS[min(int(r), 59) - 9]:
         t = t * u + c
-    return w * u * t
+    return w + w * u * t, -u * t
 
 
 def _half_diff_of_squares(x: float, y: float) -> tuple[float, float]:
@@ -388,10 +387,20 @@ def _near_axis(x: float, y: float, r2: float) -> complex:
         d = _SQRT2 * p if x >= 0.0 else -_SQRT2 * p
     else:
         w = 1.0 / complex(x, y)
-        d = w + _moment_series(w, w * w, math.sqrt(r2))
+        d = _moment_series(w, w * w, math.sqrt(r2))[0]
+    return d + _band_exp_term(x, y)
+
+
+def _in_band(x: float, y: float) -> bool:
+    """``x + i y`` lies within ``_NEAR_AXIS`` of the axis in ``Xi``, on either side."""
+    return -_NEAR_AXIS <= y <= _NEAR_AXIS and (y >= 0.0 or abs(x * y) <= _HALF_PI)
+
+
+def _band_exp_term(x: float, y: float) -> complex:
+    """The band's exponential term ``-i sqrt(pi/2) exp(-z^2/2)``, exponent split exactly."""
     hi, lo = _half_diff_of_squares(x, y)
     amp = _SQRT_HALF_PI * math.exp(hi) * (1.0 + lo)
-    return complex(d.real - amp * math.sin(x * y), d.imag - amp * math.cos(x * y))
+    return complex(-amp * math.sin(x * y), -amp * math.cos(x * y))
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +417,7 @@ _PLAIN_G_MIN = 1e-150
 _EXP_ALONE = 42.0
 
 
-def _g_eval(z: complex) -> complex | ScaledComplex:
+def _g_eval(z: complex, slope: bool = False):
     """``g_tilde(z)``: plain ``complex`` where that is safe, scaled elsewhere.
 
     The regions are tried in this order (see the module docstring):
@@ -424,22 +433,35 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
     Below the axis the exponential term ``-i sqrt(2 pi) exp(-z^2/2)`` is
     added, in scaled form where ``Re(-z^2/2) >= 700`` or the plain sum is
     below ``1e-150``.
+
+    With ``slope``, where the moment series serves and ``g_tilde`` is plain,
+    the pair ``(g_tilde, g_tilde')`` instead.  ``1 - z g_tilde`` cancels
+    there, completely from ``|z|`` about 1e8; with ``g_tilde = G + e``
+    (:func:`_moment_series`, ``e`` the exponential term, none above the
+    band) it is ``(1 - z G) - z e``.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"g_tilde needs a finite argument, got {z!r}")
     x, y = z.real, z.imag
     r2 = x * x + y * y
-    if -_NEAR_AXIS <= y <= _NEAR_AXIS and (y >= 0.0 or abs(x * y) <= _HALF_PI):
+    if _in_band(x, y):
         if r2 > _FAR_R2_MAX:  # 1/z, the moment series' first term, in scaled form
             v = ScaledComplex(z)
             return ScaledComplex(1.0 / v.mantissa, -v.log_scale)
+        if slope and r2 >= _FAR_R2_MIN:  # _near_axis's sum, its parts kept
+            w = 1.0 / z
+            G, dG = _moment_series(w, w * w, math.sqrt(r2))
+            e = _band_exp_term(x, y)
+            return G + e, dG - z * e
         g = _near_axis(x, y, r2)
         return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
     if y > 0.0:
         if _FAR_R2_MIN <= r2 <= _FAR_R2_MAX:
             w = 1.0 / z
-            g = w + _moment_series(w, w * w, math.sqrt(r2))
+            g, dG = _moment_series(w, w * w, math.sqrt(r2))
+            if slope:
+                return g, dG
         else:
             g = _MINUS_I_SQRT_HALF_PI * _w_upper(z / _SQRT2)
         return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
@@ -452,17 +474,18 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
         if hi < _SCALED_FROM:
             return coeff * cmath.exp(e)
         return ScaledComplex(coeff * cmath.exp(complex(0.0, e.imag)), hi)
+    dG = None
     if _FAR_R2_MIN <= r2 <= _FAR_R2_MAX:
         w = 1.0 / z
-        alg = w + _moment_series(w, w * w, math.sqrt(r2))
+        alg, dG = _moment_series(w, w * w, math.sqrt(r2))
     else:
         alg = _I_SQRT_HALF_PI * _w_upper(-z / _SQRT2)
     if hi == -math.inf:  # exp(-z^2/2) is 0, though x*y may be infinite
         return alg if abs(alg) >= _PLAIN_G_MIN else ScaledComplex(alg)
-    if hi < _SCALED_FROM:
-        g = alg + coeff * cmath.exp(e)
-        if abs(g) >= _PLAIN_G_MIN:
-            return g
+    ex = coeff * cmath.exp(e)  # hi <= 42 here
+    g = alg + ex
+    if abs(g) >= _PLAIN_G_MIN:
+        return (g, dG - z * ex) if slope and dG is not None else g
     return ScaledComplex(alg) + coeff * ScaledComplex.exp_of(e)
 
 
@@ -471,11 +494,17 @@ def _g_eval(z: complex) -> complex | ScaledComplex:
 _POLE_LOG_FLOOR = -690.775527898214
 
 
-def _f_eval(z: complex) -> complex | ScaledComplex:
-    """``1/g_tilde(z)``, raising ``PoleProximity`` below the pole floor."""
-    g = _g_eval(z)
+def _f_eval(z: complex, slope: bool = False):
+    """``1/g_tilde(z)``, raising ``PoleProximity`` below the pole floor.
+
+    With ``slope``, the pair ``(g_tilde, g_tilde')`` where :func:`_g_eval`
+    gives it.
+    """
+    g = _g_eval(z, slope)
     if type(g) is complex:  # |g| >= 1e-150 = e^-345.4 is above the floor
         return 1.0 / g
+    if type(g) is tuple:
+        return g
     if g.is_zero or g.log_abs() < _POLE_LOG_FLOOR:
         raise PoleProximity(
             f"|g_tilde({z!r})| ~ exp({g.log_abs():.3g}) is below the pole floor"
@@ -499,40 +528,20 @@ def g_tilde(z: complex) -> ScaledComplex:
 def _far_band(z: complex) -> bool:
     """In the band past ``|z|^2 = 1e300``: ``g = 1/z``, ``g' = -1/z^2``, ``f' = 1``."""
     x, y = z.real, z.imag
-    return (-_NEAR_AXIS <= y <= _NEAR_AXIS and (y >= 0.0 or abs(x * y) <= _HALF_PI)
-            and x * x + y * y > _FAR_R2_MAX)
-
-
-def _series_slope(z: complex) -> tuple[complex, complex] | None:
-    """``(g_tilde, g_tilde')`` where the moment series serves, else ``None``.
-
-    There ``1 - z g_tilde`` cancels, completely from ``|z|`` about 1e8; with
-    ``g_tilde = w + tail + e``, ``e`` the exponential term (none above the
-    band), it is ``-z (tail + e)``.
-    """
-    x, y = z.real, z.imag
-    px, py = x * x, y * y
-    if not _FAR_R2_MIN <= px + py <= _FAR_R2_MAX or y < 0.0 and py - px > 2.0 * _EXP_ALONE:
-        return None  # no series, or the exponential term alone: nothing cancels
-    e = 0j
-    if y <= _NEAR_AXIS:  # -i sqrt(pi/2) exp(-z^2/2) in the band, twice that below it
-        hi, lo = _half_diff_of_squares(x, y)
-        band = y >= -_NEAR_AXIS and (y >= 0.0 or abs(x * y) <= _HALF_PI)
-        c = _SQRT_HALF_PI if band else _SQRT_TWO_PI
-        e = complex(0.0, -c * (1.0 + lo)) * cmath.exp(complex(hi, -x * y))
-    w = 1.0 / z
-    tail = _moment_series(w, w * w, math.sqrt(px + py))
-    g = w + tail + e
-    return (g, -z * (tail + e)) if abs(g) >= _PLAIN_G_MIN else None
+    return _in_band(x, y) and x * x + y * y > _FAR_R2_MAX
 
 
 def g_tilde_prime(z: complex) -> ScaledComplex:
-    """Derivative of :func:`g_tilde` via the closed form ``1 - z*g_tilde(z)``."""
+    """Derivative of :func:`g_tilde` by the closed form ``1 - z*g_tilde(z)``.
+
+    Where the moment series serves, ``(1 - z G) - z e`` from its parts, as
+    ``1 - z g_tilde`` cancels there (see :func:`_g_eval`); past ``|z|^2 =
+    1e300`` in the band, ``-g_tilde^2``.
+    """
     z = complex(z)
-    pair = _series_slope(z)
-    if pair is not None:
-        return ScaledComplex(pair[1])
-    g = _g_eval(z)
+    g = _g_eval(z, True)
+    if type(g) is tuple:
+        return ScaledComplex(g[1])
     if type(g) is ScaledComplex and _far_band(z):
         return -(g * g)
     gp = 1.0 - z * g
@@ -553,12 +562,18 @@ def f_tilde(z: complex) -> ScaledComplex:
 
 
 def f_tilde_prime(z: complex) -> ScaledComplex:
-    """Derivative ``F (z - F)`` of ``F = f_tilde(z)``; raises as :func:`f_tilde`."""
+    """Derivative of ``F = f_tilde(z)`` by the closed form ``F (z - F)``.
+
+    Where the moment series serves, ``-g_tilde' / g_tilde^2`` with
+    ``g_tilde'`` from its parts, as ``F (z - F)`` cancels there (see
+    :func:`_g_eval`); past ``|z|^2 = 1e300`` in the band, 1.  Raises as
+    :func:`f_tilde`.
+    """
     z = complex(z)
-    pair = _series_slope(z)
-    if pair is not None:  # -g' / g^2
-        return ScaledComplex(-pair[1] / pair[0] / pair[0])
-    F = _f_eval(z)
+    F = _f_eval(z, True)
+    if type(F) is tuple:
+        g, gp = F
+        return ScaledComplex(-gp / g / g)
     if type(F) is ScaledComplex and _far_band(z):
         return ScaledComplex(1.0)
     fp = F * (z - F)
@@ -595,7 +610,7 @@ def rho(x: float) -> ScaledComplex:
     if y > 0.0:
         if _FAR_R2_MIN <= y * y <= _FAR_R2_MAX:
             w = 1.0 / y
-            return _normalized_real(w + _moment_series(w, -w * w, y))
+            return _normalized_real(_moment_series(w, -w * w, y)[0])
         return _normalized_real(_SQRT_HALF_PI * _w_imaginary_axis(y / _SQRT2))
     hi, lo = _half_diff_of_squares(0.0, y)
     if not hi < math.inf:

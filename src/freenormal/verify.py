@@ -80,7 +80,8 @@ def stieltjes_identity(profile: str) -> dict:
 
 
 def ode_identity(profile: str) -> dict:
-    """Criterion 3: ``f_tilde_prime``, the closed form ``F (z - F)``, against
+    """Criterion 3: ``f_tilde_prime`` (``F (z - F)``, or ``-g_tilde'/g_tilde^2``
+    from the moment series' parts where that serves), against
     ``F'`` of ``F = f_tilde`` by the 16-node trapezoidal Cauchy integral on
     ``|w - z| = 0.05`` (error ``(0.05/d)^16``, ``d`` the distance to a pole)."""
     circle = [cmath.exp(0.125j * math.pi * k) for k in range(16)]

@@ -111,6 +111,15 @@ class TestIntegrate:
             assert s.g * s.h <= HALF_PI + 4 * math.ulp(HALF_PI)
             assert abs(s.h - solve_H(x).h) <= 1e-13 * s.h
 
+    def test_a_walk_ending_far_past_the_hyperbola_is_a_domain_error(self):
+        # an anchor 1e-6 too high stays 2.4e-7 above the curve down to the
+        # origin, far past the walk's own error: refused, not put back
+        a = make_anchor(2.0)
+        off = CurvePoint(x=a.x, g=a.g, h=a.h * (1.0 + 1e-6), residual=0.0)
+        for x in (1e-13, 1e-100):
+            with pytest.raises(DomainError, match="outside Xi"):
+                integrate(off, x)
+
     def test_transported_points_carry_their_residual(self):
         a = make_anchor(2.0)
         for x in (0.01, 0.1, 0.5, 1.0, 3.0, 5.0):

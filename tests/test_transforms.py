@@ -535,10 +535,12 @@ def _slopes_mp(z: complex) -> tuple[complex, complex]:
 
 
 class TestSymmetryAndDerivatives:
-    @pytest.mark.parametrize("r", [12.0, 1e4, 1e8, 1e10, 1e100])
+    @pytest.mark.parametrize("r", [12.0, 1e4, 1e8, 1e10, 1e100, 1e120, 1e140])
     def test_derivatives_in_the_moment_series_region(self, r):
-        # 1 - z g and F (z - F) cancel there, completely from |z| ~ 1e8;
-        # the points lie above the band, in it on both sides, and below it
+        # 1 - z g and F (z - F) cancel there, completely from |z| ~ 1e8,
+        # and past |z| ~ 1e103 the series' tail w u t is below the normal
+        # floats; the points lie above the band, in it on both sides, and
+        # below it
         for z in (complex(r, 2.0), complex(-r, 0.3), complex(r, -0.3),
                   complex(r, -1.0 / r), complex(r, -1.0)):
             gp, fp = _slopes_mp(z)
