@@ -15,12 +15,11 @@ The solver is a damped Newton iteration on ``f_tilde(z) - x`` confined to
 the nearest node of a table of jets, the 16-term Taylor series of ``g`` and
 ``log h`` in ``log x`` read off the curve ODE ``dH/dlog x = 1/(H - x)``;
 each serves within 0.085 of its radius of convergence, so the seed is exact
-to about an ulp.  Above ``X_JET`` the large-x series seeds it.  Above
-``X_HI`` the height falls like ``exp(-x^2/2)`` (``h(6) ~ 2e-7`` against
-``g ~ 6``).  The transform carries that scale to full relative accuracy
-(its near-axis Dawson split), and the Newton there runs on the relative
-residual ``log f_tilde(z) - log x``, then takes one pass on the absolute
-residual, which settles the last digits of ``h``.
+to about an ulp.  Above ``X_JET`` the large-x series seeds it.  The
+residual is relative, ``log f_tilde(z) - log x``, at or below ``X_LO`` and
+absolute above it, where the height falls like ``exp(-x^2/2)`` (``h(6) ~
+2e-7`` against ``g ~ 6``); the transform carries that scale to full relative
+accuracy (its near-axis Dawson split), so one pass settles ``h`` as well.
 """
 
 from __future__ import annotations
@@ -63,12 +62,10 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-#: the solver's crossovers: at or below ``X_LO`` it solves the logarithmic
-#: residual, at or above ``X_HI`` the logarithmic one and then one absolute
-#: pass; up to ``X_JET`` the jet table seeds it, past it the large-x series,
-#: and beyond ``X_ASYMPTOTIC`` that series is the answer
+#: the solver's crossovers: its residual is logarithmic at or below ``X_LO``,
+#: absolute above; the jet table seeds it up to ``X_JET``, the large-x series
+#: past it, and beyond ``X_ASYMPTOTIC`` that series is the answer
 X_LO = 0.05
-X_HI = 3.5
 X_JET = 8.0
 X_ASYMPTOTIC = 30.0
 
@@ -132,9 +129,7 @@ def _below(dz: complex, z: complex, frac: float) -> bool:
     return abs(dz.real) <= frac * abs(z.real) and abs(dz.imag) <= frac * abs(z.imag)
 
 
-def _newton_confined(
-    z: complex, w: complex, log: bool = False, F: complex | None = None
-) -> tuple[complex, complex]:
+def _newton_confined(z: complex, w: complex, log: bool = False) -> tuple[complex, complex]:
     """Damped Newton for ``f_tilde(z) = w`` kept inside ``Xi``.
 
     The derivative is ``f_tilde' = F (z - F)`` exactly, courtesy of the
@@ -145,15 +140,14 @@ def _newton_confined(
     times.  The iteration polishes down to near machine precision but counts
     as converged once the residual contract (``_NEWTON_TOL * max(1, |w|)``)
     holds; exceeding ``_NEWTON_MAX_ITER`` raises ``NoConvergence`` with the
-    last iterate attached.  Returns the root and ``f_tilde`` there.  ``F``,
-    when given, is ``f_tilde(z)`` already in hand (``z`` is not evaluated).
+    last iterate attached.  Returns the root and ``f_tilde`` there.
 
-    With ``log`` the residual is ``log f_tilde(z) - log w``, relative rather
-    than absolute: below ``X_LO`` the absolute contract is met by a whole
-    neighborhood (everything near the curve maps close to 0).  Once the
-    residual meets its goal, one more step is taken and kept if it stays in
-    ``Xi`` without growing the residual.  It carries the digits the goal
-    cannot see: those of a height that falls like ``exp(-x^2/2)``, and
+    With ``log`` the residual is ``log f_tilde(z) - log w``, relative
+    rather than absolute: at or below ``X_LO`` the absolute contract is met
+    by a whole neighborhood (everything near the curve maps close to 0).
+    Once the residual meets its goal, one more step is taken and kept if it
+    stays in ``Xi`` without growing the residual.  It carries the digits the
+    goal cannot see: those of a height that falls like ``exp(-x^2/2)``, and
     those ``phi(w) = z - w`` cancels, about ``2 log10 |w|``.  It is skipped
     after a step below 1e-8 of each component of ``z`` (quadratic
     convergence leaves it nothing), and taken unchecked when below 2**-52 of
@@ -164,8 +158,8 @@ def _newton_confined(
     contract = _NEWTON_TOL * scale
     lw, unit = math.log(abs(w)), (w / abs(w)).conjugate()
 
-    def residual(v: complex, F=None) -> tuple[complex, complex]:
-        F = _f_eval(v) if F is None else F
+    def residual(v: complex) -> tuple[complex, complex]:
+        F = _f_eval(v)
         if type(F) is complex:
             r = complex(math.log(abs(F)) - lw, cmath.phase(F * unit)) if log else F - w
             return r, F
@@ -173,7 +167,7 @@ def _newton_confined(
         r = complex(F.log_abs() - lw, cmath.phase(F.mantissa * unit)) if log else Fc - w
         return r, Fc
 
-    r, F = residual(z, F)
+    r, F = residual(z)
     iters = 0
     settled = False  # the last accepted step was below 1e-8 of z, componentwise
     while True:
@@ -287,13 +281,12 @@ def solve_H(x: float) -> CurvePoint:
     (``_jet_table``), exact to about an ulp, so one evaluation usually ends
     it; above, from the large-x series of order ``_LARGE_X_ORDER``, which
     past ``X_ASYMPTOTIC`` is returned directly (residuals there sit below
-    binary64 noise).  At or below ``X_LO`` the residual is relative; from
-    ``X_HI`` on it is relative until it converges, then one pass on the
-    absolute one wins back digits of ``h`` the logarithm rounds away.  The
-    height falls below the smallest normal binary64 number near ``x =
-    37.81`` (and underflows entirely near ``x = 38.5``); beyond that it is
-    only representable in scaled form (see ``eval_h_asym_infinity``), and
-    this solver raises ``DomainError`` rather than return a subnormal.
+    binary64 noise).  It is one pass on the relative residual at or below
+    ``X_LO``, and one on the absolute residual above it.  The height falls
+    below the smallest normal binary64 number near ``x = 37.81`` (and
+    underflows entirely near ``x = 38.5``); beyond that it is only
+    representable in scaled form (see ``eval_h_asym_infinity``), and this
+    solver raises ``DomainError`` rather than return a subnormal.
     """
     x = float(x)
     if not (x > 0 and math.isfinite(x)):
@@ -309,13 +302,7 @@ def solve_H(x: float) -> CurvePoint:
                             "; use eval_h_asym_infinity for a scaled value")
             return CurvePoint(x=x, g=g, h=h, residual=abs(_f_eval(complex(g, -h)) - x))
         z = complex(g, -h)
-    if x <= X_LO:
-        z, F = _newton_confined(z, x, log=True)
-    elif x < X_HI:
-        z, F = _newton_confined(z, x)
-    else:
-        z, F = _newton_confined(z, x, log=True)
-        z, F = _newton_confined(z, x, F=F)
+    z, F = _newton_confined(z, x, log=x <= X_LO)
     return CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
 
 

@@ -19,7 +19,7 @@ import cmath
 import math
 import sys
 
-from .curve import X_ASYMPTOTIC, X_HI, _newton_confined, in_omega, solve_H
+from .curve import X_ASYMPTOTIC, _newton_confined, in_omega, solve_H
 from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
 from .series import _free_floats, _horner
 from .transforms import _require_normal, f_tilde, quad
@@ -35,6 +35,8 @@ _PI = math.pi
 
 #: from |w| = X_ASYMPTOTIC on, phi(w) is the series in kappa_2 .. kappa_{2 _PHI_SERIES_ORDER}
 _PHI_SERIES_ORDER = 8
+#: tau_total_mass splits here, where h turns from its log growth to Gaussian decay
+_TAU_SPLIT = 3.5
 #: tau_total_mass integrates up to here; the normal tail past it is 6e-16
 _TAU_CUT = 8.0
 
@@ -109,15 +111,16 @@ def tau_total_mass(quad_tol: float) -> float:
     """Total mass of ``tau`` by quadrature of ``h(|x|)/(pi (1 + x^2))``.
 
     The positive half line is integrated in two tanh-sinh pieces on ``x``
-    itself, ``(0, X_HI]`` and ``[X_HI, _TAU_CUT]``, and the result is doubled
-    by symmetry.  The rule takes the ``sqrt(2 log 1/x)`` growth of ``h`` at
-    the origin in its stride, and the cut at ``X_HI`` lets each piece stop
-    at the step its own integrand needs.  Past ``X_HI``,
-    ``h ~ e^-1 sqrt(pi/2) x^2 exp(-x^2/2)``, so the integrand lies below the
-    normal density ``exp(-x^2/2)/sqrt(2 pi)``; the part past ``_TAU_CUT``
-    is left out, and its bound ``erfc(_TAU_CUT/sqrt 2)/2`` (6e-16) is added
-    to the error estimate.  Raises ``QuadratureFailure`` when the combined
-    error estimate exceeds ``quad_tol``.
+    itself, ``(0, _TAU_SPLIT]`` and ``[_TAU_SPLIT, _TAU_CUT]``, and the
+    result is doubled by symmetry.  The rule takes the ``sqrt(2 log 1/x)``
+    growth of ``h`` at the origin in its stride, and the split at
+    ``_TAU_SPLIT = 3.5`` lets each piece stop at the step its own integrand
+    needs.  Past it, ``h ~ e^-1 sqrt(pi/2) x^2 exp(-x^2/2)``, so the
+    integrand lies below the normal density ``exp(-x^2/2)/sqrt(2 pi)``; the
+    part past ``_TAU_CUT`` is left out, and its bound
+    ``erfc(_TAU_CUT/sqrt 2)/2`` (6e-16) is added to the error estimate.
+    Raises ``QuadratureFailure`` when the combined error estimate exceeds
+    ``quad_tol``.
     """
     if not (quad_tol > 0 and math.isfinite(quad_tol)):
         raise DomainError(f"need a finite positive tolerance, got {quad_tol}")
@@ -127,7 +130,7 @@ def tau_total_mass(quad_tol: float) -> float:
 
     total = 0.0
     err = 0.5 * math.erfc(_TAU_CUT / math.sqrt(2.0))
-    for a, b in ((0.0, X_HI), (X_HI, _TAU_CUT)):
+    for a, b in ((0.0, _TAU_SPLIT), (_TAU_SPLIT, _TAU_CUT)):
         v, e = quad(body, a, b, epsabs=quad_tol / 8, epsrel=1e-12)
         total += v
         err += e

@@ -525,10 +525,10 @@ def g_tilde(z: complex) -> ScaledComplex:
     return g if type(g) is ScaledComplex else ScaledComplex(g)
 
 
-def _far_band(z: complex) -> bool:
-    """In the band past ``|z|^2 = 1e300``: ``g = 1/z``, ``g' = -1/z^2``, ``f' = 1``."""
+def _far_field(z: complex) -> bool:
+    """Past ``|z|^2 = 1e300`` above the axis or in the band: ``g' = -1/z^2``, ``f' = 1``."""
     x, y = z.real, z.imag
-    return _in_band(x, y) and x * x + y * y > _FAR_R2_MAX
+    return (y > 0.0 or _in_band(x, y)) and x * x + y * y > _FAR_R2_MAX
 
 
 def g_tilde_prime(z: complex) -> ScaledComplex:
@@ -536,13 +536,13 @@ def g_tilde_prime(z: complex) -> ScaledComplex:
 
     Where the moment series serves, ``(1 - z G) - z e`` from its parts, as
     ``1 - z g_tilde`` cancels there (see :func:`_g_eval`); past ``|z|^2 =
-    1e300`` in the band, ``-g_tilde^2``.
+    1e300`` above the axis or in the band, ``-g_tilde^2``.
     """
     z = complex(z)
     g = _g_eval(z, True)
     if type(g) is tuple:
         return ScaledComplex(g[1])
-    if type(g) is ScaledComplex and _far_band(z):
+    if type(g) is ScaledComplex and _far_field(z):
         return -(g * g)
     gp = 1.0 - z * g
     if type(gp) is complex and not cmath.isfinite(gp):  # |z g| past 1e308
@@ -566,15 +566,15 @@ def f_tilde_prime(z: complex) -> ScaledComplex:
 
     Where the moment series serves, ``-g_tilde' / g_tilde^2`` with
     ``g_tilde'`` from its parts, as ``F (z - F)`` cancels there (see
-    :func:`_g_eval`); past ``|z|^2 = 1e300`` in the band, 1.  Raises as
-    :func:`f_tilde`.
+    :func:`_g_eval`); past ``|z|^2 = 1e300`` above the axis or in the band,
+    1.  Raises as :func:`f_tilde`.
     """
     z = complex(z)
     F = _f_eval(z, True)
     if type(F) is tuple:
         g, gp = F
         return ScaledComplex(-gp / g / g)
-    if type(F) is ScaledComplex and _far_band(z):
+    if type(F) is ScaledComplex and _far_field(z):
         return ScaledComplex(1.0)
     fp = F * (z - F)
     return fp if type(fp) is ScaledComplex else ScaledComplex(fp)

@@ -159,6 +159,13 @@ class TestExitCodes:
         assert main(["cumulants", "--order", "-5"]) == 2
         assert capsys.readouterr().err == "error: need --order >= 2, got -5\n"
 
+    def test_rejects_huge_cumulant_order(self, capsys):
+        # the exact tables grow about 16-fold per doubling of the order
+        assert main(["cumulants", "--order", "1001"]) == 2
+        assert capsys.readouterr().err == "error: need --order <= 1000, got 1001\n"
+        assert main(["cumulants", "--order", "100000"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("args", [
         ["curve", "--n", "3"],
         ["verify", "--profile", "fast"],

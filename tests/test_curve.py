@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from freenormal import curve, series
 from freenormal.curve import (
     X_ASYMPTOTIC,
-    X_HI,
     X_JET,
     X_LO,
     CurvePoint,
@@ -35,7 +34,7 @@ from freenormal.curve import (
     trace_p0,
 )
 from freenormal.errors import DomainError, FreeNormalError, NoConvergence
-from freenormal.levy import levy_density
+from freenormal.levy import _TAU_SPLIT, levy_density
 from freenormal.series import eval_h_asym_infinity
 from freenormal.transforms import f_tilde, g_tilde
 from mpmath_oracle import mp_g_tilde, mp_inverse
@@ -126,11 +125,14 @@ class TestSolveRegimes:
             assert abs(pt.g - g) <= 1e-11 * g
             assert abs(pt.h - h) <= 1e-9 * h
 
-    def test_solver_regimes_meet_at_x_hi(self):
-        # Newton from the skeleton just below x_hi, from the large-x series
-        # just above: the two points differ by the slope dH/dx = 1/(x (H - x))
-        # times the gap
-        x1, x2 = (X_HI * (1.0 + s) for s in (-1e-12, 1e-12))
+    @pytest.mark.parametrize("edge", [X_LO, _TAU_SPLIT, X_JET, X_ASYMPTOTIC])
+    def test_solver_regimes_meet_at_the_edges(self, edge):
+        # across X_LO the residual turns from relative to absolute, across
+        # X_JET the seed from the jet table to the large-x series, and past
+        # X_ASYMPTOTIC the series is the answer; by 3.5 the height has
+        # turned to its exp(-x^2/2) decay.  The two points differ by the
+        # slope dH/dx = 1/(x (H - x)) times the gap
+        x1, x2 = (edge * (1.0 + s) for s in (-1e-12, 1e-12))
         below, above = solve_H(x1), solve_H(x2)
         predicted = below.z + (x2 - x1) / (x1 * (below.z - x1))
         assert abs(above.g - predicted.real) <= 1e-12 * above.g
@@ -196,9 +198,9 @@ class TestSolveRegimes:
 
 
 class TestSkeletonSeededBulk:
-    XS = [X_LO * (X_HI / X_LO) ** ((k + 0.5) / 200) for k in range(200)]
-    # the large-x Newton's range, [X_HI, X_ASYMPTOTIC]
-    XS_LARGE = [X_HI * (X_ASYMPTOTIC / X_HI) ** (k / 399) for k in range(400)]
+    XS = [X_LO * (_TAU_SPLIT / X_LO) ** ((k + 0.5) / 200) for k in range(200)]
+    # where the height falls like exp(-x^2/2), [3.5, X_ASYMPTOTIC]
+    XS_LARGE = [_TAU_SPLIT * (X_ASYMPTOTIC / _TAU_SPLIT) ** (k / 399) for k in range(400)]
 
     @staticmethod
     def _worst_evaluations(monkeypatch, xs):
@@ -225,7 +227,7 @@ class TestSkeletonSeededBulk:
 
     def test_large_x_solve_makes_few_transform_calls(self, monkeypatch):
         solve_H(1.0)  # builds the cached jet table outside the count
-        assert self._worst_evaluations(monkeypatch, self.XS_LARGE) <= 6
+        assert self._worst_evaluations(monkeypatch, self.XS_LARGE) <= 4
 
     def test_upper_bulk_matches_mpmath(self):
         for k in range(16):
@@ -236,8 +238,10 @@ class TestSkeletonSeededBulk:
             assert abs(pt.h + ref.imag) <= 1e-12 * -ref.imag, x
 
     def test_large_x_newton_matches_mpmath(self):
-        xs = [X_HI * (X_ASYMPTOTIC / X_HI) ** (k / 39) for k in range(40)]
-        for x in [X_HI * (1.0 + 1e-12)] + xs:
+        xs = [_TAU_SPLIT * (X_ASYMPTOTIC / _TAU_SPLIT) ** (k / 39) for k in range(40)]
+        # either side of X_JET, where the seed turns to the large-x series
+        edges = [_TAU_SPLIT * (1.0 + 1e-12), X_JET * (1.0 - 1e-12), X_JET * (1.0 + 1e-12)]
+        for x in edges + xs:
             pt = solve_H(x)
             ref = mpmath_curve_point(x, pt.z)
             assert abs(pt.g - ref.real) <= 1e-12 * ref.real, x
@@ -296,8 +300,8 @@ class TestJetTable:
 
     @pytest.mark.parametrize("a, b, bound", [
         (1e-6, X_LO, 1.2),
-        (X_LO, X_HI, 1.6),
-        (X_HI, X_JET, 3.0),
+        (X_LO, _TAU_SPLIT, 1.6),
+        (_TAU_SPLIT, X_JET, 2.2),
     ])
     def test_mean_evaluations_per_solve(self, monkeypatch, a, b, bound):
         assert _evaluations_per_solve(monkeypatch, _log_grid(a, b, 200)) <= bound
@@ -373,7 +377,7 @@ class TestJetTable:
         for t in curve._jet_table(_HALVES[0])[0] + curve._jet_table(_HALVES[1])[0]:
             x = math.exp(t)
             xs += [x * (1.0 - 1e-12), x * (1.0 + 1e-12)]
-        for edge in (X_LO, X_HI, X_JET, X_ASYMPTOTIC, sys.float_info.min):
+        for edge in (X_LO, _TAU_SPLIT, X_JET, X_ASYMPTOTIC, sys.float_info.min):
             xs += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
         xs += [5e-324, 1e-310, 1e-200, 1e-6, 0.3, 2.0, 5.5, 12.0]
         here = [
@@ -395,7 +399,7 @@ class TestJetTable:
 _SWEEP_POINTS = sorted({
     y
     for x in [node[0] for end in _HALVES for node in curve._jet_table(end)[1]]
-    + [X_LO, X_HI, X_JET, X_ASYMPTOTIC, 5e-324, 40.0]
+    + [X_LO, _TAU_SPLIT, X_JET, X_ASYMPTOTIC, 5e-324, 40.0]
     for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
     if 5e-324 <= y <= 40.0
 })

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.special import wofz
 
 from freenormal import transforms
-from freenormal.curve import X_ASYMPTOTIC, X_HI, _confined, solve_H
+from freenormal.curve import X_ASYMPTOTIC, _confined, solve_H
 from freenormal.errors import (
     DomainError,
     FreeNormalError,
@@ -30,6 +30,7 @@ from freenormal.errors import (
     PoleProximity,
     QuadratureFailure,
 )
+from freenormal.levy import _TAU_SPLIT
 from freenormal.scaled import ScaledComplex
 from freenormal.transforms import (
     _DAWSON_NODES,
@@ -464,10 +465,11 @@ class TestNearAxisBand:
             assert abs(g.log_abs() + math.log(abs(re))) <= 1e-15 * math.log(abs(re)), z
 
     @pytest.mark.parametrize("z", [1e151 + 0.4j, -1e200 + 1e-160j, complex(1e160, -1e-200),
-                                   complex(-3e299, 0.0)])
+                                   complex(-3e299, 0.0), 1e151 + 1j, 1e151 + 1e151j,
+                                   -1e200 + 3j, 1e-3 + 1e160j])
     def test_derivatives_past_the_band_edge(self, z):
-        # 1 - z g and F (z - F) cancel to nothing there; each is its moment
-        # series' first term, -1/z^2 and 1
+        # 1 - z g and F (z - F) cancel to nothing there, in the band and
+        # above it; each is its moment series' first term, -1/z^2 and 1
         gp = g_tilde_prime(z)
         want = -(ScaledComplex(z) * ScaledComplex(z)).reciprocal()
         assert abs(gp.log_abs() - want.log_abs()) <= 1e-15 * abs(want.log_abs())
@@ -904,8 +906,8 @@ class TestKernelSkipped:
         assert kernel_calls[0] == 0
 
     def test_curve_solves_past_x_hi(self, kernel_calls):
-        solve_H(X_HI)  # the jet table, built once from X_LO, may run the kernel
+        solve_H(_TAU_SPLIT)  # the jet table, built once from X_LO, may run the kernel
         kernel_calls[0] = 0
         for k in range(41):
-            solve_H(X_HI + (X_ASYMPTOTIC - X_HI) * k / 40)
+            solve_H(_TAU_SPLIT + (X_ASYMPTOTIC - _TAU_SPLIT) * k / 40)
         assert kernel_calls[0] == 0
