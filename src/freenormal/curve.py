@@ -171,7 +171,10 @@ def _newton_confined(z: complex, w: complex, log: bool = False) -> tuple[complex
     iters = 0
     settled = False  # the last accepted step was below 1e-8 of z, componentwise
     while True:
-        dz = -r / (z - F) if log else -r / (F * (z - F))
+        slope = z - F if log else F * (z - F)
+        if slope == 0:  # F rounds to z, from |z| about 1e8 (F = z - 1/z + ...)
+            raise NoConvergence(f"f_tilde' rounds to 0 at z = {z!r}", last_iterate=z)
+        dz = -r / slope
         if abs(r) <= goal:
             if _below(dz, z, 2.0**-52):
                 return z + dz, F

@@ -131,9 +131,9 @@ def _c_list(n: int) -> tuple[Fraction, ...]:
 # public tables
 # --------------------------------------------------------------------------
 
-def _require_order(N: int) -> None:
-    if not (isinstance(N, int) and N >= 1):
-        raise DomainError(f"need an integer order N >= 1, got {N!r}")
+def _require_order(N: int, top: float = math.inf) -> None:
+    if not (isinstance(N, int) and 1 <= N <= top):
+        raise DomainError(f"need an integer order 1 <= N <= {top}, got {N!r}")
 
 
 def moments(N: int) -> tuple[Fraction, ...]:
@@ -207,12 +207,18 @@ def _horner(coeffs: tuple[float, ...], u):
     return acc
 
 
+#: the highest order of the floating large-x series: ``k_302`` and
+#: ``a_300``, the first coefficients past it, overflow binary64
+_FLOAT_ORDER_MAX = 150
+
+
 def eval_g_asym_infinity(x: float, N: int) -> float:
     """``x + k_2/x + k_4/x^3 + ...`` truncated after ``k_{2N}``.
 
-    ``DomainError`` where ``1/x^2`` or the sum overflows (at tiny ``|x|``).
+    ``DomainError`` where ``1/x^2`` or the sum overflows (at tiny ``|x|``),
+    and for ``N`` past 150, whose coefficients overflow.
     """
-    _require_order(N)
+    _require_order(N, _FLOAT_ORDER_MAX)
     g = x + _horner(_free_floats(N), _check_large_argument(x)) / x
     if math.isinf(g):
         raise DomainError(f"the large-x series of g overflows binary64 at x = {x}")
@@ -225,9 +231,9 @@ def eval_h_asym_infinity(x: float, N: int) -> ScaledComplex:
     ``N = 1`` is the bare prefactor; each increment appends one ``a`` term.
     Returned scaled because the prefactor passes below 1e-300 near x = 37.
     ``DomainError`` where ``sqrt(pi/2) x^2`` overflows (``|x|`` past about
-    1.2e154).
+    1.2e154), and for ``N`` past 150, whose coefficients overflow.
     """
-    _require_order(N)
+    _require_order(N, _FLOAT_ORDER_MAX)
     u = _check_large_argument(x)
     scale = _SQRT_HALF_PI * x * x * _horner(_a_floats(N - 1), u)
     if math.isinf(scale):

@@ -32,16 +32,16 @@ regions that holds it, and each region's form is exact to roundoff there:
   the exponent formed exactly.  Below ``|z| = 9.5``, ``D`` is a Taylor
   expansion at the nearest of the nodes ``j/4``, whose values and slopes
   are stored from 40-digit mpmath; from 9.5 on the Dawson term is the
-  moment series below.  Each part of ``g_tilde``
-  keeps its own roundoff there, where the kernel carries ``Im g_tilde``
-  only to the roundoff of ``|g_tilde|``.
+  moment series below.  Each part of ``g_tilde`` keeps its own roundoff
+  there, where the kernel carries ``Im g_tilde`` only to that of ``|g_tilde|``.
 * **Below the axis with Re(-z^2/2) > 42:** the exponential term alone.
   ``|w| <= 1`` on the closed upper half plane, so the algebraic part is at
   most ``sqrt(pi/2)``, below 2**-60 of ``sqrt(2 pi) e^42``.
 * **9.5 <= |z|, with |z|^2 <= 1e300:** the moment series
   ``G(z) = sum_k (2k-1)!! z^(-2k-1)``, which is ``g_tilde`` above the axis
-  and the algebraic part below it.  Its term count, 34 at ``|z| = 9.5`` and
-  6 from 59 on, puts the first dropped term below 2**-57.  The remainder
+  and the algebraic part below it.  Its term count, 41 at ``|z| = 9.5`` and
+  8 from 59 on, puts the first dropped term of ``1 - z G``, which
+  ``g_tilde'`` takes from the same sum, below 2**-57 of it.  The remainder
   after ``K`` terms is ``z^-K integral t^K phi(t)/(z - t) dt``, and near
   the axis the one further piece, the Stokes term, is at most
   ``sqrt(pi/2) exp(-x^2/2)`` (3.6e-20 at ``|x| = 9.5``).  In the band
@@ -54,7 +54,8 @@ regions that holds it, and each region's form is exact to roundoff there:
   or below it outside ``Xi``, and past ``|z|^2 = 1e300`` off the band,
   where it keeps the binary64 walls.
 
-``rho`` takes the same regions on the imaginary axis, in real arithmetic.
+One function, ``_g_eval``, holds this region map; ``g_tilde'``,
+``f_tilde``, ``f_tilde'`` and ``rho(x) = i g_tilde(i x)`` all read it.
 The work is in plain ``complex``; :class:`~freenormal.scaled.ScaledComplex`
 appears only in the return values and past ``exp(-z^2/2) = e^700``.  The
 relative error is certified below 1e-12 on ``Xi intersect {|z| <= 30}``
@@ -192,29 +193,14 @@ def _w_upper(zeta: complex) -> complex:
     ``Re w`` on the real line only to the roundoff of ``|w|``.
     """
     den = complex(_W_L + zeta.imag, -zeta.real)  # L - i zeta
-    w = _weideman(complex(_W_L - zeta.imag, zeta.real) / den, den)
-    if not cmath.isfinite(w):  # Z overflows with both parts of zeta near 1e308
-        raise DomainError(f"the Faddeeva kernel overflows at {zeta!r}")
-    return w
-
-
-def _w_imaginary_axis(t: float) -> float:
-    """``w(i t) = exp(t^2) erfc(t)`` for ``t >= 0``: :func:`_w_upper` in floats.
-
-    On the imaginary axis ``L - i zeta = L + t`` and ``Z`` are real, and
-    every imaginary part the complex kernel carries is a signed zero, so
-    this returns the real part of ``_w_upper(i t)`` bit for bit.
-    """
-    den = _W_L + t
-    return _weideman((_W_L - t) / den, den)
-
-
-def _weideman(Z, den):
-    """``2 p(Z)/den^2 + 1/(sqrt(pi) den)``, in the type of ``Z`` and ``den``."""
+    Z = complex(_W_L - zeta.imag, zeta.real) / den
     p = 0.0
     for c in _W_COEF:
         p = p * Z + c
-    return 2.0 * p / den / den + _INV_SQRT_PI / den  # den^2 overflows at 1e154
+    w = 2.0 * p / den / den + _INV_SQRT_PI / den  # den^2 overflows at 1e154
+    if not cmath.isfinite(w):  # Z overflows with both parts of zeta near 1e308
+        raise DomainError(f"the Faddeeva kernel overflows at {zeta!r}")
+    return w
 
 
 # --------------------------------------------------------------------------
@@ -230,19 +216,21 @@ _FAR_R2_MAX = 1e300
 def _far_coefficients(r: int) -> tuple[float, ...]:
     """``(2k-1)!!`` for ``k = K-1, ..., 2, 1``, highest degree first.
 
-    ``K`` is the first ``k`` whose term ``(2k-1)!!/r^(2k)`` is below 2**-57,
-    counted in exact integers.
+    ``K`` is the first ``k`` whose term ``(2k-1)!!/r^(2k-2)`` of the sum
+    ``t`` of :func:`_moment_series` (so of ``g_tilde' = -u t``, ``r^2``
+    smaller than ``G``) is below 2**-57 of ``t``, counted in exact
+    integers, or the series' least term (``2k - 1 >= r^2``).
     """
-    coeffs, k, r2k = [1], 1, r * r
-    while coeffs[-1] * (2 * k - 1) << 57 >= r2k:
+    coeffs, k, r2k = [1], 1, 1
+    while coeffs[-1] * (2 * k - 1) << 57 >= r2k and 2 * k - 1 < r * r:
         coeffs.append(coeffs[-1] * (2 * k - 1))
         k += 1
         r2k *= r * r
     return tuple(float(c) for c in reversed(coeffs[1:]))
 
 
-#: the moment series' coefficients by ``floor(|z|)`` from 9 to 59: 34 terms
-#: at 9, 16 at 12, 8 at 30, and the 6 at 59 serve every larger ``|z|``
+#: the moment series' coefficients by ``floor(|z|)`` from 9 to 59: 41 terms
+#: at 9, 20 at 12, 10 at 30, and the 8 at 59 serve every larger ``|z|``
 _FAR_COEFFS = tuple(_far_coefficients(r) for r in range(9, 60))
 
 
@@ -252,13 +240,12 @@ def _moment_series(w, u, r: float):
     ``u`` is ``1/z^2`` and ``r = |z|`` lies in ``[9.5, 1e150]``.  ``G`` is
     ``w + w u t``, with ``t`` summed by Horner's rule in ``u``, so the
     rounding of the terms past the first is scaled down by ``|u|``; ``1 - z
-    G`` is ``-u t``, which does not cancel.  The
-    remainder after ``K`` terms is ``z^-K integral t^K phi(t)/(z - t) dt``;
-    with ``K`` from :data:`_FAR_COEFFS` the first dropped term is below
-    2**-57, and the only other piece, the Stokes term near the real axis, is
-    at most ``sqrt(pi/2) exp(-x^2/2)``, 3.6e-20 at ``|x| = 9.5``.  On the
-    imaginary axis ``z = i y`` the same sum in floats, with ``w = 1/y`` and
-    ``u = -1/y^2``, is ``i G(i y)``.
+    G`` is ``-u t``, which does not cancel.  The remainder after ``K``
+    terms is ``z^-K integral t^K phi(t)/(z - t) dt``; with ``K`` from
+    :data:`_FAR_COEFFS` the first dropped term is below 2**-57 of ``t``
+    (3.9e-18 at ``|z| = 9.5``, where the least term caps ``K``), and the
+    only other piece, the Stokes term near the real axis, is at most
+    ``sqrt(pi/2) exp(-x^2/2)``, 3.6e-20 at ``|x| = 9.5``.
     """
     t = 0.0
     for c in _FAR_COEFFS[min(int(r), 59) - 9]:
@@ -360,35 +347,21 @@ _DAWSON_TAYLOR = tuple(_dawson_taylor(d, dp, 0.25 * j)
                        for j, (d, dp) in enumerate(_DAWSON_NODES))
 
 
-def _near_axis(x: float, y: float, r2: float) -> complex:
-    """``g_tilde(x + i y)`` for ``|y| <= 0.5`` in ``Xi``, ``r2 = x^2 + y^2 <= 1e300``.
+def _near_axis(x: float, y: float) -> complex:
+    """``sqrt(2) D(z/sqrt 2)`` for ``z = x + i y`` in the band with ``|z| < 9.5``.
 
-    The closed form ``g_tilde(z) = sqrt(2) D(zeta) - i sqrt(pi/2)
-    exp(-z^2/2)``, ``zeta = z/sqrt 2``, with its exponential term formed
-    from the exactly split ``Re(-z^2/2)``.  The kernel carries ``Im
-    g_tilde`` only to the roundoff of ``|g_tilde|``, useless where it sits
-    at ``exp(-x^2/2)`` scale; here ``Im`` keeps its own roundoff.  Below
-    ``|z| = 9.5`` the Dawson term is the Taylor expansion at the nearest
-    node ``xi_j`` of :data:`_DAWSON_NODES`, summed by Horner's rule in
-    ``delta = zeta - xi_j`` (``|delta| <= 0.375``, with ``D(-zeta) =
-    -D(zeta)`` for ``Re z < 0``); from 9.5 on it is the moment series, whose
-    one further piece near the axis, the Stokes term, is at most
-    ``sqrt(pi/2) exp(-x^2/2)``.  Against 40-digit mpmath ``Re`` is good to
-    5e-16, ``Im`` to 1e-15 of ``max(|Im|, sqrt(pi/2) |exp(-z^2/2)|)``.
+    The Taylor expansion of Dawson's ``D`` at the nearest node ``xi_j`` of
+    :data:`_DAWSON_NODES`, by Horner's rule in ``delta = zeta - xi_j``
+    (``|delta| <= 0.375``; ``D(-zeta) = -D(zeta)`` for ``Re z < 0``).
     """
-    if r2 < _FAR_R2_MIN:
-        a = abs(x) / _SQRT2
-        j = int(4.0 * a + 0.5)
-        v = y / _SQRT2
-        delta = complex(a - 0.25 * j, v if x >= 0.0 else -v)
-        p = 0j
-        for c in _DAWSON_TAYLOR[j]:
-            p = p * delta + c
-        d = _SQRT2 * p if x >= 0.0 else -_SQRT2 * p
-    else:
-        w = 1.0 / complex(x, y)
-        d = _moment_series(w, w * w, math.sqrt(r2))[0]
-    return d + _band_exp_term(x, y)
+    a = abs(x) / _SQRT2
+    j = int(4.0 * a + 0.5)
+    v = y / _SQRT2
+    delta = complex(a - 0.25 * j, v if x >= 0.0 else -v)
+    p = 0j
+    for c in _DAWSON_TAYLOR[j]:
+        p = p * delta + c
+    return _SQRT2 * p if x >= 0.0 else -_SQRT2 * p
 
 
 def _in_band(x: float, y: float) -> bool:
@@ -420,73 +393,65 @@ _EXP_ALONE = 42.0
 def _g_eval(z: complex, slope: bool = False):
     """``g_tilde(z)``: plain ``complex`` where that is safe, scaled elsewhere.
 
-    The regions are tried in this order (see the module docstring):
+    The one region map (see the module docstring): an algebraic part (the
+    moment series, the Dawson sum of :func:`_near_axis` or the kernel) plus
+    an exponential term, each picked once per point: the band's half term
+    (:func:`_band_exp_term`), none above the band, or the full term below
+    it, alone past ``Re(-z^2/2) = 42``.  The sum is scaled where
+    ``Re(-z^2/2) >= 700`` or it is below ``1e-150``.
 
-    * within ``_NEAR_AXIS`` of the axis in ``Xi``, on both sides, the
-      Dawson split of :func:`_near_axis` up to ``|z|^2 = 1e300`` and ``1/z``
-      past it (the kernel's ``Im g_tilde`` there could take either sign);
-    * below the axis with ``Re(-z^2/2) > 42``, the exponential term alone;
-    * for ``9.5 <= |z|`` and ``|z|^2 <= 1e300``, the moment series, which is
-      ``g_tilde`` above the axis and its algebraic part below;
-    * elsewhere the kernel, which is the algebraic part below the axis.
-
-    Below the axis the exponential term ``-i sqrt(2 pi) exp(-z^2/2)`` is
-    added, in scaled form where ``Re(-z^2/2) >= 700`` or the plain sum is
-    below ``1e-150``.
-
-    With ``slope``, where the moment series serves and ``g_tilde`` is plain,
-    the pair ``(g_tilde, g_tilde')`` instead.  ``1 - z g_tilde`` cancels
-    there, completely from ``|z|`` about 1e8; with ``g_tilde = G + e``
-    (:func:`_moment_series`, ``e`` the exponential term, none above the
-    band) it is ``(1 - z G) - z e``.
+    With ``slope``, where the moment series serves, the pair ``(g_tilde,
+    g_tilde')`` instead (below the band only where ``g_tilde`` is plain):
+    ``1 - z g_tilde`` cancels there, completely from ``|z|`` about 1e8, so
+    ``g_tilde' = (1 - z G) - z e`` takes ``1 - z G`` from
+    :func:`_moment_series`, with ``e`` the exponential term.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"g_tilde needs a finite argument, got {z!r}")
     x, y = z.real, z.imag
     r2 = x * x + y * y
-    if _in_band(x, y):
+    band = _in_band(x, y)
+    below = not band and y <= 0.0
+    if band:
         if r2 > _FAR_R2_MAX:  # 1/z, the moment series' first term, in scaled form
             v = ScaledComplex(z)
             return ScaledComplex(1.0 / v.mantissa, -v.log_scale)
-        if slope and r2 >= _FAR_R2_MIN:  # _near_axis's sum, its parts kept
-            w = 1.0 / z
-            G, dG = _moment_series(w, w * w, math.sqrt(r2))
-            e = _band_exp_term(x, y)
-            return G + e, dG - z * e
-        g = _near_axis(x, y, r2)
-        return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
-    if y > 0.0:
-        if _FAR_R2_MIN <= r2 <= _FAR_R2_MAX:
-            w = 1.0 / z
-            g, dG = _moment_series(w, w * w, math.sqrt(r2))
-            if slope:
-                return g, dG
-        else:
-            g = _MINUS_I_SQRT_HALF_PI * _w_upper(z / _SQRT2)
-        return g if abs(g) >= _PLAIN_G_MIN else ScaledComplex(g)
-    hi, lo = _half_diff_of_squares(x, y)
-    if not hi < math.inf:  # NaN or +inf; a finite hi implies a finite x*y
-        raise DomainError(f"-z^2/2 overflows binary64 at z = {z!r}")
-    coeff = complex(0.0, -_SQRT_TWO_PI * (1.0 + lo))
-    e = complex(hi, -x * y)
-    if hi > _EXP_ALONE:
-        if hi < _SCALED_FROM:
-            return coeff * cmath.exp(e)
-        return ScaledComplex(coeff * cmath.exp(complex(0.0, e.imag)), hi)
+        ex = _band_exp_term(x, y)
+    elif below:
+        hi, lo = _half_diff_of_squares(x, y)
+        if not hi < math.inf:  # NaN or +inf; a finite hi implies a finite x*y
+            raise DomainError(f"-z^2/2 overflows binary64 at z = {z!r}")
+        coeff = complex(0.0, -_SQRT_TWO_PI * (1.0 + lo))
+        e = complex(hi, -x * y)
+        if hi > _EXP_ALONE:
+            if hi < _SCALED_FROM:
+                return coeff * cmath.exp(e)
+            return ScaledComplex(coeff * cmath.exp(complex(0.0, e.imag)), hi)
+        # exp(-z^2/2) is 0 at hi = -inf, though x*y may be infinite
+        ex = coeff * cmath.exp(e) if hi > -math.inf else None
+    else:
+        ex = None
     dG = None
     if _FAR_R2_MIN <= r2 <= _FAR_R2_MAX:
         w = 1.0 / z
         alg, dG = _moment_series(w, w * w, math.sqrt(r2))
-    else:
+    elif band:
+        alg = _near_axis(x, y)
+    elif below:
         alg = _I_SQRT_HALF_PI * _w_upper(-z / _SQRT2)
-    if hi == -math.inf:  # exp(-z^2/2) is 0, though x*y may be infinite
-        return alg if abs(alg) >= _PLAIN_G_MIN else ScaledComplex(alg)
-    ex = coeff * cmath.exp(e)  # hi <= 42 here
-    g = alg + ex
-    if abs(g) >= _PLAIN_G_MIN:
-        return (g, dG - z * ex) if slope and dG is not None else g
-    return ScaledComplex(alg) + coeff * ScaledComplex.exp_of(e)
+    else:
+        alg = _MINUS_I_SQRT_HALF_PI * _w_upper(z / _SQRT2)
+    g = alg if ex is None else alg + ex
+    plain = abs(g) >= _PLAIN_G_MIN
+    # below the band a tiny g sits near a zero, where -g'/g^2 would overflow
+    if slope and dG is not None and (plain or not below):
+        return g, dG if ex is None else dG - z * ex
+    if plain:
+        return g
+    if below and ex is not None:
+        return ScaledComplex(alg) + coeff * ScaledComplex.exp_of(e)
+    return ScaledComplex(g)
 
 
 #: ``1/g_tilde`` is refused where ``log|g_tilde|`` is below this, the log of
@@ -588,52 +553,17 @@ def rho(x: float) -> ScaledComplex:
     ``x -> -inf``; the scaled return type keeps the latter representable
     down to ``x`` about ``-1.3e154``, past which ``DomainError`` is raised.
 
-    The regions of :func:`g_tilde` on the imaginary axis, in real
-    arithmetic: for ``|x| <= 0.5`` the imaginary part of the Dawson split
-    (:func:`_near_axis`), whose Horner sum in ``i v`` is carried as a pair
-    of reals; elsewhere the kernel (:func:`_w_imaginary_axis`), the moment
-    series in ``u = -1/x^2``, and the exponential term ``sqrt(2 pi)
-    e^{x^2/2}``, scaled past ``x`` about -37.4.  The stored pair and its
-    view are those of ``i * g_tilde(i x)`` bit for bit outside the moment
-    series.  One
-    ``ScaledComplex`` is built per call.
+    Its public ``mantissa`` and ``log_scale`` are those of ``i g_tilde(i
+    x)`` bit for bit.  One ``ScaledComplex`` is built where ``g_tilde(i x)``
+    is plain, two where it is scaled (past ``x`` about -37.4 and 1e150).
     """
     y = float(x)
     if not math.isfinite(y):
         raise DomainError(f"rho needs a finite argument, got {x!r}")
-    if -_NEAR_AXIS <= y <= _NEAR_AXIS:
-        v, a, b = y / _SQRT2, 0.0, 0.0  # -Im _near_axis(0, y): the sum in i v, as reals
-        for c in _DAWSON_TAYLOR[0]:
-            a, b = c - b * v, a * v
-        hi, lo = _half_diff_of_squares(0.0, y)
-        return _normalized_real(-(_SQRT2 * b - _SQRT_HALF_PI * math.exp(hi) * (1.0 + lo)))
-    if y > 0.0:
-        if _FAR_R2_MIN <= y * y <= _FAR_R2_MAX:
-            w = 1.0 / y
-            return _normalized_real(_moment_series(w, -w * w, y)[0])
-        return _normalized_real(_SQRT_HALF_PI * _w_imaginary_axis(y / _SQRT2))
-    hi, lo = _half_diff_of_squares(0.0, y)
-    if not hi < math.inf:
-        raise DomainError(f"-z^2/2 overflows binary64 at z = {complex(0.0, y)!r}")
-    amp = _SQRT_TWO_PI * (1.0 + lo)
-    if hi >= _SCALED_FROM:
-        return _normalized_real(amp, hi)
-    r = amp * math.exp(hi)
-    if hi <= _EXP_ALONE:
-        r -= _SQRT_HALF_PI * _w_imaginary_axis(-y / _SQRT2)
-    return _normalized_real(r)
-
-
-def _normalized_real(r: float, s: float = 0.0) -> ScaledComplex:
-    """``r e^s`` (``r > 0``) stored as its normalized view, as ``rho`` stores it.
-
-    The view is the constructor's own formula, so ``to_complex`` and the
-    digits the command line prints are those ``i g_tilde(i x)`` gives.
-    """
-    if 0.5 <= r < 2.0:
-        return ScaledComplex(r, s)
-    d = math.log(r)
-    return ScaledComplex(complex(r, 0.0) / cmath.exp(complex(d, 0.0)), s + d)
+    g = _g_eval(complex(0.0, y))
+    if type(g) is complex:
+        return ScaledComplex(1j * g)
+    return ScaledComplex(1j * g.mantissa, g.log_scale)
 
 
 # --------------------------------------------------------------------------
