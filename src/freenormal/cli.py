@@ -20,54 +20,64 @@ import sys
 # functions held in ``_EVAL_FNS`` and ``_DISPATCH``.
 from .errors import DomainError, FreeNormalError
 from .output import csv_text, json_text, svg_figure, write_text
-from .scaled import ScaledComplex
+from .scaled import _EXACT_SCALE, ScaledComplex
 from .transforms import f_tilde, f_tilde_prime, g_tilde, g_tilde_prime, rho
 
 __all__ = ["main", "parse_complex", "format_value"]
 
 _LN10 = math.log(10.0)
+#: ``ln 10`` to 40 digits, for the exact base-10 reduction of a huge scale
+_LN10_DIGITS = "2.302585092994045684017991454684364207601"
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a+bi`` / ``a-bi`` (also plain ``a``, ``bi``, ``i``)."""
+    """Parse ``a+bi`` / ``a-bi`` (also plain ``a``, ``bi``, ``i``).
+
+    The trailing ``i`` becomes ``complex()``'s ``j``; a literal that already
+    holds ``j`` or a parenthesis is refused.
+    """
     s = text.strip().replace(" ", "")
     if not s:
         raise DomainError("empty complex literal")
     try:
+        if not set("jJ(").isdisjoint(s):
+            raise ValueError(s)
         if s[-1] == "i":
-            body = s[:-1]
-            split = -1
-            for k in range(1, len(body)):
-                if body[k] in "+-" and body[k - 1] not in "eE":
-                    split = k
-            if split < 0:
-                re_part, im_part = "0", body
-            else:
-                re_part, im_part = body[:split], body[split:]
-            if im_part in ("", "+"):
-                im_part = "1"
-            elif im_part == "-":
-                im_part = "-1"
-            return complex(float(re_part), float(im_part))
-        return complex(float(s), 0.0)
+            # ``i``, ``+i`` and ``-i`` have the unit coefficient
+            unit = s[-2:-1] in ("", "+", "-") and s[-3:-2] not in ("e", "E")
+            s = s[:-1] + ("1j" if unit else "j")
+        return complex(s)
     except ValueError as exc:
         raise DomainError(f"could not parse complex literal {text!r}") from exc
 
 
-def format_value(value: ScaledComplex) -> str:
-    """Render ``a + bi``; huge or tiny scales get a decimal exponent."""
-    if value.is_zero:
-        return "0 + 0i"
-    if abs(value.log_scale) > 700.0:
-        k = math.floor(value.log_abs() / _LN10)
-        m = (value / ScaledComplex.exp_of(complex(k * _LN10, 0.0))).to_complex()
-        re, im = m.real + 0.0, m.imag + 0.0
-        sign = "+" if im >= 0 else "-"
-        return f"({re:.15g} {sign} {abs(im):.15g}i) * 10^{k}"
-    v = value.to_complex()
+def _pair_text(v: complex) -> str:
     re, im = v.real + 0.0, v.imag + 0.0
     sign = "+" if im >= 0 else "-"
     return f"{re:.15g} {sign} {abs(im):.15g}i"
+
+
+def format_value(value: ScaledComplex) -> str:
+    """Render ``a + bi``; huge or tiny scales get a decimal exponent.
+
+    There ``value = m e^s`` prints as ``(m e^r) * 10^k``, with ``r = s - k ln
+    10`` formed in exact rationals, so the mantissa keeps the digits of ``m``.
+    From ``|s| = 2**53`` on, where ``ulp(s) >= 2``, it keeps none, and
+    ``DomainError`` is raised.
+    """
+    if value.is_zero:
+        return "0 + 0i"
+    s = value.log_scale
+    if abs(s) <= 700.0:
+        return _pair_text(value.to_complex())
+    if not abs(s) < _EXACT_SCALE:
+        raise DomainError(f"cannot print ~exp({s:.6g}): past exp(2**53) its scale "
+                          "holds no digit of its mantissa")
+    from fractions import Fraction  # imported here, so no command starts slower
+
+    k = math.floor(value.log_abs() / _LN10)
+    r = Fraction(s) - k * Fraction(_LN10_DIGITS)
+    return f"({_pair_text(value.mantissa * math.exp(float(r)))}) * 10^{k}"
 
 
 _EVAL_FNS = {
@@ -90,53 +100,50 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
-    from .curve import trace_p0
-
-    pts = trace_p0(args.xmin, args.xmax, args.n)
+def _write(args: argparse.Namespace, header, rows, doc, panels=None) -> int:
+    """Export one command's data as ``--format`` asks: CSV ``header`` and
+    ``rows``, the JSON ``doc``, or an SVG figure of ``panels``."""
     if args.format == "csv":
-        text = csv_text(
-            ["x", "g", "h", "residual"],
-            [(p.x, p.g, p.h, p.residual) for p in pts],
-        )
+        text = csv_text(header, rows)
     elif args.format == "json":
-        text = json_text(
-            {
-                "points": [
-                    {"x": p.x, "g": p.g, "h": p.h, "residual": p.residual}
-                    for p in pts
-                ]
-            }
-        )
+        text = json_text(doc)
     else:
-        xlog = args.xmax / args.xmin > 50.0
-        hs = [p.h for p in pts]
-        ylog = min(hs) > 0.0 and max(hs) / min(hs) > 1e4
-        boundary = []
-        g_lo, g_hi = pts[0].g, pts[-1].g
-        for i in range(200):
-            gx = g_lo * (g_hi / g_lo) ** (i / 199)
-            boundary.append((gx, -math.pi / (2.0 * gx)))
-        panels = [
-            {
-                "series": [("h(x)", [(p.x, p.h) for p in pts])],
-                "title": "curve height h(x)",
-                "xlabel": "x", "ylabel": "h",
-                "xlog": xlog, "ylog": ylog,
-            },
-            {
-                "series": [
-                    ("p0+", [(p.g, -p.h) for p in pts]),
-                    ("p0-", [(-p.g, -p.h) for p in reversed(pts)]),
-                    ("boundary", boundary, {"dash": True, "color": "#666"}),
-                ],
-                "title": "planar curve and domain boundary",
-                "xlabel": "Re", "ylabel": "Im",
-            },
-        ]
         text = svg_figure(args.command_line, panels)
     write_text(args.out, text)
     return 0
+
+
+def cmd_curve(args: argparse.Namespace) -> int:
+    from .curve import CurvePoint, trace_p0
+
+    pts = trace_p0(args.xmin, args.xmax, args.n)
+    xlog = args.xmax / args.xmin > 50.0
+    hs = [p.h for p in pts]
+    ylog = min(hs) > 0.0 and max(hs) / min(hs) > 1e4
+    boundary = []
+    g_lo, g_hi = pts[0].g, pts[-1].g
+    for i in range(200):
+        gx = g_lo * (g_hi / g_lo) ** (i / 199)
+        boundary.append((gx, -math.pi / (2.0 * gx)))
+    panels = [
+        {
+            "series": [("h(x)", [(p.x, p.h) for p in pts])],
+            "title": "curve height h(x)",
+            "xlabel": "x", "ylabel": "h",
+            "xlog": xlog, "ylog": ylog,
+        },
+        {
+            "series": [
+                ("p0+", [(p.g, -p.h) for p in pts]),
+                ("p0-", [(-p.g, -p.h) for p in reversed(pts)]),
+                ("boundary", boundary, {"dash": True, "color": "#666"}),
+            ],
+            "title": "planar curve and domain boundary",
+            "xlabel": "Re", "ylabel": "Im",
+        },
+    ]
+    doc = {"points": [p._asdict() for p in pts]}
+    return _write(args, CurvePoint._fields, pts, doc, panels)
 
 
 def cmd_density(args: argparse.Namespace) -> int:
@@ -154,26 +161,17 @@ def cmd_density(args: argparse.Namespace) -> int:
         for i in range(args.n)
     ]
     rows = [(x, levy_density(x)) for x in grid]
-    if args.format == "csv":
-        text = csv_text(["x", "density"], rows)
-    elif args.format == "json":
-        text = json_text(
-            {"points": [{"x": x, "density": d} for x, d in rows]}
-        )
-    else:
-        ds = [d for _, d in rows]
-        ylog = max(ds) / min(ds) > 1e4
-        panels = [
-            {
-                "series": [("density", rows)],
-                "title": "free Levy density (even in x)",
-                "xlabel": "x", "ylabel": "nu",
-                "ylog": ylog,
-            }
-        ]
-        text = svg_figure(args.command_line, panels)
-    write_text(args.out, text)
-    return 0
+    ds = [d for _, d in rows]
+    panels = [
+        {
+            "series": [("density", rows)],
+            "title": "free Levy density (even in x)",
+            "xlabel": "x", "ylabel": "nu",
+            "ylog": max(ds) / min(ds) > 1e4,
+        }
+    ]
+    doc = {"points": [{"x": x, "density": d} for x, d in rows]}
+    return _write(args, ["x", "density"], rows, doc, panels)
 
 
 def cmd_levelsets(args: argparse.Namespace) -> int:
@@ -184,50 +182,23 @@ def cmd_levelsets(args: argparse.Namespace) -> int:
         bbox = tuple(float(s) for s in args.bbox.split(","))
     except ValueError as exc:
         raise DomainError(f"bad numeric list: {exc}") from exc
-    results = [(t, trace_level_set(t, bbox, args.step)) for t in levels]
-    if args.format == "csv":
-        rows = []
-        for t, traces in results:
-            for tr in traces:
-                for i, z in enumerate(tr.points):
-                    rows.append((t, tr.branch, i, z.real, z.imag))
-        text = csv_text(["t", "branch", "index", "re", "im"], rows)
-    elif args.format == "json":
-        text = json_text(
-            {
-                "levels": [
-                    {
-                        "t": t,
-                        "traces": [
-                            {
-                                "branch": tr.branch,
-                                "points": [[z.real, z.imag] for z in tr.points],
-                            }
-                            for tr in traces
-                        ],
-                    }
-                    for t, traces in results
-                ]
-            }
-        )
-    else:
-        series = []
-        for t, traces in results:
-            for j, tr in enumerate(traces):
-                label = f"t={t:g}" if j == 0 else ""
-                series.append(
-                    (label, [(z.real, z.imag) for z in tr.points])
-                )
-        panels = [
-            {
-                "series": series,
-                "title": "level sets of Im F",
-                "xlabel": "Re", "ylabel": "Im",
-            }
-        ]
-        text = svg_figure(args.command_line, panels)
-    write_text(args.out, text)
-    return 0
+    rows, series, doc = [], [], {"levels": []}
+    for t in levels:
+        traces = []
+        for j, tr in enumerate(trace_level_set(t, bbox, args.step)):
+            pts = [(z.real, z.imag) for z in tr.points]
+            rows.extend((t, tr.branch, i, x, y) for i, (x, y) in enumerate(pts))
+            series.append((f"t={t:g}" if j == 0 else "", pts))
+            traces.append({"branch": tr.branch, "points": pts})
+        doc["levels"].append({"t": t, "traces": traces})
+    panels = [
+        {
+            "series": series,
+            "title": "level sets of Im F",
+            "xlabel": "Re", "ylabel": "Im",
+        }
+    ]
+    return _write(args, ["t", "branch", "index", "re", "im"], rows, doc, panels)
 
 
 def cmd_cumulants(args: argparse.Namespace) -> int:
@@ -239,24 +210,17 @@ def cmd_cumulants(args: argparse.Namespace) -> int:
         raise DomainError(f"need --order <= 1000, got {args.order}")
     n = args.order // 2
     tables = {
-        "free": free_cumulants(n),
-        "boolean": boolean_cumulants(n),
-        "moments": moments(n),
+        "free": [str(c) for c in free_cumulants(n)],
+        "boolean": [str(c) for c in boolean_cumulants(n)],
+        "moments": [str(c) for c in moments(n)],
     }
-    if args.format == "json":
-        text = json_text(
-            {name: [str(c) for c in t] for name, t in tables.items()}
-        )
-    else:
-        rows = []
-        for name, t in tables.items():
-            # cumulant tables start at order 2, the moment table at m0
-            start = 0 if name == "moments" else 1
-            for k, c in enumerate(t):
-                rows.append((name, 2 * (k + start), str(c)))
-        text = csv_text(["table", "order", "value"], rows)
-    write_text(args.out, text)
-    return 0
+    rows = []
+    for name, t in tables.items():
+        # cumulant tables start at order 2, the moment table at m0
+        start = 0 if name == "moments" else 1
+        for k, c in enumerate(t):
+            rows.append((name, 2 * (k + start), c))
+    return _write(args, ["table", "order", "value"], rows, tables)
 
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
@@ -286,26 +250,19 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
         if zero:
             row["gh_defect"] = abs(pt.g * pt.h - math.pi / 2.0)
         rows.append(row)
-    if args.format == "json":
-        text = json_text({"regime": args.regime, "rows": rows})
-    elif args.format == "csv":
-        header = list(rows[0].keys())
-        text = csv_text(header, [tuple(r[k] for k in header) for r in rows])
-    else:
-        panels = [
-            {
-                "series": [
-                    ("h rel err", [(r["x"], r["h_rel_err"]) for r in rows]),
-                    ("g rel err", [(r["x"], r["g_rel_err"]) for r in rows]),
-                ],
-                "title": f"solver vs {args.regime} asymptotics",
-                "xlabel": "x", "ylabel": "relative error",
-                "xlog": zero, "ylog": True,
-            }
-        ]
-        text = svg_figure(args.command_line, panels)
-    write_text(args.out, text)
-    return 0
+    panels = [
+        {
+            "series": [
+                ("h rel err", [(r["x"], r["h_rel_err"]) for r in rows]),
+                ("g rel err", [(r["x"], r["g_rel_err"]) for r in rows]),
+            ],
+            "title": f"solver vs {args.regime} asymptotics",
+            "xlabel": "x", "ylabel": "relative error",
+            "xlog": zero, "ylog": True,
+        }
+    ]
+    doc = {"regime": args.regime, "rows": rows}
+    return _write(args, list(rows[0]), [tuple(r.values()) for r in rows], doc, panels)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -314,6 +271,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = run_profile(args.profile)
     write_text(args.out, json_text(report))
     return 0 if report["all_passed"] else 1
+
+
+def _add_export_flags(p: argparse.ArgumentParser, default: str = "csv",
+                      formats=("csv", "json", "svg")) -> None:
+    """``--format`` and ``--out`` of a data command, after its own flags."""
+    p.add_argument("--format", default=default, choices=formats)
+    p.add_argument("--out", default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -339,8 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xmin", type=float, default=x0)
         p.add_argument("--xmax", type=float, default=x1)
         p.add_argument("--n", type=int, default=n0)
-        p.add_argument("--format", default="csv", choices=["csv", "json", "svg"])
-        p.add_argument("--out", default=None)
+        _add_export_flags(p)
 
     p = sub.add_parser("levelsets", help="trace level sets of Im F")
     p.add_argument("--t", default="0,0.1,0.4,0.7,1,1.3",
@@ -348,18 +311,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bbox", default="-3.2,3.2,-2.2,2.2",
                    help="re_min,re_max,im_min,im_max")
     p.add_argument("--step", type=float, default=0.08)
-    p.add_argument("--format", default="csv", choices=["csv", "json", "svg"])
-    p.add_argument("--out", default=None)
+    _add_export_flags(p)
 
     p = sub.add_parser("cumulants", help="exact cumulant and moment tables")
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--format", default="json", choices=["csv", "json"])
-    p.add_argument("--out", default=None)
+    _add_export_flags(p, "json", ("csv", "json"))
 
     p = sub.add_parser("asymptotics", help="solver vs asymptotic formulas")
     p.add_argument("--regime", default="zero", choices=["zero", "infinity"])
-    p.add_argument("--format", default="csv", choices=["csv", "json", "svg"])
-    p.add_argument("--out", default=None)
+    _add_export_flags(p)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--profile", default="full", choices=["fast", "full"])

@@ -53,6 +53,16 @@ _MANT_HI = 2.0
 _STORE_LO = 2.0**-64
 _STORE_HI = 2.0**64
 _LN2 = math.log(2.0)
+# Below this ``|log_scale|`` a renormalization divides the mantissa by
+# ``exp(t - s)``, the increment the scale ``s`` took to ``t = s + log|m|``,
+# in place of ``exp(log|m|)``.  ``t - s`` is exact where ``|log|m|| <= |s|``
+# (Fast2Sum), which holds at every large scale, so a value past ``e^700``
+# no longer carries the rounding of ``t``, up to half an ulp of it.
+# From ``2**53`` on that ulp is 2 or more and ``t - s`` could leave the view
+# outside ``[0.5, 2)``, so the mantissa is divided by ``exp(log|m|)`` there,
+# as it is for a mantissa past ``e^700`` or below ``e^-700`` (only a caller's
+# own, never a product or sum of stored ones).
+_EXACT_SCALE = 2.0**53
 
 
 class ScaledComplex:
@@ -93,8 +103,12 @@ class ScaledComplex:
                 if not a < math.inf:
                     raise DomainError(f"ScaledComplex needs a finite mantissa, got {m!r}")
                 d = math.log(a)
+                t = s + d
+                # past |d| = 700, exp(t - s) could leave binary64 range
+                if -_EXACT_SCALE < t < _EXACT_SCALE and -700.0 < d < 700.0:
+                    d = t - s  # the increment the scale took, exactly
                 m /= cmath.exp(complex(d, 0.0))
-                s += d
+                s = t
             a = abs(m)
         _set_m(self, m)
         _set_s(self, s)
@@ -104,8 +118,11 @@ class ScaledComplex:
             _set_log_scale(self, s)
         else:
             d = math.log(a)
+            t = s + d
+            if -_EXACT_SCALE < t < _EXACT_SCALE:
+                d = t - s
             _set_mantissa(self, m / cmath.exp(complex(d, 0.0)))
-            _set_log_scale(self, s + d)
+            _set_log_scale(self, t)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("ScaledComplex is immutable")

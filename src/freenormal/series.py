@@ -131,6 +131,12 @@ def _c_list(n: int) -> tuple[Fraction, ...]:
 # public tables
 # --------------------------------------------------------------------------
 
+#: the highest order of the large-x series and of their exact tables:
+#: ``k_302`` and ``a_300``, the first coefficients past it, overflow binary64
+#: (``_a_list(150)`` builds in 0.14 s, ``_a_list(1000)`` in about 100 s)
+_FLOAT_ORDER_MAX = 150
+
+
 def _require_order(N: int, top: float = math.inf) -> None:
     if not (isinstance(N, int) and 1 <= N <= top):
         raise DomainError(f"need an integer order 1 <= N <= {top}, got {N!r}")
@@ -159,14 +165,17 @@ def free_cumulants(N: int) -> tuple[Fraction, ...]:
 
 
 def h_infinity_coefficients(N: int) -> tuple[Fraction, ...]:
-    """``a_2, ..., a_{2N}`` of the large-x correction to h; prefix -5/2, -43/8, -579/16."""
-    _require_order(N)
+    """``a_2, ..., a_{2N}`` of the large-x correction to h; prefix -5/2, -43/8, -579/16.
+
+    ``N`` at most ``_FLOAT_ORDER_MAX`` (150), the ceiling of the series it feeds.
+    """
+    _require_order(N, _FLOAT_ORDER_MAX)
     return _a_list(N)
 
 
 def f_infinity_coefficients(N: int) -> tuple[Fraction, ...]:
-    """``c_2, ..., c_{2N}`` of the large-x correction family; c_2 = -3."""
-    _require_order(N)
+    """``c_2, ..., c_{2N}`` of the large-x correction family; c_2 = -3; ``N <= 150``."""
+    _require_order(N, _FLOAT_ORDER_MAX)
     return _c_list(N)
 
 
@@ -205,11 +214,6 @@ def _horner(coeffs: tuple[float, ...], u):
     for c in it:
         acc = acc * u + c
     return acc
-
-
-#: the highest order of the floating large-x series: ``k_302`` and
-#: ``a_300``, the first coefficients past it, overflow binary64
-_FLOAT_ORDER_MAX = 150
 
 
 def eval_g_asym_infinity(x: float, N: int) -> float:

@@ -10,6 +10,7 @@ import textwrap
 from pathlib import Path
 from xml.etree import ElementTree
 
+import mpmath
 import pytest
 
 from freenormal.cli import format_value, main, parse_complex
@@ -18,6 +19,7 @@ from freenormal.errors import DomainError
 from freenormal.ode import integrate, make_anchor
 from freenormal.scaled import ScaledComplex
 from freenormal.transforms import f_tilde, g_tilde, rho
+from mpmath_oracle import rho_mp
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -86,7 +88,17 @@ class TestFormatValue:
         assert got == "0.886008346479907 - 0.369456676959759i"
 
     def test_huge_scale_uses_decimal_exponent(self):
-        assert format_value(rho(-40.0)) == "(6.83400758969195 + 0i) * 10^347"
+        assert format_value(rho(-40.0)) == "(6.83400758969235 + 0i) * 10^347"
+
+    @pytest.mark.parametrize("x", [-40.0, -100.0, -1000.0])
+    def test_huge_scale_prints_the_digits_of_the_value(self, x):
+        # the mantissa is the 15-digit rounding of rho(x) / 10^k from 40-digit
+        # mpmath: the reduction by k ln 10 is exact, where a rounded k ln 10
+        # cost rho(-1000) its last five digits
+        m, k = re.fullmatch(r"\((\S+) \+ 0i\) \* 10\^(\d+)", format_value(rho(x))).groups()
+        with mpmath.workdps(40):
+            want = rho_mp(x) / mpmath.mpf(10) ** int(k)
+        assert float(m) == float(mpmath.nstr(want, 15))
 
     def test_negative_zero_is_normalized(self):
         v = ScaledComplex(complex(-0.0, 1.0))
@@ -123,6 +135,15 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("z", ["-1e11", "-43035370467.23214"])
+    def test_scale_past_2_to_53_is_a_domain_error(self, capsys, z):
+        # past |log_scale| = 2**53 the scale is a whole number of units
+        # apart, so no printed mantissa would carry a digit of the value
+        assert main(["eval", "--fn", "rho", f"--z={z}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 class TestExitCodes:
@@ -319,6 +340,48 @@ class TestAsymptotics:
         last = lines[-1].split(",")
         assert float(last[0]) == 1e-6
         assert float(last[col]) < 0.1
+
+
+def _cells(row) -> list:
+    """A row's cells as floats where they parse as one, else as text."""
+    out = []
+    for c in row:
+        try:
+            out.append(float(str(c)))
+        except ValueError:
+            out.append(str(c))
+    return out
+
+
+def _dict_rows(rows) -> list:
+    return [list(r.values()) for r in rows]
+
+
+class TestFormatsAgree:
+    """The CSV and the JSON of one run carry the same values in the same order."""
+
+    @pytest.mark.parametrize("args,json_rows", [
+        (["curve", "--xmin", "0.5", "--xmax", "3", "--n", "5"],
+         lambda doc: _dict_rows(doc["points"])),
+        (["density", "--xmin", "0.5", "--xmax", "2", "--n", "5"],
+         lambda doc: _dict_rows(doc["points"])),
+        (["levelsets", "--t", "0,0.7", "--step", "0.2"],
+         lambda doc: [[lv["t"], tr["branch"], i, *pt] for lv in doc["levels"]
+                      for tr in lv["traces"] for i, pt in enumerate(tr["points"])]),
+        (["cumulants", "--order", "8"],
+         lambda doc: [[name, 2 * (k + (name != "moments")), c]
+                      for name, table in doc.items() for k, c in enumerate(table)]),
+        (["asymptotics", "--regime", "zero"], lambda doc: _dict_rows(doc["rows"])),
+        (["asymptotics", "--regime", "infinity"], lambda doc: _dict_rows(doc["rows"])),
+    ], ids=["curve", "density", "levelsets", "cumulants", "asymptotics-zero",
+            "asymptotics-infinity"])
+    def test_csv_and_json_carry_the_same_values(self, capsys, args, json_rows):
+        assert main(args + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert main(args + ["--format", "json"]) == 0
+        rows = json_rows(json.loads(capsys.readouterr().out))
+        assert rows
+        assert [_cells(r) for r in rows] == [_cells(line.split(",")) for line in lines]
 
 
 class TestVerifyCommand:

@@ -29,8 +29,8 @@ _EDGES = tuple(s * v for v in (0.0, 5e-324, _TINY, 1e-300, 0.5, 1.0, 4.0, 37.0,
                for s in (1.0, -1.0)) + (math.nan,)
 _REALS = st.one_of(st.sampled_from(_EDGES), st.floats())
 _COMPLEX = st.builds(complex, _REALS, _REALS)
-#: orders: the exact tables have no ceiling, so the draws stay small there;
-#: the floating series refuse past 150
+#: orders: the moment and cumulant tables have no ceiling, so the draws stay
+#: small there; the large-x series and their tables refuse past 150
 _ORDERS = st.one_of(st.integers(-3, 40), st.sampled_from((150, 151, 10**6, True)),
                     st.sampled_from(_EDGES))
 
@@ -104,6 +104,10 @@ class TestPublicFunctions:
         # building the exact table (3.6 s and 108 s for order 1000)
         for fn in (series.eval_g_asym_infinity, series.eval_h_asym_infinity):
             assert _value_or_refusal(lambda: fn(10.0, n)) is None
+        # the exact tables they read share that ceiling (order 1000 took
+        # about 100 s to build before it refused)
+        for fn in (series.h_infinity_coefficients, series.f_infinity_coefficients):
+            assert _value_or_refusal(lambda: fn(n)) is None
         assert _finite(series.eval_g_asym_infinity(10.0, 150))
 
     @given(_REALS, _REALS, st.sampled_from((2, 3, 0, 1, -2, 2.0, math.nan)))

@@ -96,6 +96,15 @@ class TestExtremeScales:
         s = big + tiny
         assert (s.mantissa, s.log_scale) == (big.mantissa, big.log_scale)
 
+    @pytest.mark.parametrize("m", [1.7976931348623157e308, complex(0.0, 1.7e308), 5e-324, 1e-310])
+    @pytest.mark.parametrize("s", [1000.0, -1000.0, 2.0**53 - 800.0])
+    def test_mantissa_at_the_edges_of_binary64_at_a_large_scale(self, m, s):
+        # the exact increment t - s can pass log(max float) by a rounding
+        # of t, so such a mantissa is divided by exp(log|m|) instead
+        v = ScaledComplex(m, s)
+        assert 0.5 <= abs(v.mantissa) < 2.0
+        assert math.isclose(v.log_abs(), math.log(abs(m)) + s, rel_tol=1e-15)
+
     def test_to_complex_overflow_raises(self):
         with pytest.raises(DomainError):
             ScaledComplex.exp_of(complex(1000.0, 0.0)).to_complex()
@@ -140,12 +149,16 @@ def _slots(v: ScaledComplex) -> tuple:
 
 
 def _normalized(m: complex, s: float) -> tuple[complex, float]:
-    """The view formula: ``|m|`` in ``[0.5, 2)`` or 0 kept, else divided out."""
+    """The view formula: ``|m|`` in ``[0.5, 2)`` or 0 kept, else divided out
+    by the increment the scale took (by ``exp(log|m|)`` from ``2**53`` on)."""
     a = abs(m)
     if a == 0.0 or 0.5 <= a < 2.0:
         return m, s
     d = math.log(a)
-    return m / cmath.exp(complex(d, 0.0)), s + d
+    t = s + d
+    if abs(t) < 2.0**53:
+        d = t - s
+    return m / cmath.exp(complex(d, 0.0)), t
 
 
 #: parts at the edges of the store window, of binary64 and of the view
@@ -157,7 +170,7 @@ part = st.one_of(
     st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
 )
 mantissas = st.builds(complex, part, part)
-scales = st.one_of(st.sampled_from([0.0, -0.0, 700.0, -800.0]),
+scales = st.one_of(st.sampled_from([0.0, -0.0, 700.0, -800.0, 2.0**53, -1e300]),
                    st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
 
 
