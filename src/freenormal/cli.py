@@ -202,12 +202,12 @@ def cmd_levelsets(args: argparse.Namespace) -> int:
 
 
 def cmd_cumulants(args: argparse.Namespace) -> int:
-    from .series import boolean_cumulants, free_cumulants, moments
+    from .series import _EXACT_ORDER_MAX, boolean_cumulants, free_cumulants, moments
 
     if args.order < 2:
         raise DomainError(f"need --order >= 2, got {args.order}")
-    if args.order > 1000:  # 0.7 s there; each doubling costs about 16 times more
-        raise DomainError(f"need --order <= 1000, got {args.order}")
+    if args.order > 2 * _EXACT_ORDER_MAX:  # the tables hold orders 2 to 2N
+        raise DomainError(f"need --order <= {2 * _EXACT_ORDER_MAX}, got {args.order}")
     n = args.order // 2
     tables = {
         "free": [str(c) for c in free_cumulants(n)],

@@ -8,9 +8,12 @@ from the Pick-Nevanlinna representation of the shifted inverse transform
 
 has density ``h(|x|)/(pi (1 + x^2))``; symmetry forces ``b = 0`` and the
 atom at the origin (the semicircular component) vanishes.  Two facts make
-cheap cross-checks possible: ``Im phi(i) = -tau(R)`` ties the quadrature of
-the density to a single Newton solve, and ``tau({0}) = lim T |f_tilde(-iT)| T``
-is explicitly ``~ T exp(-T^2/2)/sqrt(2 pi)``.
+cheap cross-checks possible.  Folded by symmetry the representation reads
+``phi(w) = (2w/pi) integral_0^inf h(x)/(w^2 - x^2) dx``; its quadrature
+reads ``h`` off the curve solver's Newton-corrected jet table, and
+``voiculescu`` inverts ``f_tilde`` by Newton, so the two check each other,
+``w = i`` giving ``Im phi(i) = -tau(R)``.  And ``tau({0}) = lim T
+|f_tilde(-iT)| T`` is explicitly ``~ T exp(-T^2/2)/sqrt(2 pi)``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ import cmath
 import math
 import sys
 
-from .curve import X_ASYMPTOTIC, _newton_confined, in_omega, solve_H
+from .curve import (
+    _TABLE_H_REL_ERR,
+    X_ASYMPTOTIC,
+    _newton_confined,
+    _table_H,
+    in_omega,
+    solve_H,
+)
 from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
 from .series import _free_floats, _horner
 from .transforms import _require_normal, f_tilde, quad
@@ -66,10 +76,11 @@ def voiculescu(w: complex) -> complex:
     series) the free-cumulant series ``sum kappa_{2n} w^{1-2n}`` is summed
     instead (its first dropped term is below 1e-16 relative there).
     Below, a relative-residual Newton iteration on ``log f_tilde(z) = log w``
-    runs from the two-term large-argument seed ``w + 1/w`` (falling back to
-    ``w``), confined to the certified region, and the solution is verified
-    to lie in the bijectivity domain.  Past ``|w| = 1/sys.float_info.min``
-    (about 4.49e307), where ``|phi| ~ 1/|w|`` is no longer a normal binary64
+    runs from the two-term large-argument seed ``w + 1/w``, confined to the
+    certified region, then from ``w`` and from the curve point over
+    ``|Re w|`` (``_inverse_seeds``); the first root that lies in the
+    bijectivity domain is taken.  Past ``|w| = 1/sys.float_info.min`` (about
+    4.49e307), where ``|phi| ~ 1/|w|`` is no longer a normal binary64
     number, ``DomainError`` is raised.
     """
     w = complex(w)
@@ -90,55 +101,93 @@ def voiculescu(w: complex) -> complex:
         iw = 1.0 / w
         return _horner(_free_floats(_PHI_SERIES_ORDER), iw * iw) * iw
 
-    z = None
-    for seed in (w + 1.0 / w, w):
+    outside = None  # the last root found outside Omega
+    for seed in _inverse_seeds(w):
         try:
             z, _ = _newton_confined(seed, w, log=True)
-            break
         except (NoConvergence, PoleProximity, DomainError):
             continue  # w + 1/w is past the transform's range for tiny |w|
-    if z is None:
+        if in_omega(z):
+            return z - w
+        outside = z
+    if outside is None:
         raise NoConvergence(f"inversion of f_tilde at w = {w!r} failed")
-    if not in_omega(z):
-        raise NoConvergence(
-            f"inversion at w = {w!r} converged outside the bijectivity domain",
-            last_iterate=z,
-        )
-    return z - w
+    raise NoConvergence(
+        f"inversion at w = {w!r} converged outside the bijectivity domain",
+        last_iterate=outside,
+    )
+
+
+def _inverse_seeds(w: complex):
+    """Starts of the inversion at ``w``, in order: ``w + 1/w``, ``w``, and
+    the curve point over ``|Re w|`` on the side of ``w``, which serves tiny
+    ``w`` just above the positive axis, whose root lies near the curve."""
+    yield w + 1.0 / w
+    yield w
+    if w.real != 0.0:
+        pt = solve_H(abs(w.real))
+        yield complex(math.copysign(pt.g, w.real), -pt.h)
+
+
+def _curve_quad(integrand, quad_tol: float) -> tuple:
+    """``integral_0^_TAU_CUT integrand(x, h(x)) dx`` and its error estimate.
+
+    Two tanh-sinh pieces on ``x`` itself, ``(0, _TAU_SPLIT]`` and
+    ``[_TAU_SPLIT, _TAU_CUT]``, each stopping at the step its own integrand
+    needs.  ``h`` is read off the jet table (``_table_H``), so no transform
+    is evaluated once the table is built, and each piece's estimate carries
+    the table's relative bound ``_TABLE_H_REL_ERR`` times its value.  The
+    part past ``_TAU_CUT`` is the caller's to bound.
+    """
+    total = err = 0.0
+    for a, b in ((0.0, _TAU_SPLIT), (_TAU_SPLIT, _TAU_CUT)):
+        v, e = quad(lambda x: integrand(x, -_table_H(x).imag), a, b,
+                    epsabs=quad_tol / 8, epsrel=1e-12)
+        total += v
+        err += e + _TABLE_H_REL_ERR * abs(v)
+    return total, err
 
 
 def tau_total_mass(quad_tol: float) -> float:
     """Total mass of ``tau`` by quadrature of ``h(|x|)/(pi (1 + x^2))``.
 
-    The positive half line is integrated in two tanh-sinh pieces on ``x``
-    itself, ``(0, _TAU_SPLIT]`` and ``[_TAU_SPLIT, _TAU_CUT]``, and the
-    result is doubled by symmetry.  The rule takes the ``sqrt(2 log 1/x)``
-    growth of ``h`` at the origin in its stride, and the split at
-    ``_TAU_SPLIT = 3.5`` lets each piece stop at the step its own integrand
-    needs.  Past it, ``h ~ e^-1 sqrt(pi/2) x^2 exp(-x^2/2)``, so the
-    integrand lies below the normal density ``exp(-x^2/2)/sqrt(2 pi)``; the
-    part past ``_TAU_CUT`` is left out, and its bound
-    ``erfc(_TAU_CUT/sqrt 2)/2`` (6e-16) is added to the error estimate.
-    Raises ``QuadratureFailure`` when the combined error estimate exceeds
+    The positive half line is integrated by ``_curve_quad`` and the result
+    doubled by symmetry.  The rule takes the ``sqrt(2 log 1/x)`` growth of
+    ``h`` at the origin in its stride.  Past ``_TAU_SPLIT = 3.5``,
+    ``h ~ e^-1 sqrt(pi/2) x^2 exp(-x^2/2)``, so the integrand lies below the
+    normal density ``exp(-x^2/2)/sqrt(2 pi)``; the part past ``_TAU_CUT`` is
+    left out, and its bound ``erfc(_TAU_CUT/sqrt 2)/2`` (6e-16) is added to
+    the error estimate, as is the jet table's bound on ``h``.  Raises
+    ``QuadratureFailure`` when the combined error estimate exceeds
     ``quad_tol``.
     """
     if not (quad_tol > 0 and math.isfinite(quad_tol)):
         raise DomainError(f"need a finite positive tolerance, got {quad_tol}")
-
-    def body(x: float) -> float:
-        return solve_H(x).h / (_PI * (1.0 + x * x))
-
-    total = 0.0
-    err = 0.5 * math.erfc(_TAU_CUT / math.sqrt(2.0))
-    for a, b in ((0.0, _TAU_SPLIT), (_TAU_SPLIT, _TAU_CUT)):
-        v, e = quad(body, a, b, epsabs=quad_tol / 8, epsrel=1e-12)
-        total += v
-        err += e
+    total, err = _curve_quad(lambda x, h: h / (_PI * (1.0 + x * x)), quad_tol)
+    err += 0.5 * math.erfc(_TAU_CUT / math.sqrt(2.0))
     if err > quad_tol:
         raise QuadratureFailure(
             f"error estimate {err:.3g} exceeds requested {quad_tol}"
         )
     return 2.0 * total
+
+
+def _phi_quadrature(w: complex, quad_tol: float) -> tuple:
+    """``phi(w)`` from the free Levy-Khintchine form, and its error estimate.
+
+    ``phi(w) = (2w/pi) integral_0^inf h(x)/(w^2 - x^2) dx`` on the upper
+    half plane, ``tau``'s representation folded by symmetry; ``w = i`` gives
+    ``-i tau(R)``.  Integrated by ``_curve_quad``, whose cut at ``_TAU_CUT``
+    leaves out at most ``2 |w| (1 + c^2)/(c^2 - |w|^2)`` times ``tau``'s tail
+    ``erfc(c/sqrt 2)/2`` (``c = _TAU_CUT``, for ``|w| < c``), which is
+    added to the estimate.
+    """
+    w2 = w * w
+    v, e = _curve_quad(lambda x, h: h / (w2 - x * x), quad_tol)
+    c2 = _TAU_CUT * _TAU_CUT
+    r = abs(w)
+    tail = r * (1.0 + c2) / (c2 - r * r) * math.erfc(_TAU_CUT / math.sqrt(2.0))
+    return 2.0 * w / _PI * v, 2.0 * r / _PI * e + tail
 
 
 def semicircular_component_check(T: float) -> float:

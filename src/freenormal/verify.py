@@ -17,6 +17,7 @@ from fractions import Fraction
 from .curve import f_of, solve_H, trace_level_set, trace_p0
 from .errors import DomainError
 from .levy import (
+    _phi_quadrature,
     levy_density,
     semicircular_component_check,
     tau_total_mass,
@@ -254,17 +255,40 @@ def f_zero_sandwich(profile: str) -> dict:
     return {"passed": ok, "checks": checks}
 
 
+#: points of the free Levy-Khintchine identity beyond w = i; the fast
+#: profile takes the first
+_IDENTITY_W = (2.0 + 1.0j, 0.3 + 0.4j, -4.0 + 3.0j)
+
+
 def tau_mass_consistency(profile: str) -> dict:
-    """Criterion 10: quadrature mass of tau against the transform at i."""
+    """Criterion 10: the jet table's quadratures against Newton inversion.
+
+    The mass of tau against ``-Im phi(i)``, and the identity
+    ``phi(w) = (2w/pi) integral_0^inf h(x)/(w^2 - x^2) dx`` against
+    ``voiculescu(w)`` at ``_IDENTITY_W`` to 1e-12 relative.  The integrands
+    read ``h`` off the Newton-corrected jet table; ``voiculescu`` runs its
+    own Newton on ``f_tilde``.
+    """
     phi = voiculescu(1j)
     mass = tau_total_mass(1e-8)
     discrepancy = abs(mass + phi.imag)
+    rows = []
+    for w in _IDENTITY_W[: 3 if profile == "full" else 1]:
+        want = voiculescu(w)
+        got, err = _phi_quadrature(w, 1e-12)
+        rows.append({"w": [w.real, w.imag], "phi": [want.real, want.imag],
+                     "quadrature": [got.real, got.imag], "quad_error": err,
+                     "rel_error": abs(got - want) / abs(want)})
+    worst = max(row["rel_error"] for row in rows)
     return {
-        "passed": discrepancy <= 1e-6 and abs(phi.real) <= 1e-9,
+        "passed": discrepancy <= 1e-6 and abs(phi.real) <= 1e-9 and worst <= 1e-12,
+        "check": "h from the Newton-corrected jet table against Newton inversion of f_tilde",
         "tau_mass": mass,
         "phi_at_i": [phi.real, phi.imag],
         "discrepancy": discrepancy,
         "real_part": abs(phi.real),
+        "identity": rows,
+        "max_identity_error": worst,
     }
 
 

@@ -35,3 +35,17 @@ def test_unknown_criterion_or_profile_is_a_domain_error():
         run_criterion(13)
     with pytest.raises(DomainError):
         run_profile("x")
+
+
+@pytest.mark.parametrize("profile,points", [("fast", 1), ("full", 3)])
+def test_criterion_10_checks_the_identity_beyond_i(profile, points):
+    report = run_criterion(10, profile)
+    # the keys the benchmark's verify check reads
+    assert {"tau_mass", "phi_at_i", "discrepancy", "real_part"} <= report.keys()
+    assert len(report["identity"]) == points
+    for row in report["identity"]:
+        re, im = row["w"]
+        assert 0.5 <= abs(complex(re, im)) <= 5.0 and im >= 0.25
+        assert row["rel_error"] <= 1e-12
+    assert report["max_identity_error"] == max(r["rel_error"] for r in report["identity"])
+    assert "jet table" in report["check"]

@@ -13,6 +13,7 @@ from xml.etree import ElementTree
 import mpmath
 import pytest
 
+from freenormal import series
 from freenormal.cli import format_value, main, parse_complex
 from freenormal.curve import solve_H
 from freenormal.errors import DomainError
@@ -186,6 +187,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: need --order <= 1000, got 1001\n"
         assert main(["cumulants", "--order", "100000"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_cumulant_order_wall_is_the_tables_ceiling(self, monkeypatch, capsys):
+        monkeypatch.setattr(series, "_EXACT_ORDER_MAX", 4)
+        assert main(["cumulants", "--order", "8"]) == 0
+        capsys.readouterr()
+        assert main(["cumulants", "--order", "9"]) == 2
+        assert capsys.readouterr().err == "error: need --order <= 8, got 9\n"
 
     @pytest.mark.parametrize("args", [
         ["curve", "--n", "3"],
@@ -448,6 +456,19 @@ class TestStartup:
             print(sorted(m for m in sys.modules if m.startswith("freenormal.")))
         """)
         assert out == "[]\n"
+
+    def test_curve_and_levy_calls_load_no_fractions(self):
+        # the floating series read the integer recurrences directly
+        out = _run_script("""
+            import sys
+            from freenormal import curve, levy
+            for x in (1e-300, 1.0, 20.0, 33.0):
+                curve.solve_H(x)
+            levy.voiculescu(1 + 1j), levy.voiculescu(40j), curve.f_of(2.0)
+            levy.tau_total_mass(1e-8)
+            print("fractions" in sys.modules)
+        """)
+        assert out == "False\n"
 
     def test_import_cli_loads_only_its_module_scope_layers(self):
         out = _run_script("""

@@ -343,6 +343,39 @@ class TestJetTable:
                     assert abs(horner(gl[:16], s) * s ** 16) <= 1e-16 * gs[-1], xk
                     assert abs(horner(Ll[:16], s) * s ** 16) <= 1e-16, xk
 
+    def test_table_height_within_its_bound_of_solve_H(self):
+        rng = random.Random(30)
+        xs = [math.exp(rng.uniform(math.log(1e-300), math.log(X_JET))) for _ in range(400)]
+        # 6.372755 is the worst of a 200,000-point scan of [3.5, 8]
+        worst = 0.0
+        for x in xs + [X_LO, _TAU_SPLIT, 6.372755, X_JET]:
+            h = solve_H(x).h
+            worst = max(worst, abs(-curve._table_H(x).imag - h) / h)
+        assert worst <= curve._TABLE_H_REL_ERR
+        assert worst >= 0.5 * curve._TABLE_H_REL_ERR  # the bound is not slack
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-30, 0.01, 0.5, 2.0, 3.5, 5.2, 6.372755, 8.0])
+    def test_table_height_within_its_bound_of_mpmath(self, x):
+        # the root of x g_tilde(z) = 1: relative, so findroot settles at 1e-300 too
+        dps = 40 + int(x * x / (2.0 * math.log(10.0)))
+        with mpmath.workdps(dps):
+            z = mpmath.findroot(lambda z: mp_g_tilde(z) * x - 1, mpmath.mpc(solve_H(x).z))
+        h = float(-z.imag)
+        assert abs(-curve._table_H(x).imag - h) <= curve._TABLE_H_REL_ERR * h
+
+    def test_solves_start_from_the_table(self, monkeypatch):
+        seeds = []
+        newton = curve._newton_confined
+
+        def recorded(z, w, log=False):
+            seeds.append(z)
+            return newton(z, w, log)
+
+        monkeypatch.setattr(curve, "_newton_confined", recorded)
+        for x in (1e-200, 0.01, 1.0, 7.9):
+            solve_H(x)
+            assert seeds[-1] == curve._table_H(x)
+
     def test_built_on_the_first_solve_not_at_import(self):
         lines = _run_fresh(textwrap.dedent("""
             from freenormal import curve, levy

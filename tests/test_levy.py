@@ -8,6 +8,7 @@ import sys
 import mpmath
 import pytest
 
+from freenormal import curve
 from freenormal.curve import f_of, in_omega, solve_H
 from freenormal.errors import (
     DomainError,
@@ -16,13 +17,16 @@ from freenormal.errors import (
     QuadratureFailure,
 )
 from freenormal.levy import (
+    _TAU_CUT,
+    _TAU_SPLIT,
+    _phi_quadrature,
     levy_density,
     semicircular_component_check,
     tau_total_mass,
     voiculescu,
 )
 from freenormal.series import eval_h_asym_infinity
-from freenormal.transforms import f_tilde
+from freenormal.transforms import f_tilde, quad
 from mpmath_oracle import mp_inverse
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -190,6 +194,30 @@ class TestVoiculescu:
         assert abs(phi - want) <= 1e-13 * abs(want)
         assert abs(phi.imag - want.imag) <= 1e-13 * abs(want.imag)
 
+    def test_tiny_arguments_just_above_the_positive_axis(self):
+        # Newton from w + 1/w refuses and from w lands outside Omega; the
+        # curve point over |Re w| starts it next to the root, which is the
+        # boundary value to the last bit
+        w = complex(1.1754943508222875e-38, 1.1615500446600946e-108)
+        want = complex(0.11947741816715082, -13.147223558156632)
+        assert voiculescu(w) == voiculescu(w.real) == want
+        assert voiculescu(-w.conjugate()) == voiculescu(-w.real) == -want.conjugate()
+
+    @pytest.mark.parametrize("w,want", [
+        # values before the third seed existed: a first or second seed that
+        # lands in Omega keeps its root
+        (2 + 1j, complex(0.35899868707718374, -0.27365178302301585)),
+        (0.3 + 0.4j, complex(0.3145418178107076, -1.0111996900512796)),
+        (1e-8j, -5.916374273413916j),
+        (1e-300j, -37.14449055687826j),
+        (0.01 + 0.01j, complex(0.2903018073317904, -2.613009914778433)),
+        (-5 + 0.1j, complex(-0.20976469785337049, -0.004747195234231907)),
+        (1e-200 + 1e-30j, complex(8.564945939140284e-172, -11.675496927892766)),
+        (0.3 + 1e-12j, complex(0.8062444989213402, -1.2887519567898273)),
+    ])
+    def test_pinned_values(self, w, want):
+        assert voiculescu(w) == want
+
     @pytest.mark.parametrize(
         "w", [complex(math.nan, 1.0), complex(math.inf, 1.0), complex(0.0, math.inf)]
     )
@@ -250,17 +278,30 @@ class TestTauMass:
         with pytest.raises(DomainError):
             tau_total_mass(tol)
 
-    @pytest.mark.parametrize("tol,most", [(1e-8, 160), (1e-10, 210)])
-    def test_curve_solves_per_call(self, monkeypatch, tol, most):
+    def test_no_transform_evaluation_once_the_table_is_built(self, monkeypatch):
+        solve_H(0.01), solve_H(1.0)  # both halves of the jet table
         calls = []
+        f_eval = curve._f_eval
 
-        def counted(x):
-            calls.append(x)
-            return solve_H(x)
+        def counted(z):
+            calls.append(z)
+            return f_eval(z)
 
+        monkeypatch.setattr(curve, "_f_eval", counted)
         monkeypatch.setattr("freenormal.levy.solve_H", counted)
-        tau_total_mass(tol)
-        assert 0 < len(calls) <= most
+        tau_total_mass(1e-8)
+        assert calls == []
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_equals_the_quadrature_of_newton_heights(self, tol):
+        # the same two pieces with a Newton solve at every node
+        def body(x):
+            return solve_H(x).h / (math.pi * (1.0 + x * x))
+
+        total = 0.0
+        for a, b in ((0.0, _TAU_SPLIT), (_TAU_SPLIT, _TAU_CUT)):
+            total += quad(body, a, b, epsabs=tol / 8, epsrel=1e-12)[0]
+        assert tau_total_mass(tol) == 2.0 * total
 
     def test_roundoff_accurate_at_the_default_tolerance(self):
         assert math.isclose(tau_total_mass(1e-8), TAU_MASS, rel_tol=1e-14)
@@ -268,6 +309,25 @@ class TestTauMass:
     def test_tolerance_below_the_tail_bound_fails(self):
         with pytest.raises(QuadratureFailure):
             tau_total_mass(1e-16)
+
+
+class TestLevyKhintchineIdentity:
+    """``phi(w) = (2w/pi) integral_0^inf h(x)/(w^2 - x^2) dx``, ``h`` off the table."""
+
+    @pytest.mark.parametrize("w", [
+        1j, 0.5j, 5j, 0.3 + 0.4j, 0.2 + 0.45j, 1 + 0.25j, 2 + 1j, -2 + 1j,
+        3 + 0.5j, -4 + 3j, 4.5 + 0.25j,
+    ])
+    def test_matches_the_inverse_transform(self, w):
+        got, err = _phi_quadrature(w, 1e-12)
+        want = voiculescu(w)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert err <= 1e-12
+
+    def test_at_i_is_the_tau_mass(self):
+        got, _ = _phi_quadrature(1j, 1e-10)
+        assert got.real == 0.0
+        assert math.isclose(-got.imag, TAU_MASS, rel_tol=1e-14)
 
 
 class TestSemicircularComponent:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freenormal import series
 from freenormal.curve import solve_H
 from freenormal.errors import DomainError
 from freenormal.scaled import ScaledComplex
@@ -140,6 +141,15 @@ class TestExactTables:
             for fn in (eval_g_asym_infinity, eval_h_asym_infinity):
                 with pytest.raises(DomainError):
                     fn(10.0, N)
+
+    def test_integer_tables_stop_at_their_ceiling(self):
+        # what cumulants --order 1000 asks for; order 1000 takes 2.8 s per table
+        assert series._EXACT_ORDER_MAX == 500
+        for fn in (moments, boolean_cumulants, free_cumulants):
+            assert len(fn(500)) == 500
+            for N in (501, 10**6):
+                with pytest.raises(DomainError):
+                    fn(N)
 
     def test_tables_are_tuples_of_fractions(self):
         for fn in (moments, boolean_cumulants, free_cumulants,
