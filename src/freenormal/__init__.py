@@ -21,8 +21,8 @@ _HOME = {
     for module, names in (
         ("curve", "CurvePoint LevelSetTrace f_of in_omega solve_H trace_level_set "
                   "trace_p0"),
-        ("errors", "DomainError FreeNormalError InvalidContour NoConvergence "
-                   "NoSignChange PoleProximity QuadratureFailure SeedNotFound"),
+        ("errors", "DomainError FreeNormalError NoConvergence PoleProximity "
+                   "QuadratureFailure"),
         ("levy", "levy_density semicircular_component_check tau_total_mass "
                  "voiculescu"),
         ("ode", "integrate make_anchor monotonicity_certificate"),

@@ -31,7 +31,7 @@ from bisect import bisect
 from collections import namedtuple
 from functools import cache
 
-from .errors import DomainError, FreeNormalError, NoConvergence, SeedNotFound
+from .errors import DomainError, FreeNormalError, NoConvergence
 from .series import (
     _jet_seed,
     _jet_walk,
@@ -73,7 +73,7 @@ X_ASYMPTOTIC = 30.0
 _LARGE_X_ORDER = 6
 #: residual contract of a curve solve, relative to ``max(1, |w|)``
 _NEWTON_TOL = 1e-10
-#: Newton iterations before ``NoConvergence``
+#: Newton steps, the last one included, before the residual contract decides
 _NEWTON_MAX_ITER = 60
 #: halvings of a step that leaves ``Xi`` or grows the residual
 _NEWTON_MAX_HALVINGS = 8
@@ -137,25 +137,25 @@ def _newton_confined(z: complex, w: complex, log: bool = False) -> tuple[complex
     ``_f_eval`` call, in ``complex`` wherever ``|f_tilde|`` stays below
     1e150 (``ScaledComplex`` only beyond).  Steps that would leave the
     region or grow the residual are halved up to ``_NEWTON_MAX_HALVINGS``
-    times.  The iteration polishes down to near machine precision but counts
-    as converged once the residual contract (``_NEWTON_TOL * max(1, |w|)``)
-    holds; exceeding ``_NEWTON_MAX_ITER`` raises ``NoConvergence`` with the
-    last iterate attached.  Returns the root and ``f_tilde`` there.
+    times.  The loop stops after ``_NEWTON_MAX_ITER`` steps, when no step is
+    kept or one falls below 1e-15 of ``|z| + 1``, or after its last step
+    (below).  Its one exit returns the root and ``f_tilde`` there if the
+    residual contract (``_NEWTON_TOL * max(1, |w|)``) holds, and otherwise
+    raises ``NoConvergence`` with the last iterate and its residual.
 
     With ``log`` the residual is ``log f_tilde(z) - log w``, relative
     rather than absolute: at or below ``X_LO`` the absolute contract is met
     by a whole neighborhood (everything near the curve maps close to 0).
-    Once the residual meets its goal, one more step is taken and kept if it
-    stays in ``Xi`` without growing the residual.  It carries the digits the
-    goal cannot see: those of a height that falls like ``exp(-x^2/2)``, and
-    those ``phi(w) = z - w`` cancels, about ``2 log10 |w|``.  It is skipped
-    after a step below 1e-8 of each component of ``z`` (quadratic
-    convergence leaves it nothing), and taken unchecked when below 2**-52 of
-    each (the ``f_tilde`` returned is then that of ``z`` an ulp before).
+    The last step, taken once the residual meets its goal, is not halved.
+    It carries the digits the goal cannot see: those of a height that falls
+    like ``exp(-x^2/2)``, and those ``phi(w) = z - w`` cancels, about
+    ``2 log10 |w|``.  It is skipped after a step below 1e-8 of each
+    component of ``z`` (quadratic convergence leaves it nothing), and taken
+    unchecked when below 2**-52 of each (the ``f_tilde`` returned is then
+    that of ``z`` an ulp before).
     """
     scale = 1.0 if log else max(1.0, abs(w))
     goal = (1e-13 if log else 1e-14) * scale
-    contract = _NEWTON_TOL * scale
     lw, unit = math.log(abs(w)), (w / abs(w)).conjugate()
 
     def residual(v: complex) -> tuple[complex, complex]:
@@ -168,49 +168,34 @@ def _newton_confined(z: complex, w: complex, log: bool = False) -> tuple[complex
         return r, Fc
 
     r, F = residual(z)
-    iters = 0
-    settled = False  # the last accepted step was below 1e-8 of z, componentwise
-    while True:
+    settled = False  # the last kept step was below 1e-8 of z, componentwise
+    for _ in range(_NEWTON_MAX_ITER):
         slope = z - F if log else F * (z - F)
         if slope == 0:  # F rounds to z, from |z| about 1e8 (F = z - 1/z + ...)
             raise NoConvergence(f"f_tilde' rounds to 0 at z = {z!r}", last_iterate=z)
         dz = -r / slope
-        if abs(r) <= goal:
-            if _below(dz, z, 2.0**-52):
-                return z + dz, F
-            if not settled and _confined(z + dz):
-                rc, Fc = residual(z + dz)
-                if abs(rc) <= abs(r):
-                    z, F = z + dz, Fc
-            return z, F
-        if iters >= _NEWTON_MAX_ITER:
-            if abs(r) <= contract:
-                return z, F
-            raise NoConvergence(
-                f"no convergence for w = {w} after {iters} iterations",
-                last_iterate=z,
-                residual=abs(r),
-            )
-        iters += 1
-        accepted = False
-        for m in range(_NEWTON_MAX_HALVINGS + 1):
+        last = abs(r) <= goal
+        if last and _below(dz, z, 2.0**-52):
+            z += dz  # unchecked: F stays that of z an ulp before
+            break
+        if last and settled:
+            break
+        for m in range(1 if last else _NEWTON_MAX_HALVINGS + 1):
             cand = z + dz * (0.5**m)
-            if not _confined(cand):
-                continue
-            rc, Fc = residual(cand)
-            if abs(rc) <= abs(r):
-                settled = _below(cand - z, z, 1e-8)
-                z, r, F = cand, rc, Fc
-                accepted = True
-                break
-        if not accepted or abs(dz) <= 1e-15 * (abs(z) + 1.0):
-            if abs(r) <= contract:
-                return z, F
-            raise NoConvergence(
-                f"Newton stalled at w = {w} with residual {abs(r):.3g}",
-                last_iterate=z,
-                residual=abs(r),
-            )
+            if _confined(cand):
+                rc, Fc = residual(cand)
+                if abs(rc) <= abs(r):
+                    settled = _below(cand - z, z, 1e-8)
+                    z, r, F = cand, rc, Fc
+                    break
+        else:
+            break  # no step kept
+        if last or abs(dz) <= 1e-15 * (abs(z) + 1.0):
+            break
+    if abs(r) > _NEWTON_TOL * scale:
+        raise NoConvergence(f"Newton stopped at w = {w} with residual {abs(r):.3g}",
+                            last_iterate=z, residual=abs(r))
+    return z, F
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +332,8 @@ def trace_p0(x_min: float, x_max: float, n: int) -> tuple[CurvePoint, ...]:
         try:
             points.append(solve_H(x))
         except FreeNormalError as exc:
-            raise type(exc)(f"trace failed at x = {x}: {exc}") from exc
+            exc.args = (f"trace failed at x = {x}: {exc}", *exc.args[1:])
+            raise
     for a, b in zip(points, points[1:]):
         if not (b.g > a.g and b.h < a.h):
             raise FreeNormalError(
@@ -457,12 +443,11 @@ def trace_level_set(
     ------
     DomainError
         For a negative or non-finite ``t``, a non-finite or non-positive
-        ``step``, or a ``bbox`` that is not four finite, ordered bounds.
-    SeedNotFound
-        If the arc misses the box.
+        ``step``, a ``bbox`` that is not four finite, ordered bounds, or a
+        level whose arc misses the box.
     NoConvergence
         If the arc takes more than ``_LEVEL_MAX_STEPS`` steps, as a step too
-        small to move ``s`` does.
+        small to move ``s`` does, or a Newton correction fails.
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError(f"level sets are defined for finite t >= 0, got {t}")
@@ -518,5 +503,5 @@ def trace_level_set(
         if points
     ]
     if not traces:
-        raise SeedNotFound(f"the level Im f_tilde = {t} misses the bbox {bbox}")
+        raise DomainError(f"the level Im f_tilde = {t} misses the bbox {bbox}")
     return traces

@@ -1,10 +1,16 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one class per kind of failure.
 
-Every error raised on purpose derives from :class:`FreeNormalError`, so callers
-can catch the package's failures with a single except clause while still
-distinguishing domain violations (bad inputs) from numerical failures
-(something did not converge).  Where a standard exception type fits, the
-specific class also inherits from it.
+- :class:`FreeNormalError`: the base of every error raised on purpose, so
+  one except clause catches the package's failures.
+- :class:`DomainError` (also a ``ValueError``): an argument outside the
+  operation's domain (a level that misses its box, a point the contour
+  cannot reach), or a result that is no normal binary64 number.
+- :class:`PoleProximity` (also an ``ArithmeticError``): too close to a pole
+  of ``1/G`` for its value to carry digits.
+- :class:`NoConvergence` (also an ``ArithmeticError``): an iterative solver
+  or root search did not settle; it carries the last iterate and residual.
+- :class:`QuadratureFailure` (also an ``ArithmeticError``): a quadrature's
+  error estimate exceeds the requested tolerance.
 """
 
 from __future__ import annotations
@@ -42,18 +48,6 @@ class NoConvergence(FreeNormalError, ArithmeticError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
-
-
-class SeedNotFound(FreeNormalError, RuntimeError):
-    """A level-set tracer found no starting point inside the search box."""
-
-
-class NoSignChange(FreeNormalError, RuntimeError):
-    """An anchor scan found no sign change in the bracketing interval."""
-
-
-class InvalidContour(FreeNormalError, ValueError):
-    """Contour parameters violate the validity conditions of the oracle."""
 
 
 class QuadratureFailure(FreeNormalError, ArithmeticError):

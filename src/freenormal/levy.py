@@ -25,6 +25,7 @@ import sys
 from .curve import (
     _TABLE_H_REL_ERR,
     X_ASYMPTOTIC,
+    X_JET,
     _newton_confined,
     _table_H,
     in_omega,
@@ -47,8 +48,9 @@ _PI = math.pi
 _PHI_SERIES_ORDER = 8
 #: tau_total_mass splits here, where h turns from its log growth to Gaussian decay
 _TAU_SPLIT = 3.5
-#: tau_total_mass integrates up to here; the normal tail past it is 6e-16
-_TAU_CUT = 8.0
+#: tau_total_mass integrates up to here, the end of the jet table that
+#: ``_table_H`` reads; the normal tail past it is 6e-16
+_TAU_CUT = X_JET
 
 
 def levy_density(x: float) -> float:
@@ -70,11 +72,14 @@ def voiculescu(w: complex) -> complex:
     """``phi(w) = f_tilde^{-1}(w) - w`` on the closed upper half plane off 0.
 
     Real ``w`` uses the boundary parametrization
-    ``f_tilde^{-1}(x) = sign(x) g(|x|) - i h(|x|)`` directly.  Elsewhere
-    ``z - w`` cancels about ``2 log10 |w|`` digits of ``z``, so from
-    ``|w| = X_ASYMPTOTIC`` (30, where the curve solver also switches to its
-    series) the free-cumulant series ``sum kappa_{2n} w^{1-2n}`` is summed
-    instead (its first dropped term is below 1e-16 relative there).
+    ``f_tilde^{-1}(x) = sign(x) g(|x|) - i h(|x|)`` directly, and so does
+    ``w`` whose first-order change of ``phi`` from ``Re w``, ``Im w
+    |phi'(Re w)|``, is below half an ulp of ``|phi|``: its root is a curve
+    point to binary64, which ``in_omega``, strict on the curve, refuses.
+    Elsewhere ``z - w`` cancels about ``2 log10 |w|`` digits of ``z``, so
+    from ``|w| = X_ASYMPTOTIC`` (30, where the curve solver also switches
+    to its series) the free-cumulant series ``sum kappa_{2n} w^{1-2n}`` is
+    summed instead (its first dropped term is below 1e-16 relative there).
     Below, a relative-residual Newton iteration on ``log f_tilde(z) = log w``
     runs from the two-term large-argument seed ``w + 1/w``, confined to the
     certified region, then from ``w`` and from the curve point over
@@ -94,9 +99,12 @@ def voiculescu(w: complex) -> complex:
     r = math.hypot(w.real, w.imag)
     if r > 1.0 / sys.float_info.min:
         raise DomainError(f"|phi| ~ 1/|w| is subnormal at w = {w!r}")
-    if w.imag == 0.0:
+    # the half-ulp test passes only for Im w < 1.4e-13 |Re w| (x from 1e-308 to 30)
+    if w.imag <= 1e-12 * abs(w.real) and (w.imag == 0.0 or r < X_ASYMPTOTIC):
         pt = solve_H(abs(w.real))
-        return complex(math.copysign(pt.g, w.real) - w.real, -pt.h)
+        d = pt.z - pt.x  # phi(x), and phi'(x) = 1/(x d) - 1 by the curve ODE
+        if w.imag * abs(1.0 - pt.x * d) <= 0.5 * math.ulp(abs(d)) * abs(d) * pt.x:
+            return complex(math.copysign(pt.g, w.real) - w.real, -pt.h)
     if r >= X_ASYMPTOTIC:
         iw = 1.0 / w
         return _horner(_free_floats(_PHI_SERIES_ORDER), iw * iw) * iw
@@ -120,8 +128,8 @@ def voiculescu(w: complex) -> complex:
 
 def _inverse_seeds(w: complex):
     """Starts of the inversion at ``w``, in order: ``w + 1/w``, ``w``, and
-    the curve point over ``|Re w|`` on the side of ``w``, which serves tiny
-    ``w`` just above the positive axis, whose root lies near the curve."""
+    the curve point over ``|Re w|`` on the side of ``w``, a last resort for
+    ``w`` near the axis, whose root lies near the curve."""
     yield w + 1.0 / w
     yield w
     if w.real != 0.0:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from .curve import CurvePoint
-from .errors import DomainError, NoConvergence, NoSignChange
+from .errors import DomainError, NoConvergence
 from .series import _jet_walk
 from .transforms import _require_normal, f_tilde, g_tilde
 
@@ -74,7 +74,7 @@ def _inner_root(c: float, near: float | None = None) -> float:
         f = im_g(y)
         if f * f_top <= 0.0:
             return _illinois(im_g, y, f, y_top, f_top)
-    raise NoSignChange(f"no sign change of Im g_tilde on the vertical at c = {c}")
+    raise NoConvergence(f"no sign change of Im g_tilde on the vertical at c = {c}")
 
 
 def _illinois(fn, a: float, fa: float, b: float, fb: float) -> float:
@@ -129,7 +129,7 @@ def make_anchor(x0: float) -> CurvePoint:
     c_lo, c_hi = 1.0, 5.0
     f_lo, f_hi = u_of(c_lo), u_of(c_hi)
     if f_lo * f_hi > 0.0:
-        raise NoSignChange(
+        raise NoConvergence(
             f"Re f_tilde - x0 does not change sign on [{c_lo}, {c_hi}]"
         )
     c = _illinois(u_of, c_lo, f_lo, c_hi, f_hi)

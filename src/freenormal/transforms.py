@@ -70,7 +70,7 @@ import enum
 import math
 import sys
 
-from .errors import DomainError, InvalidContour, PoleProximity, QuadratureFailure
+from .errors import DomainError, PoleProximity, QuadratureFailure
 from .scaled import ScaledComplex
 
 __all__ = [
@@ -678,9 +678,11 @@ def g_tilde_contour_oracle(
 
     Raises
     ------
-    InvalidContour
-        If the angle ordering ``0 < eta < eps < pi/4`` fails, ``z`` is
-        outside the cone, or the quadrature cannot meet ``tol``.
+    DomainError
+        If the angle ordering ``0 < eta < eps < pi/4`` fails, or ``z`` is
+        outside the cone or on the contour.
+    QuadratureFailure
+        If the tail bound or the quadrature cannot meet ``tol``.
     """
     z = complex(z)
     if eps is None:
@@ -691,14 +693,14 @@ def g_tilde_contour_oracle(
         eps = max(m1, m2) * (1.0 - 1e-12)
         eps = min(eps, 0.25 * math.pi * (1.0 - 1e-12))
     if not (0.0 < eta < eps < 0.25 * math.pi):
-        raise InvalidContour(f"need 0 < eta < eps < pi/4, got eta={eta}, eps={eps}")
+        raise DomainError(f"need 0 < eta < eps < pi/4, got eta={eta}, eps={eps}")
     if z == 0 or not _in_cone(z, eps):
-        raise InvalidContour(f"{z!r} is outside the validity cone for eps={eps}")
+        raise DomainError(f"{z!r} is outside the validity cone for eps={eps}")
 
     alpha = -0.25 * math.pi + eta
     dist = min(_ray_distance(z, alpha), _ray_distance(z, math.pi - alpha))
     if dist <= 0.0:
-        raise InvalidContour(f"{z!r} lies on the contour")
+        raise DomainError(f"{z!r} lies on the contour")
     s2 = math.sin(2.0 * eta)
 
     def tail_bound(r: float) -> float:
@@ -714,7 +716,7 @@ def g_tilde_contour_oracle(
             break
         radius *= 1.25
     if tail_bound(radius) > tol:
-        raise InvalidContour(
+        raise QuadratureFailure(
             f"radius {radius} leaves tail bound {tail_bound(radius):.3g} > tol {tol}"
         )
 
@@ -731,7 +733,7 @@ def g_tilde_contour_oracle(
     total = val_r - val_l
     qerr = err_r + err_l + tail_bound(radius)
     if qerr > max(tol, tol * abs(total)):
-        raise InvalidContour(
+        raise QuadratureFailure(
             f"quadrature error estimate {qerr:.3g} exceeds tolerance {tol}"
         )
     return ScaledComplex(total)
@@ -743,13 +745,13 @@ def contour_moment(n: int, eta: float) -> float:
     Reproduces the moments: 1 for ``n = 0``, ``(n-1)!!`` for even ``n``, 0 for
     odd ``n``.  Shares the contour conventions of
     :func:`g_tilde_contour_oracle`; used by tests to validate the contour
-    plumbing on a closed-form target.  Raises ``InvalidContour`` unless
+    plumbing on a closed-form target.  Raises ``DomainError`` unless
     ``0 < eta < pi/4``, and ``QuadratureFailure`` if ``w^n`` overflows on
     the truncated rays or the summed error estimate of the two rays exceeds
     ``1e-11 * max(1, |value|)``.
     """
     if not (0.0 < eta < 0.25 * math.pi):
-        raise InvalidContour(f"need 0 < eta < pi/4, got {eta}")
+        raise DomainError(f"need 0 < eta < pi/4, got {eta}")
     radius = math.sqrt(2.0 * (40.0 + 3.0 * n) / math.sin(2.0 * eta))
     alpha = -0.25 * math.pi + eta
     e_r = cmath.exp(complex(0.0, alpha))

@@ -26,9 +26,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: ``freenormal.__all__``: the paper's quantities, their checks and errors
 PUBLIC_API = set("""
-    CurvePoint DomainError DomainTag FreeNormalError InvalidContour
-    LevelSetTrace NoConvergence NoSignChange PoleProximity QuadratureFailure
-    ScaledComplex SeedNotFound boolean_cumulants classify_domain
+    CurvePoint DomainError DomainTag FreeNormalError LevelSetTrace
+    NoConvergence PoleProximity QuadratureFailure ScaledComplex
+    boolean_cumulants classify_domain
     eval_f_asym_zero eval_g_asym_infinity eval_g_asym_zero eval_h_asym_infinity
     eval_h_asym_zero f_infinity_coefficients f_of f_tilde f_tilde_prime
     free_cumulants g_tilde g_tilde_contour_oracle g_tilde_prime
@@ -528,7 +528,7 @@ class TestStartup:
             print(*freenormal.__all__)
         """)
         assert set(out.split()) == PUBLIC_API
-        assert len(out.split()) == len(PUBLIC_API) == 41
+        assert len(out.split()) == len(PUBLIC_API) == 38
 
     def test_unknown_attribute_raises_attribute_error(self):
         out = _run_script("""

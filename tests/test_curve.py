@@ -526,6 +526,17 @@ class TestTrace:
         with pytest.raises(DomainError, match="trace failed at x = 40.0"):
             trace_p0(30.0, 40.0, 3)
 
+    def test_failed_point_keeps_its_diagnostics(self, monkeypatch):
+        def failing(x):
+            raise NoConvergence("stuck", last_iterate=1 - 2j, residual=0.5)
+
+        monkeypatch.setattr(curve, "solve_H", failing)
+        with pytest.raises(NoConvergence) as err:
+            trace_p0(0.1, 1.0, 3)
+        assert str(err.value) == "trace failed at x = 0.1: stuck"
+        assert err.value.last_iterate == 1 - 2j
+        assert err.value.residual == 0.5
+
 
 class TestGraphFunction:
     def test_even(self):
@@ -761,6 +772,11 @@ class TestLevelSets:
         assert "takes more than 42 steps" in str(err.value)
         assert err.value.last_iterate is not None
 
+    def test_a_level_that_misses_the_box_is_a_domain_error(self):
+        # the arc of t = 0.5 runs near Im z = 0.5 and leaves Re z <= 6
+        with pytest.raises(DomainError, match="level Im f_tilde = 0.5 misses"):
+            trace_level_set(0.5, (5.0, 6.0, 5.0, 6.0), 0.1)
+
     def test_positive_level_starts_on_the_imaginary_axis(self):
         right, _ = trace_level_set(1.0, self.BBOX, 0.08)
         z = right.points[0]
@@ -768,6 +784,27 @@ class TestLevelSets:
         assert abs(z.imag - 0.3026308407115723) <= 1e-13
         xs = [p.real for p in right.points]
         assert all(b > a for a, b in zip(xs, xs[1:]))
+
+
+class TestNewtonExit:
+    """The confined Newton's one exit: the residual contract decides."""
+
+    def test_iteration_cap_within_the_contract_returns(self, monkeypatch):
+        # one step from 1e-5 off the root leaves a residual of about 3e-11:
+        # inside the contract 1e-10, above the goal 1e-14 that ends the loop
+        monkeypatch.setattr(curve, "_NEWTON_MAX_ITER", 1)
+        z, F = curve._newton_confined(solve_H(1.0).z + 1e-5, 1.0)
+        assert 1e-14 < abs(F - 1.0) <= 1e-10
+        assert F == complex(f_tilde(z))
+
+    def test_iteration_cap_outside_the_contract_raises(self, monkeypatch):
+        monkeypatch.setattr(curve, "_NEWTON_MAX_ITER", 1)
+        seed = solve_H(1.0).z + 1e-3
+        with pytest.raises(NoConvergence) as err:
+            curve._newton_confined(seed, 1.0)
+        assert err.value.last_iterate not in (None, seed)
+        assert err.value.residual > 1e-10
+        assert err.value.residual == abs(complex(f_tilde(err.value.last_iterate)) - 1.0)
 
 
 class TestCurvePointInvariants:

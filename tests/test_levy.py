@@ -195,13 +195,27 @@ class TestVoiculescu:
         assert abs(phi.imag - want.imag) <= 1e-13 * abs(want.imag)
 
     def test_tiny_arguments_just_above_the_positive_axis(self):
-        # Newton from w + 1/w refuses and from w lands outside Omega; the
-        # curve point over |Re w| starts it next to the root, which is the
-        # boundary value to the last bit
+        # phi changes from Re w to w by far less than half an ulp, so the
+        # real-axis branch serves it; Newton from w lands on the curve,
+        # outside Omega
         w = complex(1.1754943508222875e-38, 1.1615500446600946e-108)
         want = complex(0.11947741816715082, -13.147223558156632)
         assert voiculescu(w) == voiculescu(w.real) == want
         assert voiculescu(-w.conjugate()) == voiculescu(-w.real) == -want.conjugate()
+
+    @pytest.mark.parametrize("w", [
+        # within rounding of the axis: Newton ended in NoConvergence at each
+        # before they took the real-axis branch
+        complex(3.5836942704559555e-297, 5.7501166107e-313),
+        complex(1.0796147764970311e-298, 7.081085915e-315),
+        complex(-5.354863806583073e-59, 4.1881225577471393e-75),
+        complex(-0.00030637627035823555, 2.5852324540991363e-23),
+        complex(0.11287824456181998, 5.8822694960055845e-18),
+        complex(-0.12171022869749518, 2.601893791258332e-19),
+    ])
+    def test_arguments_within_rounding_of_the_axis_take_its_value(self, w):
+        assert voiculescu(w) == voiculescu(w.real)
+        assert voiculescu(-w.conjugate()) == voiculescu(-w.real)
 
     @pytest.mark.parametrize("w,want", [
         # values before the third seed existed: a first or second seed that

@@ -26,7 +26,6 @@ from freenormal.curve import X_ASYMPTOTIC, _confined, solve_H
 from freenormal.errors import (
     DomainError,
     FreeNormalError,
-    InvalidContour,
     PoleProximity,
     QuadratureFailure,
 )
@@ -714,18 +713,18 @@ class TestContourOracle:
             ) <= 1e-10
 
     def test_rejects_bad_angles(self):
-        with pytest.raises(InvalidContour):
+        with pytest.raises(DomainError):
             g_tilde_contour_oracle(1.0 + 1.0j, eta=0.5, eps=0.4)
-        with pytest.raises(InvalidContour):
+        with pytest.raises(DomainError):
             g_tilde_contour_oracle(1.0 + 1.0j, eta=-0.1)
 
     def test_rejects_point_outside_cone(self):
         # deep in the excluded wedge below the axis
-        with pytest.raises(InvalidContour):
+        with pytest.raises(DomainError):
             g_tilde_contour_oracle(2.0 - 2.0j, math.pi / 24, eps=math.pi / 16)
 
     def test_unreachable_tolerance_raises(self):
-        with pytest.raises(InvalidContour):
+        with pytest.raises(QuadratureFailure):
             g_tilde_contour_oracle(1 + 1j, math.pi / 24, tol=1e-20)
 
     def test_gaussian_moments_through_the_contour(self):
