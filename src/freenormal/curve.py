@@ -15,11 +15,12 @@ The solver is a damped Newton iteration on ``f_tilde(z) - x`` confined to
 the nearest node of a table of jets, the 16-term Taylor series of ``g`` and
 ``log h`` in ``log x`` read off the curve ODE ``dH/dlog x = 1/(H - x)``;
 each serves within 0.085 of its radius of convergence, so the seed is exact
-to about an ulp.  Above ``X_JET`` the large-x series seeds it.  The
-residual is relative, ``log f_tilde(z) - log x``, at or below ``X_LO`` and
-absolute above it, where the height falls like ``exp(-x^2/2)`` (``h(6) ~
-2e-7`` against ``g ~ 6``); the transform carries that scale to full relative
-accuracy (its near-axis Dawson split), so one pass settles ``h`` as well.
+to about an ulp and one evaluation usually ends the solve.  Above ``X_JET``
+the large-x series seeds it.  The residual is relative at or below ``X_LO``
+and absolute above it, where the height falls like ``exp(-x^2/2)``; the
+transform carries that scale to full relative accuracy (its near-axis
+Dawson split), so one pass settles ``h`` as well.  A last step of a few
+ulps on the absolute residual, its rounding noise, is not evaluated.
 """
 
 from __future__ import annotations
@@ -41,13 +42,7 @@ from .series import (
     eval_h_asym_infinity,
     eval_h_asym_zero,
 )
-from .transforms import (
-    DomainTag,
-    _f_eval,
-    _require_normal,
-    classify_domain,
-    g_tilde,
-)
+from .transforms import _XI_EDGE, _f_eval, _require_normal, g_tilde
 
 __all__ = [
     "CurvePoint",
@@ -83,7 +78,8 @@ class CurvePoint(namedtuple("CurvePoint", "x g h residual")):
     """One solved point ``H(x) = g - i h`` of the boundary curve; read-only.
 
     Every way of building one (the constructor, ``_make``, ``_replace``,
-    pickle and copy) checks that it lies inside ``Xi``.
+    pickle and copy) checks that it lies inside ``Xi``, its 4-ulp boundary
+    band included.
     """
 
     __slots__ = ()
@@ -91,9 +87,9 @@ class CurvePoint(namedtuple("CurvePoint", "x g h residual")):
     def __new__(cls, x: float, g: float, h: float, residual: float):
         if not (x > 0 and g > 0 and h > 0):
             raise DomainError(f"curve point needs positive x, g, h; got {x}, {g}, {h}")
-        if classify_domain(complex(g, -h)) is DomainTag.OUTSIDE_XI:
+        if not g * h <= _XI_EDGE:
             raise DomainError(f"curve point left Xi: g*h = {g * h!r} > pi/2")
-        return super().__new__(cls, x, g, h, residual)
+        return tuple.__new__(cls, (x, g, h, residual))
 
     @classmethod
     def _make(cls, iterable):  # the inherited one skips __new__
@@ -117,11 +113,10 @@ mirror image); ``points`` is a tuple of complex numbers.
 # --------------------------------------------------------------------------
 
 def _confined(z: complex) -> bool:
-    """``z`` in ``Xi``; a non-finite Newton candidate counts as outside."""
-    try:
-        return classify_domain(z) is not DomainTag.OUTSIDE_XI
-    except DomainError:
-        return False
+    """``z`` in ``Xi`` (``classify_domain`` not ``OUTSIDE_XI``); a non-finite
+    Newton candidate counts as outside, told from an overflowed product."""
+    p = abs(z.real) * -z.imag
+    return p <= _XI_EDGE and (p > -math.inf or cmath.isfinite(z))
 
 
 def _below(dz: complex, z: complex, frac: float) -> bool:
@@ -149,14 +144,17 @@ def _newton_confined(z: complex, w: complex, log: bool = False) -> tuple[complex
     The last step, taken once the residual meets its goal, is not halved.
     It carries the digits the goal cannot see: those of a height that falls
     like ``exp(-x^2/2)``, and those ``phi(w) = z - w`` cancels, about
-    ``2 log10 |w|``.  It is skipped after a step below 1e-8 of each
-    component of ``z`` (quadratic convergence leaves it nothing), and taken
-    unchecked when below 2**-52 of each (the ``f_tilde`` returned is then
-    that of ``z`` an ulp before).
+    ``2 log10 |w|``.  Below 2**-52 of each component of ``z`` it is taken
+    unchecked (the ``f_tilde`` returned is then that of ``z`` an ulp
+    before).  Otherwise it is skipped after a step below 1e-8 of each
+    (quadratic convergence leaves it nothing), and on the absolute residual
+    also when below 2**-50 of each: a step of a few ulps there is the
+    rounding noise of ``F - w``, so ``z`` and ``F`` stay as evaluated.
     """
     scale = 1.0 if log else max(1.0, abs(w))
     goal = (1e-13 if log else 1e-14) * scale
-    lw, unit = math.log(abs(w)), (w / abs(w)).conjugate()
+    if log:
+        lw, unit = math.log(abs(w)), (w / abs(w)).conjugate()
 
     def residual(v: complex) -> tuple[complex, complex]:
         F = _f_eval(v)
@@ -178,8 +176,8 @@ def _newton_confined(z: complex, w: complex, log: bool = False) -> tuple[complex
         if last and _below(dz, z, 2.0**-52):
             z += dz  # unchecked: F stays that of z an ulp before
             break
-        if last and settled:
-            break
+        if last and (settled or not log and _below(dz, z, 2.0**-50)):
+            break  # z and F stay as evaluated
         for m in range(1 if last else _NEWTON_MAX_HALVINGS + 1):
             cand = z + dz * (0.5**m)
             if _confined(cand):
@@ -301,12 +299,12 @@ def solve_H(x: float) -> CurvePoint:
         g = eval_g_asym_infinity(x, _LARGE_X_ORDER)
         h = eval_h_asym_infinity(x, _LARGE_X_ORDER).to_complex().real
         if x > X_ASYMPTOTIC:
-            _require_normal(h, f"curve height at x = {x}",
+            _require_normal(h, "curve height at x = {}", x,
                             "; use eval_h_asym_infinity for a scaled value")
-            return CurvePoint(x=x, g=g, h=h, residual=abs(_f_eval(complex(g, -h)) - x))
+            return CurvePoint(x, g, h, abs(_f_eval(complex(g, -h)) - x))
         z = complex(g, -h)
-    z, F = _newton_confined(z, x, log=x <= X_LO)
-    return CurvePoint(x=x, g=z.real, h=-z.imag, residual=abs(F - x))
+    z, F = _newton_confined(z, x, x <= X_LO)
+    return CurvePoint(x, z.real, -z.imag, abs(F - x))
 
 
 def trace_p0(x_min: float, x_max: float, n: int) -> tuple[CurvePoint, ...]:
@@ -376,7 +374,7 @@ def f_of(x: float) -> float:
         return eval_f_asym_zero(a)
     # past 40 the height, below exp(-x^2/2), is 0; past 1e8 the slope -1/x rounds away
     y = 0.0 if a >= 40.0 else _vertical_root(a, -_HALF_PI / a if a < 2.0 else 0.0)
-    _require_normal(-y, f"f({x})", ": the boundary height is exp(-x^2/2)-small")
+    _require_normal(-y, "f({})", x, ": the boundary height is exp(-x^2/2)-small")
     return y
 
 
@@ -396,13 +394,22 @@ def in_omega(z: complex) -> bool:
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"Omega membership needs a finite point, got {z!r}")
+    return _in_omega(z)
+
+
+def _in_omega(z: complex, F: complex | None = None) -> bool:
+    """``in_omega`` of a finite ``z``.  Newton's ``F`` there (or an ulp before,
+    after a sub-ulp unchecked step) decides where ``Im F > 1e-11 |F|``: a sign
+    of ``Im g_tilde`` its 1e-12 accuracy cannot flip an ulp away or at ``-conj z``."""
     if z.real == 0.0 or z.imag >= 0.0:
         return True
-    if classify_domain(z) is DomainTag.OUTSIDE_XI:
-        return False
     a = abs(z.real)  # Im g_tilde is even in Re z
+    if a * -z.imag > _XI_EDGE:
+        return False
     if a < _F_CLOSED_FORM_BELOW:
         return z.imag > -_HALF_PI / a
+    if F is not None and F.imag > 1e-11 * abs(F):
+        return True
     return g_tilde(complex(a, z.imag)).mantissa.imag < 0.0
 
 

@@ -26,9 +26,9 @@ from .curve import (
     _TABLE_H_REL_ERR,
     X_ASYMPTOTIC,
     X_JET,
+    _in_omega,
     _newton_confined,
     _table_H,
-    in_omega,
     solve_H,
 )
 from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
@@ -65,7 +65,7 @@ def levy_density(x: float) -> float:
         raise DomainError("the free Levy density lives on nonzero x")
     h = solve_H(abs(x)).h
     # x * x would underflow to 0 for tiny x
-    return _require_normal(h / _PI / x / x, f"the free Levy density at x = {x}")
+    return _require_normal(h / _PI / x / x, "the free Levy density at x = {}", x)
 
 
 def voiculescu(w: complex) -> complex:
@@ -82,11 +82,11 @@ def voiculescu(w: complex) -> complex:
     summed instead (its first dropped term is below 1e-16 relative there).
     Below, a relative-residual Newton iteration on ``log f_tilde(z) = log w``
     runs from the two-term large-argument seed ``w + 1/w``, confined to the
-    certified region, then from ``w`` and from the curve point over
-    ``|Re w|`` (``_inverse_seeds``); the first root that lies in the
-    bijectivity domain is taken.  Past ``|w| = 1/sys.float_info.min`` (about
-    4.49e307), where ``|phi| ~ 1/|w|`` is no longer a normal binary64
-    number, ``DomainError`` is raised.
+    certified region, then from ``w`` (with near-axis ``w`` on the branch
+    above, seeded sweeps reach no root these miss); the first root in the
+    bijectivity domain is taken (``curve._in_omega``, from Newton's ``F``).
+    Past ``|w| = 1/sys.float_info.min`` (about 4.49e307), where ``|phi| ~
+    1/|w|`` is no longer a normal binary64 number, ``DomainError`` is raised.
     """
     w = complex(w)
     if not cmath.isfinite(w):
@@ -110,12 +110,12 @@ def voiculescu(w: complex) -> complex:
         return _horner(_free_floats(_PHI_SERIES_ORDER), iw * iw) * iw
 
     outside = None  # the last root found outside Omega
-    for seed in _inverse_seeds(w):
+    for seed in (w + 1.0 / w, w):
         try:
-            z, _ = _newton_confined(seed, w, log=True)
+            z, F = _newton_confined(seed, w, log=True)
         except (NoConvergence, PoleProximity, DomainError):
             continue  # w + 1/w is past the transform's range for tiny |w|
-        if in_omega(z):
+        if _in_omega(z, F):
             return z - w
         outside = z
     if outside is None:
@@ -124,17 +124,6 @@ def voiculescu(w: complex) -> complex:
         f"inversion at w = {w!r} converged outside the bijectivity domain",
         last_iterate=outside,
     )
-
-
-def _inverse_seeds(w: complex):
-    """Starts of the inversion at ``w``, in order: ``w + 1/w``, ``w``, and
-    the curve point over ``|Re w|`` on the side of ``w``, a last resort for
-    ``w`` near the axis, whose root lies near the curve."""
-    yield w + 1.0 / w
-    yield w
-    if w.real != 0.0:
-        pt = solve_H(abs(w.real))
-        yield complex(math.copysign(pt.g, w.real), -pt.h)
 
 
 def _curve_quad(integrand, quad_tol: float) -> tuple:

@@ -161,7 +161,7 @@ def integrate(anchor: CurvePoint, x_target: float) -> CurvePoint:
     if not (x_target > 0.0 and math.isfinite(x_target)):
         raise DomainError(f"need a finite x_target > 0, got {x_target}")
     for x, h, gs, _ in _jet_walk(anchor.x, anchor.z, x_target):
-        _require_normal(h, f"the curve height at x = {x}")
+        _require_normal(h, "the curve height at x = {}", x)
     g = gs[-1]
     if g * h > _HALF_PI:
         if g * h > _HALF_PI * (1.0 + _HYPERBOLA_SLACK):

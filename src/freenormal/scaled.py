@@ -53,16 +53,21 @@ _MANT_HI = 2.0
 _STORE_LO = 2.0**-64
 _STORE_HI = 2.0**64
 _LN2 = math.log(2.0)
-# Below this ``|log_scale|`` a renormalization divides the mantissa by
-# ``exp(t - s)``, the increment the scale ``s`` took to ``t = s + log|m|``,
-# in place of ``exp(log|m|)``.  ``t - s`` is exact where ``|log|m|| <= |s|``
-# (Fast2Sum), which holds at every large scale, so a value past ``e^700``
-# no longer carries the rounding of ``t``, up to half an ulp of it.
-# From ``2**53`` on that ulp is 2 or more and ``t - s`` could leave the view
-# outside ``[0.5, 2)``, so the mantissa is divided by ``exp(log|m|)`` there,
-# as it is for a mantissa past ``e^700`` or below ``e^-700`` (only a caller's
-# own, never a product or sum of stored ones).
+# Below this ``|log_scale|`` a renormalization of the scale ``s`` to ``t = s +
+# log|m|`` keeps the rounding of ``t`` out of the value: the mantissa is
+# divided by ``exp(t - s)``, exact (Fast2Sum) where ``|log|m|| <= |s|``, as at
+# every large scale; a caller's mantissa past ``e^+-700``, where that factor
+# could leave binary64, by ``exp(log|m|)`` and ``exp(-e)``, ``e = s + log|m| -
+# t`` exactly (TwoSum), as is the constructor's ``s + ln 2``.  From ``2**53``
+# on an ulp of ``t`` is 2 or more and ``t - s`` could leave the view outside
+# ``[0.5, 2)``, so the mantissa is divided by ``exp(log|m|)`` alone.
 _EXACT_SCALE = 2.0**53
+
+
+def _two_sum_err(a: float, b: float, t: float) -> float:
+    """``a + b - t`` exactly, for ``t`` the rounded sum ``a + b`` (TwoSum)."""
+    u = t - a
+    return (a - (t - u)) + (b - u)
 
 
 class ScaledComplex:
@@ -94,7 +99,9 @@ class ScaledComplex:
         try:
             a = abs(m)
         except OverflowError:  # finite parts whose modulus overflows
-            m, s = 0.5 * m, s + _LN2
+            t = s + _LN2  # below 2**53 its rounding goes back into the mantissa
+            e = _two_sum_err(s, _LN2, t) if -_EXACT_SCALE < t < _EXACT_SCALE else 0.0
+            m, s = 0.5 * m / math.exp(-e), t
             a = abs(m)
         if not _STORE_LO <= a < _STORE_HI:  # also NaN or infinite
             if a == 0.0:
@@ -104,10 +111,12 @@ class ScaledComplex:
                     raise DomainError(f"ScaledComplex needs a finite mantissa, got {m!r}")
                 d = math.log(a)
                 t = s + d
-                # past |d| = 700, exp(t - s) could leave binary64 range
-                if -_EXACT_SCALE < t < _EXACT_SCALE and -700.0 < d < 700.0:
-                    d = t - s  # the increment the scale took, exactly
-                m /= cmath.exp(complex(d, 0.0))
+                if not -_EXACT_SCALE < t < _EXACT_SCALE:
+                    m /= cmath.exp(complex(d, 0.0))
+                elif -700.0 < d < 700.0:
+                    m /= cmath.exp(complex(t - s, 0.0))  # the exact increment of s
+                else:  # exp(t - s) could leave binary64: in two factors
+                    m = m / cmath.exp(complex(d, 0.0)) / math.exp(-_two_sum_err(s, d, t))
                 s = t
             a = abs(m)
         _set_m(self, m)

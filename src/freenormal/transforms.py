@@ -94,16 +94,17 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _HALF_PI = 0.5 * math.pi
 
 
-def _require_normal(v: float, what: str, hint: str = "") -> float:
+def _require_normal(v: float, what: str, x, hint: str = "") -> float:
     """``v`` if it is a normal binary64 number, else ``DomainError``.
 
     The one representability wall of the package: ``solve_H``, ``f_of``,
     ``levy_density`` and ``ode.integrate`` refuse a value below the smallest
     normal number (a subnormal keeps only a few significant bits), or an
-    infinite one, rather than return it degraded.
+    infinite one, rather than return it degraded.  The message names the
+    value as ``what.format(x)``, formatted only when it is raised.
     """
     if not sys.float_info.min <= v < math.inf:
-        raise DomainError(f"{what} is not a normal binary64 number{hint}")
+        raise DomainError(f"{what.format(x)} is not a normal binary64 number{hint}")
     return v
 
 
@@ -123,6 +124,10 @@ class DomainTag(enum.Enum):
 
 #: half width of the boundary band of ``classify_domain``: 4 ulps of pi/2
 _BOUNDARY_BAND = 4 * math.ulp(_HALF_PI)
+#: the band's outer edge, the one wall of ``Xi``: ``z`` below the axis is in
+#: ``Xi``, band included, exactly when ``|Re z| (-Im z) <= _XI_EDGE`` (both
+#: ends of the band are binary64 and ``p - pi/2`` is exact there, Sterbenz)
+_XI_EDGE = _HALF_PI + _BOUNDARY_BAND
 
 
 def classify_domain(z: complex) -> DomainTag:
@@ -141,11 +146,11 @@ def classify_domain(z: complex) -> DomainTag:
     if z.imag == 0.0:
         return DomainTag.REAL_AXIS
     p = abs(z.real) * (-z.imag)
+    if p > _XI_EDGE:
+        return DomainTag.OUTSIDE_XI
     if abs(p - _HALF_PI) <= _BOUNDARY_BAND:
         return DomainTag.XI_BOUNDARY
-    if p < _HALF_PI:
-        return DomainTag.XI_INTERIOR
-    return DomainTag.OUTSIDE_XI
+    return DomainTag.XI_INTERIOR
 
 
 # --------------------------------------------------------------------------

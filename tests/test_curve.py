@@ -6,6 +6,7 @@ on a vertical line, move the line until Re F hits the target.  It shares
 no code with the Newton machinery under test.
 """
 
+import cmath
 import copy
 import math
 import os
@@ -36,7 +37,7 @@ from freenormal.curve import (
 from freenormal.errors import DomainError, FreeNormalError, NoConvergence
 from freenormal.levy import _TAU_SPLIT, levy_density
 from freenormal.series import eval_h_asym_infinity
-from freenormal.transforms import f_tilde, g_tilde
+from freenormal.transforms import DomainTag, classify_domain, f_tilde, g_tilde
 from mpmath_oracle import mp_g_tilde, mp_inverse
 
 HALF_PI = math.pi / 2.0
@@ -289,6 +290,101 @@ def _evaluations_per_solve(monkeypatch, xs) -> float:
 
 def _log_grid(a: float, b: float, n: int) -> list[float]:
     return [a * (b / a) ** ((k + 0.5) / n) for k in range(n)]
+
+
+#: 300 log-spaced x from 1e-6 to 30, ends included
+_BUDGET_GRID = [1e-6 * (X_ASYMPTOTIC / 1e-6) ** (k / 299) for k in range(300)]
+
+
+@pytest.mark.parametrize("a, b, budget", [
+    (X_LO, 1.0, 1.0),
+    (1.0, _TAU_SPLIT, 1.2),
+    (_TAU_SPLIT, X_JET, 1.85),
+    (X_JET, X_ASYMPTOTIC, 2.25),
+])
+def test_evaluation_budget_per_band(monkeypatch, a, b, budget):
+    xs = [x for x in _BUDGET_GRID if a < x <= b]
+    assert _evaluations_per_solve(monkeypatch, xs) <= budget
+
+
+def test_absolute_residual_returns_f_tilde_of_the_point_it_evaluated(monkeypatch):
+    # the last step is evaluated, or not taken (z and F as evaluated), or,
+    # below 2**-52 of each component, taken unchecked from the point whose
+    # F is returned
+    def bits(v: complex) -> tuple:
+        return v.real.hex(), v.imag.hex()
+
+    solve_H(1.0)
+    evaluated = {}
+    f_eval = curve._f_eval
+
+    def recording(z):
+        evaluated[z] = f_eval(z)
+        return evaluated[z]
+
+    monkeypatch.setattr(curve, "_f_eval", recording)
+    exact = 0
+    for x in _log_grid(X_LO, X_ASYMPTOTIC, 400):
+        evaluated.clear()
+        seed = curve._table_H(x) if x <= X_JET else complex(
+            series.eval_g_asym_infinity(x, curve._LARGE_X_ORDER),
+            -eval_h_asym_infinity(x, curve._LARGE_X_ORDER).to_complex().real)
+        z, F = curve._newton_confined(seed, x)
+        if z in evaluated:
+            assert bits(F) == bits(evaluated[z]) == bits(complex(f_tilde(z))), x
+            exact += 1
+        else:  # a step below 2**-52 of a part moves it by at most 2 ulps
+            (p,) = [p for p, Fp in evaluated.items() if bits(Fp) == bits(F)]
+            assert abs(z.real - p.real) <= 2.0 * math.ulp(p.real), x
+            assert abs(z.imag - p.imag) <= 2.0 * math.ulp(p.imag), x
+    assert exact >= 250
+
+
+class TestXiWall:
+    """``abs(Re z) * (-Im z) <= _XI_EDGE`` is ``classify_domain``'s wall."""
+
+    @staticmethod
+    def _points() -> list[complex]:
+        p = HALF_PI
+        for _ in range(6):
+            p = math.nextafter(p, 0.0)
+        products = []
+        for _ in range(13):  # pi/2 - 6 ulps to pi/2 + 6 ulps
+            products.append(p)
+            p = math.nextafter(p, math.inf)
+        points = []
+        for p in products:
+            # exact products (a power of two) and rounded ones
+            for a in (1.0, 2.0, 0.25, 3.0, 0.7, 11.3, 1e-5):
+                points += [complex(a, -p / a), complex(-a, -p / a)]
+        inf, nan = math.inf, math.nan
+        points += [complex(u, v) for u in (inf, -inf, nan, 0.0, 1.0, -1.0)
+                   for v in (inf, -inf, nan, 0.0, 1.0, -1.0)]
+        points += [complex(1e300, 1e300), complex(-1e300, 1e300),
+                   complex(1e300, -1e300), complex(1e-300, -1e300), 1e300j, -1e300j]
+        return points
+
+    @staticmethod
+    def _outside(z: complex) -> bool:
+        try:
+            return classify_domain(z) is DomainTag.OUTSIDE_XI
+        except DomainError:  # not finite
+            return True
+
+    def test_newton_confinement_is_classify_domain(self):
+        for z in self._points():
+            assert curve._confined(z) is not self._outside(z), z
+
+    def test_curve_point_and_omega_share_the_wall(self):
+        for z in self._points():
+            if not (z.real > 0.0 and z.imag < 0.0 and cmath.isfinite(z)):
+                continue
+            if self._outside(z):
+                with pytest.raises(DomainError):
+                    CurvePoint(1.0, z.real, -z.imag, 0.0)
+                assert in_omega(z) is False
+            else:
+                assert CurvePoint(1.0, z.real, -z.imag, 0.0).z == z
 
 
 #: the two halves of the jet table, below and above ``X_LO``

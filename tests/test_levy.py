@@ -8,12 +8,13 @@ import sys
 import mpmath
 import pytest
 
-from freenormal import curve
+from freenormal import curve, ode
 from freenormal.curve import f_of, in_omega, solve_H
 from freenormal.errors import (
     DomainError,
     FreeNormalError,
     NoConvergence,
+    PoleProximity,
     QuadratureFailure,
 )
 from freenormal.levy import (
@@ -218,8 +219,7 @@ class TestVoiculescu:
         assert voiculescu(-w.conjugate()) == voiculescu(-w.real)
 
     @pytest.mark.parametrize("w,want", [
-        # values before the third seed existed: a first or second seed that
-        # lands in Omega keeps its root
+        # a first or second seed that lands in Omega keeps its root
         (2 + 1j, complex(0.35899868707718374, -0.27365178302301585)),
         (0.3 + 0.4j, complex(0.3145418178107076, -1.0111996900512796)),
         (1e-8j, -5.916374273413916j),
@@ -261,11 +261,82 @@ class TestVoiculescu:
         # the true imaginary part, about -1/|w|^3, underflows to zero
         assert phi.imag == 0.0
 
+    @pytest.mark.parametrize("lo, hi, budget", [
+        (0.05, 1.0, 9.6), (1.0, 8.0, 5.0), (8.0, 29.0, 3.2),
+    ])
+    def test_evaluation_budget_below_the_series(self, monkeypatch, lo, hi, budget):
+        # transform evaluations per call, Newton's and in_omega's, for w near
+        # the axis, whose root lies in lower Xi below |w| = 8
+        voiculescu(1.0 + 1.0j), solve_H(0.01)  # both halves of the jet table
+        rng = random.Random(35)
+        ws = []
+        for k in range(200):
+            x = lo * (hi / lo) ** ((k + 0.5) / 200)
+            ws.append(complex(rng.choice((-x, x)), x * 10.0 ** rng.uniform(-10.0, 0.0)))
+        calls = [0]
+        for name in ("_f_eval", "g_tilde"):
+            def counted(*args, _f=getattr(curve, name)):
+                calls[0] += 1
+                return _f(*args)
+            monkeypatch.setattr(curve, name, counted)
+        for w in ws:
+            voiculescu(w)
+        assert calls[0] / len(ws) <= budget
+
+    def test_omega_from_newtons_f_is_in_omega(self):
+        # a root in lower Xi is told from Newton's own F only where Im F is
+        # well above noise; both seeds, w near the axis on both sides
+        rng = random.Random(36)
+        told = 0
+        for _ in range(1500):
+            x = 10.0 ** rng.uniform(math.log10(0.05), math.log10(29.9))
+            w = complex(rng.choice((-x, x)), x * 10.0 ** rng.uniform(-18.0, 1.0))
+            for seed in (w + 1.0 / w, w):
+                try:
+                    z, F = curve._newton_confined(seed, w, log=True)
+                except (NoConvergence, PoleProximity, DomainError):
+                    continue
+                assert curve._in_omega(z, F) is in_omega(z), w
+                told += z.imag < 0.0 and abs(z.real) >= 0.043
+        assert told >= 900
+
+    @pytest.mark.parametrize("w, want", [
+        # Newton's Im F is zero or negative at these roots, in Omega all
+        (0.9656396686423487 + 8.87325707669383e-17j, 0.7742154934637049 - 0.5874227480321046j),
+        (-1.0979033786724977 + 1.3932644715023452e-16j,
+         -0.7530090630828923 - 0.5079294128912443j),
+        (1.0180961337356098 + 9.918150567595659e-17j, 0.7660853469581983 - 0.5545692859641873j),
+    ])
+    def test_noise_level_im_f_near_the_axis(self, w, want):
+        assert voiculescu(w) == want
+
     def test_rejects_zero_and_lower_half_plane(self):
         with pytest.raises(DomainError):
             voiculescu(0.0)
         with pytest.raises(DomainError):
             voiculescu(1.0 - 1.0j)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: levy_density(38.6), "curve height at x = 38.6 is not a normal binary64 "
+     "number; use eval_h_asym_infinity for a scaled value"),
+    (lambda: levy_density(-37.7),
+     "the free Levy density at x = -37.7 is not a normal binary64 number"),
+    (lambda: levy_density(1e-160),
+     "the free Levy density at x = 1e-160 is not a normal binary64 number"),
+    (lambda: solve_H(37.9), "curve height at x = 37.9 is not a normal binary64 "
+     "number; use eval_h_asym_infinity for a scaled value"),
+    (lambda: f_of(38), "f(38) is not a normal binary64 number: the boundary "
+     "height is exp(-x^2/2)-small"),
+    (lambda: f_of(-38.0), "f(-38.0) is not a normal binary64 number: the "
+     "boundary height is exp(-x^2/2)-small"),
+    (lambda: ode.integrate(ode.make_anchor(1.0), 37.9),
+     "the curve height at x = 37.9 is not a normal binary64 number"),
+])
+def test_error_texts_at_the_representability_walls(call, text):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == text
 
 
 class TestTauMass:

@@ -5,9 +5,11 @@ import copy
 import inspect
 import math
 import pickle
+import random
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freenormal.errors import DomainError
@@ -105,6 +107,28 @@ class TestExtremeScales:
         assert 0.5 <= abs(v.mantissa) < 2.0
         assert math.isclose(v.log_abs(), math.log(abs(m)) + s, rel_tol=1e-15)
 
+    @pytest.mark.parametrize("draw", [
+        # the parts of the mantissa, and the scale
+        lambda rng: (rng.choice((-1.0, 1.0)) * rng.uniform(1e307, 1.7e308), 0.0,
+                     rng.uniform(700.0, 5000.0)),
+        lambda rng: (rng.uniform(1e-307, 9e-305), rng.uniform(-1e-307, 1e-307),
+                     rng.uniform(-5000.0, 5000.0)),
+        # the modulus overflows
+        lambda rng: (rng.uniform(1.3e308, 1.7e308), -rng.uniform(1.3e308, 1.7e308),
+                     rng.uniform(-5000.0, 5000.0)),
+    ], ids=["huge", "tiny", "overflowing"])
+    def test_mantissa_beyond_e700_at_a_nonzero_scale_keeps_its_digits(self, draw):
+        # the rounding of the new scale stays out of the value
+        rng = random.Random(2000)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(2000):
+                re, im, s = draw(rng)
+                v = ScaledComplex(complex(re, im), s)
+                got = mpmath.mpc(v.mantissa) * mpmath.exp(mpmath.mpf(v.log_scale) - s)
+                worst = max(worst, abs(got / mpmath.mpc(re, im) - 1))
+        assert worst <= 4.4e-16
+
     def test_to_complex_overflow_raises(self):
         with pytest.raises(DomainError):
             ScaledComplex.exp_of(complex(1000.0, 0.0)).to_complex()
@@ -181,6 +205,8 @@ class TestStoredView:
             assert inspect.ismemberdescriptor(ScaledComplex.__dict__[name])
 
     @given(mantissas, scales, mantissas, scales, st.floats(-10.0, 10.0))
+    @example(complex(1.7e308, 1.7e308), 2.0**53, 1 + 0j, 0.0, 0.0)
+    @example(complex(1.7e308, 1.7e308), -1e300, 1 + 0j, 0.0, 0.0)
     @settings(max_examples=400, deadline=None)
     def test_view_is_the_normalized_formula_bit_for_bit(self, m1, s1, m2, s2, phase):
         a, b = ScaledComplex(m1, s1), ScaledComplex(m2, s2)
@@ -200,8 +226,17 @@ class TestStoredView:
         assert math.isclose(cmath.phase(v.mantissa), -0.25 * math.pi, rel_tol=1e-15)
         with pytest.raises(DomainError):
             v.to_complex()
-        # the scale near 710 carries ulp(710) = 1.1e-13 of relative error
-        assert (v * 1e-300).to_complex() == pytest.approx(complex(1.5e8, -1.5e8), rel=1e-12)
+        # the rounding of the scale near 710, ulp(710) = 1.1e-13, is kept in
+        # the mantissa
+        assert (v * 1e-300).to_complex() == pytest.approx(complex(1.5e8, -1.5e8), rel=1e-15)
+
+    @pytest.mark.parametrize("s", [2.0**53, -2.0**53 - 2.0, 1e300, -1e300])
+    def test_an_overflowing_modulus_at_a_scale_that_cannot_take_ln2(self, s):
+        # s + ln 2 rounds back to s: the value is that of the halved mantissa
+        m = complex(1.7e308, 1.7e308)
+        v, half = ScaledComplex(m, s), ScaledComplex(0.5 * m, s)
+        assert (_bits(v.mantissa), v.log_scale.hex()) == (_bits(half.mantissa), half.log_scale.hex())
+        assert 0.5 <= abs(v.mantissa) < 2.0
 
 
 class TestValueProtocol:
