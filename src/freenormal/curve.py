@@ -387,20 +387,15 @@ def in_omega(z: complex) -> bool:
     negative at the axis, vanishes on the curve and only there, and is
     positive toward the hyperbola.  That it changes sign once is a checked
     numerical fact (the tests sweep it), the same one ``ode._inner_root``
-    relies on.  Below ``|Re z| = 0.043`` the curve is the hyperbola
+    and ``levy.voiculescu`` rely on: ``Im f_tilde > 0`` in lower ``Xi`` only
+    above the curve, so a root in ``Xi`` of ``f_tilde(z) = w`` with ``Im w >
+    0`` lies in ``Omega``.  Below ``|Re z| = 0.043`` the curve is the hyperbola
     ``-pi/(2|Re z|)`` to the last bit (see ``f_of``), and membership is that
     comparison; it holds there also where ``g_tilde`` overflows.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"Omega membership needs a finite point, got {z!r}")
-    return _in_omega(z)
-
-
-def _in_omega(z: complex, F: complex | None = None) -> bool:
-    """``in_omega`` of a finite ``z``.  Newton's ``F`` there (or an ulp before,
-    after a sub-ulp unchecked step) decides where ``Im F > 1e-11 |F|``: a sign
-    of ``Im g_tilde`` its 1e-12 accuracy cannot flip an ulp away or at ``-conj z``."""
     if z.real == 0.0 or z.imag >= 0.0:
         return True
     a = abs(z.real)  # Im g_tilde is even in Re z
@@ -408,8 +403,6 @@ def _in_omega(z: complex, F: complex | None = None) -> bool:
         return False
     if a < _F_CLOSED_FORM_BELOW:
         return z.imag > -_HALF_PI / a
-    if F is not None and F.imag > 1e-11 * abs(F):
-        return True
     return g_tilde(complex(a, z.imag)).mantissa.imag < 0.0
 
 

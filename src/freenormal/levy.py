@@ -26,12 +26,12 @@ from .curve import (
     _TABLE_H_REL_ERR,
     X_ASYMPTOTIC,
     X_JET,
-    _in_omega,
+    _confined,
     _newton_confined,
     _table_H,
     solve_H,
 )
-from .errors import DomainError, NoConvergence, PoleProximity, QuadratureFailure
+from .errors import DomainError, NoConvergence, QuadratureFailure
 from .series import _free_floats, _horner
 from .transforms import _require_normal, f_tilde, quad
 
@@ -46,6 +46,8 @@ _PI = math.pi
 
 #: from |w| = X_ASYMPTOTIC on, phi(w) is the series in kappa_2 .. kappa_{2 _PHI_SERIES_ORDER}
 _PHI_SERIES_ORDER = 8
+#: from this |w| on, Newton starts from the two-term large-argument seed w + 1/w; below, from w
+_PHI_SEED_SWITCH = 0.5
 #: tau_total_mass splits here, where h turns from its log growth to Gaussian decay
 _TAU_SPLIT = 3.5
 #: tau_total_mass integrates up to here, the end of the jet table that
@@ -74,17 +76,18 @@ def voiculescu(w: complex) -> complex:
     Real ``w`` uses the boundary parametrization
     ``f_tilde^{-1}(x) = sign(x) g(|x|) - i h(|x|)`` directly, and so does
     ``w`` whose first-order change of ``phi`` from ``Re w``, ``Im w
-    |phi'(Re w)|``, is below half an ulp of ``|phi|``: its root is a curve
-    point to binary64, which ``in_omega``, strict on the curve, refuses.
-    Elsewhere ``z - w`` cancels about ``2 log10 |w|`` digits of ``z``, so
-    from ``|w| = X_ASYMPTOTIC`` (30, where the curve solver also switches
-    to its series) the free-cumulant series ``sum kappa_{2n} w^{1-2n}`` is
-    summed instead (its first dropped term is below 1e-16 relative there).
-    Below, a relative-residual Newton iteration on ``log f_tilde(z) = log w``
-    runs from the two-term large-argument seed ``w + 1/w``, confined to the
-    certified region, then from ``w`` (with near-axis ``w`` on the branch
-    above, seeded sweeps reach no root these miss); the first root in the
-    bijectivity domain is taken (``curve._in_omega``, from Newton's ``F``).
+    |phi'(Re w)|``, is below half an ulp of ``|phi|``: there ``solve_H``'s
+    curve point is ``phi`` to binary64, for one evaluation.  Elsewhere
+    ``z - w`` cancels about ``2 log10 |w|`` digits of ``z``, so from ``|w| =
+    X_ASYMPTOTIC`` (30, where the curve solver also switches to its series)
+    the free-cumulant series ``sum kappa_{2n} w^{1-2n}`` is summed instead
+    (its first dropped term is below 1e-16 relative there).  Below, one
+    relative-residual Newton iteration on ``log f_tilde(z) = log w``,
+    confined to the certified region ``Xi``, runs from the two-term
+    large-argument seed ``w + 1/w`` from ``|w| = _PHI_SEED_SWITCH`` (0.5)
+    on, and from ``w`` below it.  Its root is accepted on ``Xi``: there
+    ``Im f_tilde > 0`` only above the curve (see ``in_omega``), so a root
+    of ``f_tilde(z) = w`` with ``Im w > 0`` lies in the bijectivity domain.
     Past ``|w| = 1/sys.float_info.min`` (about 4.49e307), where ``|phi| ~
     1/|w|`` is no longer a normal binary64 number, ``DomainError`` is raised.
     """
@@ -109,21 +112,10 @@ def voiculescu(w: complex) -> complex:
         iw = 1.0 / w
         return _horner(_free_floats(_PHI_SERIES_ORDER), iw * iw) * iw
 
-    outside = None  # the last root found outside Omega
-    for seed in (w + 1.0 / w, w):
-        try:
-            z, F = _newton_confined(seed, w, log=True)
-        except (NoConvergence, PoleProximity, DomainError):
-            continue  # w + 1/w is past the transform's range for tiny |w|
-        if _in_omega(z, F):
-            return z - w
-        outside = z
-    if outside is None:
-        raise NoConvergence(f"inversion of f_tilde at w = {w!r} failed")
-    raise NoConvergence(
-        f"inversion at w = {w!r} converged outside the bijectivity domain",
-        last_iterate=outside,
-    )
+    z = _newton_confined(w + 1.0 / w if r >= _PHI_SEED_SWITCH else w, w, log=True)[0]
+    if not _confined(z):  # a seed outside Xi from which no step was kept
+        raise NoConvergence(f"inversion of f_tilde at w = {w!r} left Xi", last_iterate=z)
+    return z - w
 
 
 def _curve_quad(integrand, quad_tol: float) -> tuple:

@@ -53,14 +53,12 @@ _MANT_HI = 2.0
 _STORE_LO = 2.0**-64
 _STORE_HI = 2.0**64
 _LN2 = math.log(2.0)
-# Below this ``|log_scale|`` a renormalization of the scale ``s`` to ``t = s +
-# log|m|`` keeps the rounding of ``t`` out of the value: the mantissa is
-# divided by ``exp(t - s)``, exact (Fast2Sum) where ``|log|m|| <= |s|``, as at
-# every large scale; a caller's mantissa past ``e^+-700``, where that factor
-# could leave binary64, by ``exp(log|m|)`` and ``exp(-e)``, ``e = s + log|m| -
-# t`` exactly (TwoSum), as is the constructor's ``s + ln 2``.  From ``2**53``
-# on an ulp of ``t`` is 2 or more and ``t - s`` could leave the view outside
-# ``[0.5, 2)``, so the mantissa is divided by ``exp(log|m|)`` alone.
+# A renormalization of the scale ``s`` to ``t = s + log|m|`` keeps the rounding
+# of ``t`` out of the value: the mantissa is divided by ``exp(log|m|)`` and,
+# at a nonzero ``s``, by ``exp(-e)``, ``e = s + log|m| - t`` exactly (TwoSum),
+# as is the constructor's ``s + ln 2``.  From ``2**53`` on an ulp of ``t`` is
+# 2 or more and ``exp(-e)`` could leave the view outside ``[0.5, 2)``, so the
+# mantissa is divided by ``exp(log|m|)`` alone.
 _EXACT_SCALE = 2.0**53
 
 
@@ -111,12 +109,9 @@ class ScaledComplex:
                     raise DomainError(f"ScaledComplex needs a finite mantissa, got {m!r}")
                 d = math.log(a)
                 t = s + d
-                if not -_EXACT_SCALE < t < _EXACT_SCALE:
-                    m /= cmath.exp(complex(d, 0.0))
-                elif -700.0 < d < 700.0:
-                    m /= cmath.exp(complex(t - s, 0.0))  # the exact increment of s
-                else:  # exp(t - s) could leave binary64: in two factors
-                    m = m / cmath.exp(complex(d, 0.0)) / math.exp(-_two_sum_err(s, d, t))
+                m /= cmath.exp(complex(d, 0.0))
+                if s != 0.0 and -_EXACT_SCALE < t < _EXACT_SCALE:
+                    m /= math.exp(-_two_sum_err(s, d, t))
                 s = t
             a = abs(m)
         _set_m(self, m)
@@ -128,9 +123,10 @@ class ScaledComplex:
         else:
             d = math.log(a)
             t = s + d
-            if -_EXACT_SCALE < t < _EXACT_SCALE:
-                d = t - s
-            _set_mantissa(self, m / cmath.exp(complex(d, 0.0)))
+            m /= cmath.exp(complex(d, 0.0))
+            if s != 0.0 and -_EXACT_SCALE < t < _EXACT_SCALE:
+                m /= math.exp(-_two_sum_err(s, d, t))
+            _set_mantissa(self, m)
             _set_log_scale(self, t)
 
     def __setattr__(self, name, value):  # immutability

@@ -370,8 +370,9 @@ def _near_axis(x: float, y: float) -> complex:
 
 
 def _in_band(x: float, y: float) -> bool:
-    """``x + i y`` lies within ``_NEAR_AXIS`` of the axis in ``Xi``, on either side."""
-    return -_NEAR_AXIS <= y <= _NEAR_AXIS and (y >= 0.0 or abs(x * y) <= _HALF_PI)
+    """``x + i y`` lies within ``_NEAR_AXIS`` of the axis in ``Xi`` (band
+    included, the wall of ``_confined`` and ``in_omega``), on either side."""
+    return -_NEAR_AXIS <= y <= _NEAR_AXIS and (y >= 0.0 or abs(x * y) <= _XI_EDGE)
 
 
 def _band_exp_term(x: float, y: float) -> complex:

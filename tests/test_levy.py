@@ -8,15 +8,9 @@ import sys
 import mpmath
 import pytest
 
-from freenormal import curve, ode
+from freenormal import curve, levy, ode
 from freenormal.curve import f_of, in_omega, solve_H
-from freenormal.errors import (
-    DomainError,
-    FreeNormalError,
-    NoConvergence,
-    PoleProximity,
-    QuadratureFailure,
-)
+from freenormal.errors import DomainError, FreeNormalError, QuadratureFailure
 from freenormal.levy import (
     _TAU_CUT,
     _TAU_SPLIT,
@@ -144,8 +138,8 @@ class TestVoiculescu:
         (1e-300j, -37.14449055687826),
     ])
     def test_small_arguments_on_the_imaginary_axis(self, w, imag):
-        # the seed w + 1/w lies so deep below the axis that f_tilde'
-        # underflows there; the fallback start from w must take over
+        # below |w| = 0.5 Newton starts from w: the seed w + 1/w would lie so
+        # deep below the axis that f_tilde' underflows there
         phi = voiculescu(w)
         assert abs(complex(f_tilde(w + phi)) - w) <= 1e-12
         assert math.isclose(phi.imag, imag, rel_tol=1e-5)
@@ -197,8 +191,7 @@ class TestVoiculescu:
 
     def test_tiny_arguments_just_above_the_positive_axis(self):
         # phi changes from Re w to w by far less than half an ulp, so the
-        # real-axis branch serves it; Newton from w lands on the curve,
-        # outside Omega
+        # real-axis branch serves it, for one evaluation
         w = complex(1.1754943508222875e-38, 1.1615500446600946e-108)
         want = complex(0.11947741816715082, -13.147223558156632)
         assert voiculescu(w) == voiculescu(w.real) == want
@@ -219,7 +212,7 @@ class TestVoiculescu:
         assert voiculescu(-w.conjugate()) == voiculescu(-w.real)
 
     @pytest.mark.parametrize("w,want", [
-        # a first or second seed that lands in Omega keeps its root
+        # the root of the one Newton start, from w below |w| = 0.5
         (2 + 1j, complex(0.35899868707718374, -0.27365178302301585)),
         (0.3 + 0.4j, complex(0.3145418178107076, -1.0111996900512796)),
         (1e-8j, -5.916374273413916j),
@@ -227,7 +220,7 @@ class TestVoiculescu:
         (0.01 + 0.01j, complex(0.2903018073317904, -2.613009914778433)),
         (-5 + 0.1j, complex(-0.20976469785337049, -0.004747195234231907)),
         (1e-200 + 1e-30j, complex(8.564945939140284e-172, -11.675496927892766)),
-        (0.3 + 1e-12j, complex(0.8062444989213402, -1.2887519567898273)),
+        (0.3 + 1e-12j, complex(0.8062444989213402, -1.2887519567898276)),
     ])
     def test_pinned_values(self, w, want):
         assert voiculescu(w) == want
@@ -265,8 +258,8 @@ class TestVoiculescu:
         (0.05, 1.0, 9.6), (1.0, 8.0, 5.0), (8.0, 29.0, 3.2),
     ])
     def test_evaluation_budget_below_the_series(self, monkeypatch, lo, hi, budget):
-        # transform evaluations per call, Newton's and in_omega's, for w near
-        # the axis, whose root lies in lower Xi below |w| = 8
+        # transform evaluations per call for w near the axis, whose root lies
+        # in lower Xi below |w| = 8
         voiculescu(1.0 + 1.0j), solve_H(0.01)  # both halves of the jet table
         rng = random.Random(35)
         ws = []
@@ -283,32 +276,105 @@ class TestVoiculescu:
             voiculescu(w)
         assert calls[0] / len(ws) <= budget
 
-    def test_omega_from_newtons_f_is_in_omega(self):
-        # a root in lower Xi is told from Newton's own F only where Im F is
-        # well above noise; both seeds, w near the axis on both sides
-        rng = random.Random(36)
-        told = 0
-        for _ in range(1500):
-            x = 10.0 ** rng.uniform(math.log10(0.05), math.log10(29.9))
-            w = complex(rng.choice((-x, x)), x * 10.0 ** rng.uniform(-18.0, 1.0))
-            for seed in (w + 1.0 / w, w):
-                try:
-                    z, F = curve._newton_confined(seed, w, log=True)
-                except (NoConvergence, PoleProximity, DomainError):
-                    continue
-                assert curve._in_omega(z, F) is in_omega(z), w
-                told += z.imag < 0.0 and abs(z.real) >= 0.043
-        assert told >= 900
-
     @pytest.mark.parametrize("w, want", [
-        # Newton's Im F is zero or negative at these roots, in Omega all
-        (0.9656396686423487 + 8.87325707669383e-17j, 0.7742154934637049 - 0.5874227480321046j),
+        # roots within an ulp of the curve, where Im f_tilde is rounding
+        # noise: accepted on Xi
+        (0.9656396686423487 + 8.87325707669383e-17j, 0.7742154934637049 - 0.5874227480321048j),
         (-1.0979033786724977 + 1.3932644715023452e-16j,
          -0.7530090630828923 - 0.5079294128912443j),
         (1.0180961337356098 + 9.918150567595659e-17j, 0.7660853469581983 - 0.5545692859641873j),
     ])
     def test_noise_level_im_f_near_the_axis(self, w, want):
         assert voiculescu(w) == want
+
+    @pytest.mark.parametrize("w", [
+        # within rounding of the axis but past the real-axis branch: each root
+        # lies within an ulp of the curve, where in_omega, strict on the
+        # curve, reads rounding noise (the first is cmath.rect(0.9425, pi))
+        complex(-0.9425, 1.1542296081963804e-16),
+        complex(0.9425, 1.1542296081963804e-16),
+        complex(1.0791512663076106, 1.5190592898027817e-16),
+        complex(-1.0791512663076106, 1.5190592898027817e-16),
+        complex(1.0668121938700474, 1.7501419082458594e-16),
+        complex(-1.0668121938700474, 1.7501419082458594e-16),
+    ])
+    def test_roots_within_an_ulp_of_the_curve(self, w):
+        phi = voiculescu(w)
+        assert voiculescu(-w.conjugate()) == -phi.conjugate()
+        assert abs(complex(f_tilde(w + phi)) - w) <= 1e-15
+        with mpmath.workdps(50):
+            want = complex(mp_inverse(w, w + phi) - mpmath.mpc(w))
+        assert abs(phi - want) <= 1e-15 * abs(want)
+
+    def test_one_newton_start_per_call(self, monkeypatch):
+        starts = []
+
+        def counted(*args, **kwargs):
+            starts.append(args[0])
+            return curve._newton_confined(*args, **kwargs)
+
+        monkeypatch.setattr(levy, "_newton_confined", counted)
+        rng = random.Random(38)
+        for _ in range(300):
+            r = 10.0 ** rng.uniform(-300.0, math.log10(29.9))
+            w = cmath.rect(r, rng.uniform(1e-6, math.pi - 1e-6))
+            del starts[:]
+            voiculescu(w)
+            assert starts == [w + 1.0 / w if abs(w) >= 0.5 else w], w
+        for w in (2.0, -0.3 + 1e-30j, 31.0 + 1.0j, 1e-300 + 1e-320j):
+            del starts[:]
+            voiculescu(w)  # the real-axis branch and the series
+            assert starts == [], w
+
+    @pytest.mark.parametrize("lo, hi", [(1e-5, 0.05), (0.05, 0.5)])
+    @pytest.mark.parametrize("near_axis", [False, True])
+    def test_evaluation_budget_below_the_large_argument_seed(self, monkeypatch, lo, hi,
+                                                             near_axis):
+        # one Newton start, from w itself
+        voiculescu(1.0 + 1.0j), solve_H(0.01)  # both halves of the jet table
+        rng = random.Random(37)
+        ws = []
+        for k in range(300):
+            r = lo * (hi / lo) ** ((k + 0.5) / 300)
+            if near_axis:
+                q = 10.0 ** rng.uniform(-19.0, math.log10(0.02))
+                ws.append(complex(rng.choice((-1.0, 1.0)) * r * math.sqrt(1.0 - q * q), r * q))
+            else:
+                ws.append(cmath.rect(r, rng.uniform(0.0, math.pi)))
+        calls = [0]
+
+        def counted(*args, _f=curve._f_eval):
+            calls[0] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(curve, "_f_eval", counted)
+        for w in ws:
+            voiculescu(w)
+        assert calls[0] / len(ws) <= 7.5
+
+    def test_seeded_sweep_meets_the_residual_contract(self):
+        # |w| log-uniform down to the subnormals, Im w / |w| down to 1e-19,
+        # the imaginary axis and cmath.rect(r, pi); each root in Xi is in
+        # Omega wherever Im w is above the noise of the residual
+        rng = random.Random(39)
+
+        def modulus(lo, hi=29.99):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        def near_axis(r, q):
+            return complex(rng.choice((-1.0, 1.0)) * r * math.sqrt(1.0 - q * q), r * q)
+
+        ws = [cmath.rect(modulus(5e-324), rng.uniform(0.0, math.pi)) for _ in range(600)]
+        ws += [near_axis(modulus(5e-324), 10.0 ** rng.uniform(-19.0, 0.0)) for _ in range(600)]
+        ws += [complex(0.0, modulus(5e-324)) for _ in range(300)]
+        ws += [cmath.rect(rng.uniform(0.5, 29.99), math.pi) for _ in range(300)]
+        ws += [near_axis(modulus(0.5), 10.0 ** rng.uniform(-19.0, math.log10(0.02)))
+               for _ in range(600)]
+        for w in ws:
+            z = w + voiculescu(w)
+            assert abs(complex(f_tilde(z)) - w) <= 1e-10 * max(1.0, abs(w)), w
+            if w.imag > 1e-10 * abs(w):
+                assert in_omega(z), w
 
     def test_rejects_zero_and_lower_half_plane(self):
         with pytest.raises(DomainError):

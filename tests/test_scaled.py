@@ -129,6 +129,20 @@ class TestExtremeScales:
                 worst = max(worst, abs(got / mpmath.mpc(re, im) - 1))
         assert worst <= 4.4e-16
 
+    def test_mantissa_past_the_store_window_at_a_small_scale_keeps_its_digits(self):
+        # t - s is not exact here (Fast2Sum needs s at least as large in
+        # exponent as log|m|), so the rounding of t is taken by TwoSum
+        rng = random.Random(2001)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(2000):
+                m = cmath.rect(2.0 ** rng.uniform(64.0, 100.0), rng.uniform(-math.pi, math.pi))
+                s = rng.uniform(-0.5, 0.5)
+                v = ScaledComplex(m, s)
+                got = mpmath.mpc(v.mantissa) * mpmath.exp(mpmath.mpf(v.log_scale) - s)
+                worst = max(worst, abs(got / mpmath.mpc(m) - 1))
+        assert worst <= 4.4e-16
+
     def test_to_complex_overflow_raises(self):
         with pytest.raises(DomainError):
             ScaledComplex.exp_of(complex(1000.0, 0.0)).to_complex()
@@ -173,16 +187,19 @@ def _slots(v: ScaledComplex) -> tuple:
 
 
 def _normalized(m: complex, s: float) -> tuple[complex, float]:
-    """The view formula: ``|m|`` in ``[0.5, 2)`` or 0 kept, else divided out
-    by the increment the scale took (by ``exp(log|m|)`` from ``2**53`` on)."""
+    """The view formula: ``|m|`` in ``[0.5, 2)`` or 0 kept, else divided by
+    ``exp(log|m|)`` and, at a nonzero scale below ``2**53``, by ``exp(-e)``
+    for the rounding ``e`` of the new scale (TwoSum)."""
     a = abs(m)
     if a == 0.0 or 0.5 <= a < 2.0:
         return m, s
     d = math.log(a)
     t = s + d
-    if abs(t) < 2.0**53:
-        d = t - s
-    return m / cmath.exp(complex(d, 0.0)), t
+    m /= cmath.exp(complex(d, 0.0))
+    if s != 0.0 and abs(t) < 2.0**53:
+        u = t - s
+        m /= math.exp(-((s - (t - u)) + (d - u)))
+    return m, t
 
 
 #: parts at the edges of the store window, of binary64 and of the view

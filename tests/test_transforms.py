@@ -334,14 +334,16 @@ def _band_reference(z: complex):
         return mp_g_tilde(mpmath.mpc(z))
 
 
-def _part_errors(got: complex, z: complex) -> tuple[float, float]:
-    """Errors of ``Re`` and ``Im`` of ``got`` against :func:`_band_reference`.
+def _part_errors(got: complex, z: complex, want=None) -> tuple[float, float]:
+    """Errors of ``Re`` and ``Im`` of ``got`` against :func:`_band_reference`
+    (or ``want``, its value at ``z``).
 
     ``Re`` relative to itself (absolute where it is 0), ``Im`` relative to
     ``max(|Im|, sqrt(pi/2) |exp(-z^2/2)|)``: the exponential term is
     rounded once as a whole, whatever the sign of its parts.
     """
-    want = _band_reference(z)
+    if want is None:
+        want = _band_reference(z)
     with mpmath.workdps(30):
         scale = mpmath.sqrt(mpmath.pi / 2) * abs(mpmath.exp(-mpmath.mpc(z) ** 2 / 2))
         re = abs(got.real - want.real) / (abs(want.real) or 1)
@@ -386,6 +388,22 @@ class TestNearAxisBand:
                 z = complex(s * 9.5 * f, y)
                 re, im = _part_errors(complex(g_tilde(z)), z)
                 assert re <= 1e-15 and im <= 2e-15, z
+
+    def test_both_sides_of_the_wall_of_xi(self):
+        # the band reaches the wall that Newton confines to, the 4-ulp
+        # boundary band included; past the wall the kernel serves, and keeps
+        # the parts only to the roundoff of |g_tilde|.  At -conj z the value
+        # is -conj g_tilde(z)
+        u = math.ulp(0.5 * math.pi)
+        for a in (3.2, 4.0, 5.5, 7.0, 9.4, 9.6, 12.0, 17.0, 23.0, 29.0):
+            for k in range(-6, 7):
+                z = complex(a, -(0.5 * math.pi + k * u) / a)
+                want = _band_reference(z)
+                for got in (complex(g_tilde(z)), -complex(g_tilde(-z.conjugate())).conjugate()):
+                    with mpmath.workdps(30):
+                        assert abs(mpmath.mpc(got) - want) <= 4.4e-16 * abs(want), z
+                    if _confined(z):
+                        assert max(_part_errors(got, z, want)) <= 1e-15, z
 
     def test_dawson_nodes_are_mpmath_rounded_to_nearest(self):
         assert len(_DAWSON_NODES) == 28
