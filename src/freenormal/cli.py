@@ -60,14 +60,15 @@ def _pair_text(v: complex) -> str:
 def format_value(value: ScaledComplex) -> str:
     """Render ``a + bi``; huge or tiny scales get a decimal exponent.
 
-    There ``value = m e^s`` prints as ``(m e^r) * 10^k``, with ``r = s - k ln
-    10`` formed in exact rationals, so the mantissa keeps the digits of ``m``.
+    There the normalized pair ``value = m e^s`` (``0.5 <= |m| < 2``) prints
+    as ``(m e^r) * 10^k``, with ``r = s - k ln 10`` formed in exact
+    rationals, so the mantissa keeps the digits of ``m``.
     From ``|s| = 2**53`` on, where ``ulp(s) >= 2``, it keeps none, and
     ``DomainError`` is raised.
     """
     if value.is_zero:
         return "0 + 0i"
-    s = value.log_scale
+    m, s = value.normalized()
     if abs(s) <= 700.0:
         return _pair_text(value.to_complex())
     if not abs(s) < _EXACT_SCALE:
@@ -77,7 +78,7 @@ def format_value(value: ScaledComplex) -> str:
 
     k = math.floor(value.log_abs() / _LN10)
     r = Fraction(s) - k * Fraction(_LN10_DIGITS)
-    return f"({_pair_text(value.mantissa * math.exp(float(r)))}) * 10^{k}"
+    return f"({_pair_text(m * math.exp(float(r)))}) * 10^{k}"
 
 
 _EVAL_FNS = {

@@ -154,7 +154,10 @@ def _newton_confined(z: complex, w: complex, log: bool = False) -> tuple[complex
     scale = 1.0 if log else max(1.0, abs(w))
     goal = (1e-13 if log else 1e-14) * scale
     if log:
-        lw, unit = math.log(abs(w)), (w / abs(w)).conjugate()
+        u, k_ln2 = w, 0.0
+        if type(w) is complex and abs(w) < sys.float_info.min:  # |w| would lose digits
+            u, k_ln2 = w * 2.0**1000, 1000.0 * math.log(2.0)  # w 2**1000 is exact
+        lw, unit = math.log(abs(u)) - k_ln2, (u / abs(u)).conjugate()
 
     def residual(v: complex) -> tuple[complex, complex]:
         F = _f_eval(v)

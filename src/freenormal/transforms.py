@@ -421,8 +421,7 @@ def _g_eval(z: complex, slope: bool = False):
     below = not band and y <= 0.0
     if band:
         if r2 > _FAR_R2_MAX:  # 1/z, the moment series' first term, in scaled form
-            v = ScaledComplex(z)
-            return ScaledComplex(1.0 / v.mantissa, -v.log_scale)
+            return ScaledComplex(z).reciprocal()
         ex = _band_exp_term(x, y)
     elif below:
         hi, lo = _half_diff_of_squares(x, y)

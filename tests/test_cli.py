@@ -20,7 +20,7 @@ from freenormal.errors import DomainError
 from freenormal.ode import integrate, make_anchor
 from freenormal.scaled import ScaledComplex
 from freenormal.transforms import f_tilde, g_tilde, rho
-from mpmath_oracle import rho_mp
+from mpmath_oracle import mp_g_tilde, rho_mp
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -100,6 +100,18 @@ class TestFormatValue:
         with mpmath.workdps(40):
             want = rho_mp(x) / mpmath.mpf(10) ** int(k)
         assert float(m) == float(mpmath.nstr(want, 15))
+
+    def test_prints_the_normalized_pair(self, capsys):
+        # F there is stored with |m| = 0.399 at a scale of -703.1; printed
+        # from that pair (exp(r) at r = 1.47, not 0.55) its imaginary part
+        # would end in 5
+        assert main(["eval", "--fn", "F", "--z", "0.01-37.5i"]) == 0
+        out = capsys.readouterr().out
+        assert out == "(0.633036190993786 + 1.60821506907954i) * 10^-306\n"
+        with mpmath.workdps(40):
+            want = 1 / mp_g_tilde(mpmath.mpc(0.01, -37.5)) * mpmath.mpf(10) ** 306
+            assert mpmath.nstr(want.imag, 15) == "1.60821506907954"
+            assert mpmath.nstr(want.real, 15) == "0.633036190993786"
 
     def test_negative_zero_is_normalized(self):
         v = ScaledComplex(complex(-0.0, 1.0))

@@ -22,7 +22,7 @@ from freenormal.levy import (
 )
 from freenormal.series import eval_h_asym_infinity
 from freenormal.transforms import f_tilde, quad
-from mpmath_oracle import mp_inverse
+from mpmath_oracle import mp_g_tilde, mp_inverse
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -305,6 +305,31 @@ class TestVoiculescu:
         with mpmath.workdps(50):
             want = complex(mp_inverse(w, w + phi) - mpmath.mpc(w))
         assert abs(phi - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("w", [
+        complex(-5e-324, 5e-324), complex(-1e-323, 2e-323), complex(7.9e-322, 9.5e-322),
+        complex(3e-320, 1e-322),
+    ])
+    def test_subnormal_modulus(self, w):
+        # abs(w) rounds to the subnormal grid, so log|w| and w/|w| are taken
+        # from w 2**1000; the root of log(g_tilde(z) w) stands in for
+        # mp_inverse, as 1/w is past binary64
+        phi = voiculescu(w)
+        with mpmath.workdps(60):
+            mw = mpmath.mpc(w)
+            z = mpmath.findroot(lambda z: mpmath.log(mp_g_tilde(z) * mw), mpmath.mpc(w + phi))
+            want = z - mw
+            assert abs(mpmath.mpc(phi) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("x, g, h", [
+        (5e-324, 0.04073408622139085, 38.56220852132478),
+        (1e-310, 0.041600222835399714, 37.75932482405425),
+    ])
+    def test_real_subnormal_argument_keeps_its_curve_point(self, x, g, h):
+        # a real subnormal x is exact: solve_H takes log x unscaled (pinned)
+        pt = solve_H(x)
+        assert (pt.g, pt.h) == (g, h)
+        assert voiculescu(x) == complex(g - x, -h)
 
     def test_one_newton_start_per_call(self, monkeypatch):
         starts = []

@@ -6,6 +6,7 @@ import inspect
 import math
 import pickle
 import random
+import sys
 
 import mpmath
 import pytest
@@ -70,10 +71,14 @@ class TestAgainstComplex:
 
     @given(moderate_complex())
     @settings(max_examples=100, deadline=None)
-    def test_mantissa_normalized(self, a):
+    def test_mantissa_in_the_store_window(self, a):
         sa = ScaledComplex(a)
-        if not sa.is_zero:
-            assert 0.5 <= abs(sa.mantissa) < 2.0
+        if sa.is_zero:
+            assert (_bits(sa.mantissa), sa.log_scale.hex()) == (_bits(0j), "0x0.0p+0")
+        else:
+            assert 2.0**-64 <= abs(sa.mantissa) < 2.0**64
+        if 2.0**-64 <= abs(a) < 2.0**64:  # a plain value is kept as given
+            assert (_bits(sa.mantissa), sa.log_scale.hex()) == (_bits(a), "0x0.0p+0")
 
 
 class TestExtremeScales:
@@ -116,7 +121,10 @@ class TestExtremeScales:
         # the modulus overflows
         lambda rng: (rng.uniform(1.3e308, 1.7e308), -rng.uniform(1.3e308, 1.7e308),
                      rng.uniform(-5000.0, 5000.0)),
-    ], ids=["huge", "tiny", "overflowing"])
+        # exp(log|m|) is subnormal
+        lambda rng: (rng.uniform(-2e-308, 2e-308), rng.uniform(-2e-308, 2e-308),
+                     rng.uniform(-5000.0, 5000.0)),
+    ], ids=["huge", "tiny", "overflowing", "subnormal"])
     def test_mantissa_beyond_e700_at_a_nonzero_scale_keeps_its_digits(self, draw):
         # the rounding of the new scale stays out of the value
         rng = random.Random(2000)
@@ -142,6 +150,38 @@ class TestExtremeScales:
                 got = mpmath.mpc(v.mantissa) * mpmath.exp(mpmath.mpf(v.log_scale) - s)
                 worst = max(worst, abs(got / mpmath.mpc(m) - 1))
         assert worst <= 4.4e-16
+
+    @pytest.mark.parametrize("m", [5e-324, complex(-5e-324, 1e-323), complex(3e-320, -1e-322),
+                                   complex(1e-310, 2e-310), complex(-2.2e-308, 1e-309)])
+    def test_subnormal_mantissa_at_scale_zero_keeps_its_digits(self, m):
+        v = ScaledComplex(m)
+        assert 0.5 <= abs(v.mantissa) < 2.0
+        with mpmath.workdps(40):
+            got = mpmath.mpc(v.mantissa) * mpmath.exp(mpmath.mpf(v.log_scale))
+            assert abs(got / mpmath.mpc(m) - 1) <= 4.4e-16
+
+    @pytest.mark.parametrize("mod", [2.0**-64 * (1 + 2.0**-50), 1.5 * 2.0**-64, 2.0**63.5,
+                                     2.0**64 * (1 - 2.0**-50)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_to_complex_of_an_unnormalized_pair_past_the_plain_range(self, mod, sign):
+        # stored scales from 665 to 745 (and their negatives) with |m| near
+        # 2**±64 take the normalized branch of to_complex
+        rng = random.Random(2002)
+        with mpmath.workdps(40):
+            for _ in range(100):
+                s = sign * rng.uniform(665.0, 745.0)
+                m = cmath.rect(mod, rng.uniform(-math.pi, math.pi))
+                v = ScaledComplex(m, s)
+                assert (_bits(v.mantissa), v.log_scale.hex()) == (_bits(m), s.hex())
+                want = mpmath.mpc(m) * mpmath.exp(s)
+                try:
+                    got = v.to_complex()
+                except DomainError:  # past binary64 range, or within a factor 5 of it
+                    assert mpmath.log(abs(want)) > math.log(sys.float_info.max / 5)
+                    continue
+                err = abs(mpmath.mpc(got) - want)
+                # at most the float rounding of each part, also where it is subnormal
+                assert err <= 4.4e-16 * abs(want) + 2 * 5e-324
 
     def test_to_complex_overflow_raises(self):
         with pytest.raises(DomainError):
@@ -183,11 +223,11 @@ def _bits(v) -> tuple:
 
 
 def _slots(v: ScaledComplex) -> tuple:
-    return _bits(v._m), v._s.hex(), _bits(v.mantissa), v.log_scale.hex()
+    return _bits(v.mantissa), v.log_scale.hex()
 
 
 def _normalized(m: complex, s: float) -> tuple[complex, float]:
-    """The view formula: ``|m|`` in ``[0.5, 2)`` or 0 kept, else divided by
+    """The normalized pair: ``|m|`` in ``[0.5, 2)`` or 0 kept, else divided by
     ``exp(log|m|)`` and, at a nonzero scale below ``2**53``, by ``exp(-e)``
     for the rounding ``e`` of the new scale (TwoSum)."""
     a = abs(m)
@@ -217,8 +257,8 @@ scales = st.one_of(st.sampled_from([0.0, -0.0, 700.0, -800.0, 2.0**53, -1e300]),
 
 class TestStoredView:
     def test_view_is_a_slot_not_a_property(self):
-        for name in ("mantissa", "log_scale"):
-            assert name in ScaledComplex.__slots__
+        assert ScaledComplex.__slots__ == ("mantissa", "log_scale")
+        for name in ScaledComplex.__slots__:
             assert inspect.ismemberdescriptor(ScaledComplex.__dict__[name])
 
     @given(mantissas, scales, mantissas, scales, st.floats(-10.0, 10.0))
@@ -232,9 +272,11 @@ class TestStoredView:
         if not b.is_zero:
             values += [a / b, b.reciprocal()]
         for v in values:
-            m, s = _normalized(v._m, v._s)
-            assert (_bits(v.mantissa), v.log_scale.hex()) == (_bits(m), s.hex())
-            assert v.is_zero or 0.5 <= abs(v.mantissa) < 2.0
+            assert v.is_zero or 2.0**-64 <= abs(v.mantissa) < 2.0**64
+            m, s = _normalized(v.mantissa, v.log_scale)
+            got_m, got_s = v.normalized()
+            assert (_bits(got_m), got_s.hex()) == (_bits(m), s.hex())
+            assert v.is_zero or 0.5 <= abs(got_m) < 2.0
 
     def test_finite_parts_with_an_overflowing_modulus(self):
         v = ScaledComplex(complex(1.5e308, -1.5e308))
@@ -267,7 +309,7 @@ class TestValueProtocol:
             assert type(w) is ScaledComplex
             assert _slots(w) == _slots(v)
 
-    @pytest.mark.parametrize("name", ["_m", "_s", "mantissa", "log_scale"])
+    @pytest.mark.parametrize("name", ["mantissa", "log_scale"])
     def test_slots_cannot_be_set_or_deleted(self, name):
         v = ScaledComplex(0.25 + 3j, 7.0)
         before = _slots(v)
